@@ -1,6 +1,7 @@
 """Command line front end.
 
-Reports go to standard output, diagnostics to standard error.  Exit codes:
+Reports go to standard output, diagnostics to standard error as one
+"warning: ..." or "error: ..." line each.  Exit codes:
 0 success, 1 verification failure, 2 input error.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import reports
 from .reports import DEFAULT_TOLERANCE
@@ -69,15 +71,21 @@ def run(args) -> int:
         kraus = load_kraus(args.kraus)
         report, ok = reports.transform_report(ens, kraus, tolerance)
         code = 0 if ok else 1
-    sys.stdout.write(reports.render(report, args.output))
+    sys.stdout.writelines(reports.render(report, args.output))
     return code
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return run(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    HERMITICITY_TOL,
     RANK_TOL,
+    as_matrix,
     fix_phase,
     frobenius,
     hermitian_eigen,
@@ -44,6 +46,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
     return out
+
+
+class StateError(ValueError):
+    """One ensemble member failed validation.
+
+    index is the member's position and problem the message without the
+    member's name, so that a reader of input files can name the member by
+    its own field path.
+    """
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"state {index} {problem}")
+        self.index = index
+        self.problem = problem
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +84,20 @@ class Ensemble:
             raise ValueError(f"priors sum to {float(priors.sum())!r}, expected 1")
         checked = []
         for k, rho in enumerate(self.states):
-            h = require_hermitian(rho, name=f"state {k}")
+            h = as_matrix(rho)
             if h.shape != (self.dim, self.dim):
-                raise ValueError(f"state {k} has shape {h.shape}, expected ({self.dim}, {self.dim})")
+                raise StateError(k, f"has shape {h.shape}, expected ({self.dim}, {self.dim})")
+            try:
+                h = require_hermitian(h)
+            except ValueError:
+                raise StateError(k, f"is not Hermitian within relative tolerance {HERMITICITY_TOL}") from None
             vals = np.linalg.eigvalsh(h)
             if vals[0] < -_STATE_PSD_TOL:
-                raise ValueError(f"state {k} is not positive semidefinite (min eigenvalue {vals[0]:.3e})")
+                raise StateError(
+                    k, f"is not positive semidefinite (most negative eigenvalue {float(vals[0])!r})"
+                )
             if abs(real_trace(h) - 1.0) > _TRACE_TOL:
-                raise ValueError(f"state {k} has trace {real_trace(h)!r}, expected 1")
+                raise StateError(k, f"has trace {real_trace(h)!r}, expected 1")
             checked.append(_frozen(h))
         priors.setflags(write=False)
         object.__setattr__(self, "states", tuple(checked))

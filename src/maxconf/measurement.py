@@ -39,6 +39,10 @@ _EFFECT_PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-9
 _DEGENERACY_TOL = 1e-9
 _OUTCOME_PROB_FLOOR = 1e-14
+# Roundoff tolerated outside [0, 1] on a confidence before it is an error.
+_UNIT_SLACK = 1e-10
+# Trials sampled per block, so memory stays flat in the number of trials.
+_SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +108,13 @@ class POM:
         return out
 
 
+def _unit_interval(value: float, name: str) -> float:
+    """Clamp roundoff just outside [0, 1]; beyond the slack it is an error."""
+    if not -_UNIT_SLACK <= value <= 1.0 + _UNIT_SLACK:
+        raise ValueError(f"{name} out of range: {value!r}")
+    return min(max(value, 0.0), 1.0)
+
+
 def confidence_of(ens: Ensemble, effect: np.ndarray, j: int) -> float:
     """Posterior probability of state j given the outcome tied to `effect`.
 
@@ -115,17 +126,19 @@ def confidence_of(ens: Ensemble, effect: np.ndarray, j: int) -> float:
     if denom <= _OUTCOME_PROB_FLOOR:
         raise ValueError(f"outcome probability {denom!r} too small: conditional undefined")
     numer = ens.priors[j] * real_trace(ens.states[j] @ e)
-    return float(numer / denom)
+    return _unit_interval(float(numer / denom), f"confidence for state {j}")
 
 
 def max_confidence(ens: Ensemble, j: int) -> float:
     """Largest achievable confidence for ensemble member j."""
     rho = ens.average
     if ens.is_pure(j):
-        return float(ens.priors[j] * real_trace(ens.states[j] @ support_inv(rho)))
-    s = support_inv_sqrt(rho)
-    x = hermitize(ens.priors[j] * (s @ ens.states[j] @ s))
-    return float(np.linalg.eigvalsh(x)[-1])
+        value = float(ens.priors[j] * real_trace(ens.states[j] @ support_inv(rho)))
+    else:
+        s = support_inv_sqrt(rho)
+        x = hermitize(ens.priors[j] * (s @ ens.states[j] @ s))
+        value = float(np.linalg.eigvalsh(x)[-1])
+    return _unit_interval(value, f"bound for state {j}")
 
 
 def optimal_effect(ens: Ensemble, j: int) -> np.ndarray:
@@ -250,25 +263,29 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     prob = np.clip(prob, 0.0, None)
     prob /= prob.sum(axis=1, keepdims=True)
 
-    rng = np.random.default_rng(seed)
-    u = rng.random((trials, 2))
+    n_out = len(labelled)
     cum_priors = np.cumsum(ens.priors)
-    prepared = np.searchsorted(cum_priors, u[:, 0], side="right")
-    prepared = np.minimum(prepared, ens.n_states - 1)
     cum = np.cumsum(prob, axis=1)
     cum[:, -1] = 1.0
-    outcome = (u[:, 1:] >= cum[prepared]).sum(axis=1)
+    rng = np.random.default_rng(seed)
+    # Consecutive draws continue one stream, so the blocks see exactly the
+    # uniforms a single (trials, 2) draw would.
+    joint = np.zeros(ens.n_states * n_out, dtype=np.int64)
+    for start in range(0, trials, _SAMPLE_CHUNK):
+        u = rng.random((min(_SAMPLE_CHUNK, trials - start), 2))
+        prepared = np.searchsorted(cum_priors, u[:, 0], side="right")
+        prepared = np.minimum(prepared, ens.n_states - 1)
+        outcome = (u[:, 1:] >= cum[prepared]).sum(axis=1)
+        joint += np.bincount(prepared * n_out + outcome, minlength=joint.size)
+    joint = joint.reshape(ens.n_states, n_out)
 
-    n_out = len(labelled)
-    outcome_counts = np.bincount(outcome, minlength=n_out)
+    outcome_counts = joint.sum(axis=0)
     labels = tuple(label for label, _ in pom.effects)
-    correct = []
-    freqs = []
-    for k, label in enumerate(labels):
-        hits = int(np.count_nonzero((outcome == k) & (prepared == label)))
-        correct.append(hits)
-        n_k = int(outcome_counts[k])
-        freqs.append(hits / n_k if n_k > 0 else None)
+    correct = [int(joint[label, k]) for k, label in enumerate(labels)]
+    freqs = [
+        hits / int(outcome_counts[k]) if outcome_counts[k] > 0 else None
+        for k, hits in enumerate(correct)
+    ]
     return SimulationResult(
         trials=trials,
         seed=seed,

@@ -1,10 +1,13 @@
 """Report assembly and rendering for the command line front end.
 
 Each subcommand produces one report tree (plain dicts, lists, floats).
-The machine rendering is canonical JSON (sorted keys, two-space indent);
-the text rendering walks the same tree and prints every number with its
-full shortest round-trip representation, so both carry identical numeric
-values and byte-identical output for identical inputs.
+The machine rendering is canonical JSON: sorted keys, a two-space indent
+for the structure, and each row of a numeric array (each row of a matrix,
+each [re, im] pair of a vector) on one line.  The text rendering walks the
+same tree and prints every number with its full shortest round-trip
+representation, so both carry identical numeric values.  Both renderers
+return the output as a list of string pieces, which the command line
+writes in order, and both are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -212,18 +215,62 @@ def transform_report(ens, kraus, tolerance: float) -> tuple[dict, bool]:
     return report, ok
 
 
-def render_machine(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+_ROW = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-def _numeric_tree(node) -> bool:
-    if isinstance(node, bool):
-        return False
-    if isinstance(node, (int, float)):
-        return True
-    if isinstance(node, list):
-        return bool(node) and all(_numeric_tree(x) for x in node)
-    return False
+def _leaf_rank(node) -> int:
+    """Nesting depth of a numeric array (lists of numbers), 0 for anything else.
+
+    Report arrays are homogeneous, so the chain of first elements decides and
+    no other scalar is visited.
+    """
+    rank = 0
+    while isinstance(node, list) and node:
+        node = node[0]
+        rank += 1
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        return 0
+    return rank
+
+
+def _machine(node, pad: str, out: list) -> None:
+    inner = pad + "  "
+    if isinstance(node, dict) and node:
+        sep = "{\n"
+        for key in sorted(node):
+            out.append(f"{sep}{inner}{_ROW.encode(key)}: ")
+            _machine(node[key], inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(node, list) and node:
+        rank = _leaf_rank(node)
+        if rank == 1:
+            out.append(_ROW.encode(node))
+            return
+        sep = "[\n"
+        for item in node:
+            if rank:
+                out.append(f"{sep}{inner}{_ROW.encode(item)}")
+            else:
+                out.append(f"{sep}{inner}")
+                _machine(item, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]")
+    else:
+        out.append(_ROW.encode(node))
+
+
+def render_machine(report: dict) -> list:
+    """Canonical JSON as a list of string pieces to write in order.
+
+    Keys are sorted and structure is indented by two spaces as with
+    json.dumps(indent=2, sort_keys=True), except that a numeric array is
+    printed one row per line (a flat one on a single line).
+    """
+    out: list = []
+    _machine(report, "", out)
+    out.append("\n")
+    return out
 
 
 def _scalar(node) -> str:
@@ -241,31 +288,32 @@ def _walk(node, depth: int, lines: list, label) -> None:
     head = f"{pad}{label}" if label is not None else pad
     if isinstance(node, dict):
         if label is not None:
-            lines.append(f"{head}:")
+            lines.append(f"{head}:\n")
             depth += 1
         for key, value in node.items():
             _walk(value, depth, lines, key)
     elif isinstance(node, list):
-        if _numeric_tree(node) or not node:
-            lines.append(f"{head}: {json.dumps(node)}")
+        if not node or _leaf_rank(node):
+            lines.append(f"{head}: {json.dumps(node)}\n")
         else:
-            lines.append(f"{head}:")
+            lines.append(f"{head}:\n")
             for item in node:
                 if isinstance(item, dict):
-                    lines.append(f"{pad}  -")
+                    lines.append(f"{pad}  -\n")
                     for key, value in item.items():
                         _walk(value, depth + 2, lines, key)
                 else:
                     _walk(item, depth + 1, lines, "-")
     else:
-        lines.append(f"{head}: {_scalar(node)}")
+        lines.append(f"{head}: {_scalar(node)}\n")
 
 
-def render_text(report: dict) -> str:
+def render_text(report: dict) -> list:
+    """Indented key: value lines, one string per line, in order."""
     lines: list = []
     _walk(report, 0, lines, None)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def render(report: dict, output: str) -> str:
+def render(report: dict, output: str) -> list:
     return render_machine(report) if output == "machine" else render_text(report)

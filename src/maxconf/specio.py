@@ -16,8 +16,10 @@ A spec file looks like
 Complex numbers are [re, im] pairs, matrices row-major nested lists.
 Kets are normalized on load (a warning fires when the correction exceeds
 1e-6); priors are checked to sum to 1 within 1e-9 and then renormalized
-exactly.  The optional tolerance field overrides the verification default
-unless the command line sets one.  NaN and infinities are rejected.
+exactly.  Matrices are checked (Hermitian, positive semidefinite, unit
+trace) by Ensemble alone, and its errors are reported under the member's
+field path.  The optional tolerance field overrides the verification
+default unless the command line sets one.  NaN and infinities are rejected.
 """
 
 from __future__ import annotations
@@ -29,14 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble
-from .linalg import frobenius, hermitize
+from .ensembles import Ensemble, StateError
 from .transforms import KrausOperator
 
 _KET_NORM_WARN = 1e-6
 _PRIOR_SUM_TOL = 1e-9
-_PARSE_PSD_TOL = 1e-10
-_PARSE_TRACE_TOL = 1e-10
 
 
 class SpecError(ValueError):
@@ -48,19 +47,26 @@ def _reject_constant(token):
 
 
 def _load_json(path):
+    """The parsed document, and whether its text holds a true or false literal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    return doc, "true" in text or "false" in text
 
 
 def _real(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{field} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise SpecError(f"{field} is not finite")
     return x
@@ -84,6 +90,29 @@ def _matrix(entry, dim: int, field: str) -> np.ndarray:
     return np.vstack([_vector(row, dim, f"{field}[{k}]") for k, row in enumerate(entry)])
 
 
+def _complex_array(entry, dim: int, ndim: int, field: str, literals: bool) -> np.ndarray:
+    """A ket (ndim 1) or matrix (ndim 2) of [re, im] pairs as a complex array.
+
+    One numpy conversion reads a well-formed entry.  numpy reads a true
+    among numbers as 1.0, so a file holding a true/false literal goes
+    through the per-entry walkers, as does any entry that does not convert
+    to finite numbers of the right shape (a string, null, ragged or
+    wrong-length list); the walkers raise the message naming the first bad
+    entry.
+    """
+    if not literals:
+        try:
+            arr = np.asarray(entry)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is not None and arr.shape == (dim,) * ndim + (2,) and arr.dtype.kind in "fiu":
+            arr = np.asarray(arr, dtype=np.float64)
+            if np.isfinite(arr).all():
+                return arr.view(np.complex128)[..., 0]
+    walk = _vector if ndim == 1 else _matrix
+    return walk(entry, dim, field)
+
+
 @dataclass(frozen=True)
 class ParsedSpec:
     ensemble: Ensemble
@@ -91,7 +120,8 @@ class ParsedSpec:
 
 
 def read_spec(path) -> ParsedSpec:
-    doc = _load_json(path)
+    """Load an ensemble spec; the matrices are validated by Ensemble alone."""
+    doc, literals = _load_json(path)
     if not isinstance(doc, dict):
         raise SpecError("spec root must be an object")
     if "dimension" not in doc:
@@ -105,6 +135,7 @@ def read_spec(path) -> ParsedSpec:
 
     priors = []
     states = []
+    fields = []
     for k, entry in enumerate(raw_states):
         field = f"states[{k}]"
         if not isinstance(entry, dict):
@@ -120,33 +151,19 @@ def read_spec(path) -> ParsedSpec:
         if has_ket == has_matrix:
             raise SpecError(f"{field} needs exactly one of ket or matrix")
         if has_ket:
-            v = _vector(entry["ket"], dim, f"{field}.ket")
+            field += ".ket"
+            v = _complex_array(entry["ket"], dim, 1, field, literals)
             norm = float(np.linalg.norm(v))
             if norm == 0.0:
-                raise SpecError(f"{field}.ket is the zero vector")
+                raise SpecError(f"{field} is the zero vector")
             if abs(norm - 1.0) > _KET_NORM_WARN:
-                warnings.warn(
-                    f"{field}.ket renormalized (norm was {norm!r})",
-                    stacklevel=2,
-                )
+                warnings.warn(f"{field} renormalized (norm was {norm!r})", stacklevel=2)
             v = v / norm
             states.append(np.outer(v, v.conj()))
         else:
-            m = _matrix(entry["matrix"], dim, f"{field}.matrix")
-            scale = max(frobenius(m), 1e-300)
-            if frobenius(m - m.conj().T) > 1e-9 * scale:
-                raise SpecError(f"{field}.matrix is not Hermitian")
-            m = hermitize(m)
-            vals = np.linalg.eigvalsh(m)
-            if vals[0] < -_PARSE_PSD_TOL:
-                raise SpecError(
-                    f"{field}.matrix is not positive semidefinite "
-                    f"(most negative eigenvalue {float(vals[0])!r})"
-                )
-            tr = float(np.trace(m).real)
-            if abs(tr - 1.0) > _PARSE_TRACE_TOL:
-                raise SpecError(f"{field}.matrix has trace {tr!r}, expected 1")
-            states.append(m)
+            field += ".matrix"
+            states.append(_complex_array(entry["matrix"], dim, 2, field, literals))
+        fields.append(field)
 
     total = sum(priors)
     if abs(total - 1.0) > _PRIOR_SUM_TOL:
@@ -161,6 +178,8 @@ def read_spec(path) -> ParsedSpec:
 
     try:
         ens = Ensemble(dim, tuple(states), priors)
+    except StateError as exc:
+        raise SpecError(f"{fields[exc.index]} {exc.problem}") from exc
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     return ParsedSpec(ens, tolerance)
@@ -173,26 +192,23 @@ def parse_spec(path) -> Ensemble:
 
 def load_kraus(path) -> KrausOperator:
     """Operation element from a JSON file holding one nested [re, im] matrix."""
-    doc = _load_json(path)
+    doc, literals = _load_json(path)
     if isinstance(doc, dict) and "matrix" in doc:
         doc = doc["matrix"]
     if not isinstance(doc, list) or not doc:
         raise SpecError("kraus file must hold a square matrix of [re, im] pairs")
-    m = _matrix(doc, len(doc), "matrix")
+    m = _complex_array(doc, len(doc), 2, "matrix", literals)
     try:
         return KrausOperator(m)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
 
 
-def complex_to_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+def matrix_to_json(m) -> list:
+    """Nested [re, im] pairs of a complex array (of any shape)."""
+    a = np.asarray(m)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def vector_to_json(v) -> list:
-    return [complex_to_pair(complex(x)) for x in np.asarray(v).reshape(-1)]
-
-
-def matrix_to_json(m) -> list:
-    arr = np.asarray(m)
-    return [[complex_to_pair(complex(x)) for x in row] for row in arr]
+    return matrix_to_json(np.asarray(v).reshape(-1))

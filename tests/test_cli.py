@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ class TestSimulate:
             assert abs(entry["frequency"] - entry["expected_confidence"]) <= entry["band_3sigma"]
         assert doc["fail"]["count"] == 0
 
+    def test_linearly_independent_members_do_not_crash(self, capsys, tmp_path):
+        # confidence 1 used to round to 1+4e-16 and break the 3-sigma band
+        spec = tmp_path / "independent.json"
+        spec.write_text(json.dumps({
+            "dimension": 3,
+            "states": [
+                {"prior": 0.5, "ket": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+                {"prior": 0.5, "ket": [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]},
+            ],
+        }))
+        code, out, err = run(capsys, "simulate", str(spec), "--output", "machine")
+        assert code == 0, err
+        for entry in json.loads(out)["outcomes"]:
+            assert math.isfinite(entry["band_3sigma"])
+
 
 class TestTransform:
     def test_unitary_preserves_bounds(self, capsys, tmp_path):
@@ -188,6 +204,22 @@ class TestErrors:
         code, _, err = run(capsys, "transform", TRINE, "--kraus", str(kraus))
         assert code == 2
         assert "overweights" in err
+
+
+class TestDiagnostics:
+    def test_renormalized_ket_warns_on_one_line(self, capsys, tmp_path):
+        spec = tmp_path / "unnormalized.json"
+        spec.write_text(json.dumps({
+            "dimension": 2,
+            "states": [
+                {"prior": 0.5, "ket": [[1.0, 0.0], [1.0, 0.0]]},
+                {"prior": 0.5, "ket": [[1.0, 0.0], [0.0, 0.0]]},
+            ],
+        }))
+        code, out, err = run(capsys, "bound", str(spec))
+        assert code == 0
+        assert "bound" in out
+        assert err == f"warning: states[0].ket renormalized (norm was {math.sqrt(2.0)!r})\n"
 
 
 class TestTextRendering:

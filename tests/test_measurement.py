@@ -11,7 +11,8 @@ from maxconf import (
     optimal_effect,
     simulate_measurement,
 )
-from maxconf.linalg import support_inv, support_inv_sqrt
+from maxconf.linalg import real_trace, support_inv, support_inv_sqrt
+from maxconf.measurement import _SAMPLE_CHUNK
 from maxconf.randomgen import ensemble_suite, random_effect
 
 from helpers import trine, trine_kets, worked, worked_bound
@@ -40,6 +41,12 @@ class TestConfidenceOf:
                 reference = confidence_of(ens, e, j)
                 for c in (1e-3, 1.0, 1e3):
                     assert abs(confidence_of(ens, c * e, j) - reference) <= 1e-12
+
+    def test_confidence_beyond_roundoff_still_raises(self):
+        # an indefinite "effect" gives a genuine 2.0, which is not clamped
+        ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.5, 0.5])
+        with pytest.raises(ValueError, match="out of range"):
+            confidence_of(ens, np.diag([1.0, -0.5]), 0)
 
     def test_zero_probability_outcome_rejected(self):
         ens = Ensemble.from_pure(
@@ -90,6 +97,13 @@ class TestMaxConfidence:
             for j in range(ens.n_states):
                 c = max_confidence(ens, j)
                 assert ens.priors[j] - 1e-10 <= c <= 1.0 + 1e-10
+
+    def test_linearly_independent_members_reach_exactly_one(self):
+        ens = Ensemble.from_pure([np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])], [0.5, 0.5])
+        pom = complete_pom(ens)
+        for label, e in pom.effects:
+            assert max_confidence(ens, label) == 1.0
+            assert 0.0 <= confidence_of(ens, e, label) <= 1.0
 
     def test_no_effect_beats_the_bound(self):
         rng = np.random.default_rng(32)
@@ -214,7 +228,36 @@ class TestConfidenceReport:
             confidence_report(ens, bare)
 
 
+def one_shot_sample(ens, pom, trials, seed):
+    """(outcome counts, correct counts) from a single (trials, 2) draw."""
+    labelled = pom.all_effects()
+    prob = np.array([[real_trace(rho @ e) for _, e in labelled] for rho in ens.states])
+    prob = np.clip(prob, 0.0, None)
+    prob /= prob.sum(axis=1, keepdims=True)
+    u = np.random.default_rng(seed).random((trials, 2))
+    prepared = np.searchsorted(np.cumsum(ens.priors), u[:, 0], side="right")
+    prepared = np.minimum(prepared, ens.n_states - 1)
+    cum = np.cumsum(prob, axis=1)
+    cum[:, -1] = 1.0
+    outcome = (u[:, 1:] >= cum[prepared]).sum(axis=1)
+    counts = np.bincount(outcome, minlength=len(labelled))
+    correct = [
+        int(np.count_nonzero((outcome == k) & (prepared == label)))
+        for k, (label, _) in enumerate(pom.effects)
+    ]
+    return tuple(int(c) for c in counts), tuple(correct)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "trials", [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK - 1]
+    )
+    def test_blocked_sampling_matches_one_draw(self, trials):
+        ens = trine([0.2, 0.3, 0.5])  # misidentifications and a fail outcome
+        pom = complete_pom(ens)
+        sim = simulate_measurement(ens, pom, trials, 21)
+        assert (sim.outcome_counts, sim.correct_counts) == one_shot_sample(ens, pom, trials, 21)
+
     def test_orthogonal_states_never_misidentified(self):
         # equal priors make the completed measurement exactly projective
         ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.5, 0.5])

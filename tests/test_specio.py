@@ -1,11 +1,14 @@
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from maxconf import SpecError, load_kraus, parse_spec, read_spec
-from maxconf.specio import complex_to_pair, matrix_to_json, vector_to_json
+from maxconf import specio
+from maxconf.randomgen import random_density
+from maxconf.specio import matrix_to_json, vector_to_json
 
 from helpers import trine_kets
 
@@ -177,6 +180,118 @@ class TestValidation:
             parse_spec(str(path))
 
 
+class TestArrayParsing:
+    """Whole-array reads must name a bad entry as the per-entry reader does."""
+
+    HALF = [[0.5, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ket", [[True, 0.0], [0.0, 0.0]], r"states\[0\]\.ket\[0\]\[0\] must be a number, got True"),
+            ("ket", [[1.0, 0.0], ["0", 0.0]], r"states\[0\]\.ket\[1\]\[0\] must be a number, got '0'"),
+            ("ket", [[1.0, 0.0], [0.0, None]], r"states\[0\]\.ket\[1\]\[1\] must be a number, got None"),
+            ("ket", [[1.0, 0.0], [0.0]], r"states\[0\]\.ket\[1\] must be an \[re, im\] pair"),
+            ("ket", [[1.0, 0.0], [0.0, 0.0, 0.0]], r"states\[0\]\.ket\[1\] must be an \[re, im\] pair"),
+            ("ket", [[1.0, 0.0]], r"states\[0\]\.ket must be a list of 2 complex entries"),
+            ("ket", [[float("nan"), 0.0], [0.0, 0.0]], "non-finite number 'NaN'"),
+            (
+                "matrix",
+                [[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+                r"states\[0\]\.matrix\[0\]\[0\]\[1\] must be a number, got False",
+            ),
+            (
+                "matrix",
+                [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["0.5", 0.0]]],
+                r"states\[0\]\.matrix\[1\]\[1\]\[0\] must be a number, got '0.5'",
+            ),
+            (
+                "matrix",
+                [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+                r"states\[0\]\.matrix\[1\] must be a list of 2 complex entries",
+            ),
+            (
+                "matrix",
+                [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                r"states\[0\]\.matrix must be a 2 x 2 matrix",
+            ),
+            (
+                "matrix",
+                [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0, 1.0]]],
+                r"states\[0\]\.matrix\[1\]\[1\] must be an \[re, im\] pair",
+            ),
+        ],
+    )
+    def test_bad_entries_are_named(self, tmp_path, key, value, message):
+        doc = qubit_spec()
+        doc["states"][0] = {"prior": 0.5, key: value}
+        with pytest.raises(SpecError, match=message):
+            parse_spec(write_spec(tmp_path, doc))
+
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["float", "integer"])
+    def test_overflowing_entry_is_not_finite(self, tmp_path, literal):
+        doc = qubit_spec()
+        doc["states"][1]["ket"] = [[0.0, 0.0], [123.25, 0.0]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace("123.25", literal))
+        with pytest.raises(SpecError, match=r"states\[1\]\.ket\[1\]\[0\] is not finite"):
+            parse_spec(str(path))
+
+    def test_bool_in_kraus_file_rejected(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]))
+        with pytest.raises(SpecError, match=r"matrix\[1\]\[1\]\[0\] must be a number, got True"):
+            load_kraus(str(path))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (
+                [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]],
+                r"^states\[1\]\.matrix is not positive semidefinite \(most negative eigenvalue -0\.2",
+            ),
+            ([[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.0]]], r"^states\[1\]\.matrix has trace 1\.1"),
+            ([[[0.5, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], r"^states\[1\]\.matrix is not Hermitian"),
+        ],
+    )
+    def test_ensemble_errors_carry_the_field_path(self, tmp_path, matrix, message):
+        doc = qubit_spec()
+        doc["states"][1] = {"prior": 0.5, "matrix": matrix}
+        with pytest.raises(SpecError, match=message):
+            parse_spec(write_spec(tmp_path, doc))
+
+    def test_array_read_matches_per_entry_read_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        entry = rng.normal(size=(5, 5, 2)).tolist()
+        entry[0][1] = [-0.0, 3]
+        entry[2][2] = [1, -0.0]
+        fast = specio._complex_array(entry, 5, 2, "m", literals=False)
+        assert fast.tobytes() == specio._matrix(entry, 5, "m").tobytes()
+
+    def test_parse_decomposes_each_matrix_member_at_most_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        states = [random_density(rng, 6, rank) for rank in (1, 2, 3, 6)]
+        doc = {
+            "dimension": 6,
+            "states": [{"prior": 0.25, "matrix": matrix_to_json(rho)} for rho in states],
+        }
+        path = write_spec(tmp_path, doc)
+        calls = []
+        modules = [np.linalg] + [m for name, m in sys.modules.items() if name.startswith("maxconf")]
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        read_spec(path)
+        assert len(calls) <= len(states)
+
+
 class TestTolerance:
     def test_tolerance_field_surfaces(self, tmp_path):
         parsed = read_spec(write_spec(tmp_path, qubit_spec(tolerance=1e-7)))
@@ -220,11 +335,6 @@ class TestLoadKraus:
 
 
 class TestSerialization:
-    def test_complex_pair_round_trip(self):
-        z = complex(0.1234567890123456, -1.9876543210987654)
-        pair = complex_to_pair(z)
-        assert pair == [z.real, z.imag]
-
     def test_matrix_round_trip_through_spec(self, tmp_path):
         rng = np.random.default_rng(61)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
