@@ -1,13 +1,15 @@
 """Command line front end.
 
 Reports go to standard output, diagnostics to standard error as one
-"warning: ..." or "error: ..." line each.  Exit codes:
+"warning: ..." or "error: ..." line each; an error raised after the
+inputs were read names its subcommand ("error: simulate: ...").  Exit codes:
 0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 
@@ -45,12 +47,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    spec = read_spec(args.spec)
+    # Flags are checked before the spec is read, which can take seconds.
     tolerance = args.tolerance
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise SpecError(f"--tolerance must be finite and positive, got {tolerance!r}")
+    if args.command == "simulate":
+        if args.trials < 1:
+            raise SpecError("--trials must be positive")
+        if args.seed < 0:
+            raise SpecError("--seed must be non-negative")
+    spec = read_spec(args.spec)
     if tolerance is None:
         tolerance = spec.tolerance if spec.tolerance is not None else DEFAULT_TOLERANCE
-    if tolerance <= 0:
-        raise SpecError("tolerance must be positive")
     ens = spec.ensemble
 
     code = 0
@@ -62,8 +70,6 @@ def run(args) -> int:
         report, ok = reports.verify_report(ens, tolerance)
         code = 0 if ok else 1
     elif args.command == "simulate":
-        if args.trials < 1:
-            raise SpecError("trials must be positive")
         report = reports.simulate_report(ens, args.trials, args.seed)
     elif args.command == "concentrate":
         report = reports.concentrate_report(ens)
@@ -90,7 +96,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -250,6 +250,10 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     prepared label from the priors, then the outcome from Tr(rho_i Pi_k)
     in effect order with fail last, one uniform pair per trial from
     numpy's seeded generator.  Deterministic for fixed (seed, trials).
+    Trials run in blocks of _SAMPLE_CHUNK; within a block they are grouped
+    by prepared label and each group finds its outcomes by binary search in
+    that label's cumulative row, so working memory is O(block), independent
+    of both the number of trials and the number of outcomes.
     """
     if not pom.complete:
         raise ValueError("simulation requires a complete measurement")
@@ -265,19 +269,27 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
 
     n_out = len(labelled)
     cum_priors = np.cumsum(ens.priors)
-    cum = np.cumsum(prob, axis=1)
+    # Roundoff can push a partial sum above 1.0 before the last outcome;
+    # clamping keeps each row sorted for the binary search and, as every
+    # uniform is below 1, moves no outcome.
+    cum = np.minimum(np.cumsum(prob, axis=1), 1.0)
     cum[:, -1] = 1.0
     rng = np.random.default_rng(seed)
     # Consecutive draws continue one stream, so the blocks see exactly the
     # uniforms a single (trials, 2) draw would.
-    joint = np.zeros(ens.n_states * n_out, dtype=np.int64)
+    joint = np.zeros((ens.n_states, n_out), dtype=np.int64)
     for start in range(0, trials, _SAMPLE_CHUNK):
         u = rng.random((min(_SAMPLE_CHUNK, trials - start), 2))
         prepared = np.searchsorted(cum_priors, u[:, 0], side="right")
-        prepared = np.minimum(prepared, ens.n_states - 1)
-        outcome = (u[:, 1:] >= cum[prepared]).sum(axis=1)
-        joint += np.bincount(prepared * n_out + outcome, minlength=joint.size)
-    joint = joint.reshape(ens.n_states, n_out)
+        np.minimum(prepared, ens.n_states - 1, out=prepared)
+        # Outcome uniforms grouped by prepared label: label i owns
+        # u_out[edges[i]:edges[i + 1]].
+        edges = np.zeros(ens.n_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(prepared, minlength=ens.n_states), out=edges[1:])
+        u_out = u[np.argsort(prepared), 1]
+        for i in range(ens.n_states):
+            outcome = np.searchsorted(cum[i], u_out[edges[i]:edges[i + 1]], side="right")
+            joint[i] += np.bincount(outcome, minlength=n_out)
 
     outcome_counts = joint.sum(axis=0)
     labels = tuple(label for label, _ in pom.effects)

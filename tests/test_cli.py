@@ -205,6 +205,53 @@ class TestErrors:
         assert code == 2
         assert "overweights" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("command", ["verify", "transform"])
+    def test_tolerance_flag_must_be_finite_and_positive(self, capsys, tmp_path, command, value):
+        kraus = tmp_path / "identity.json"
+        kraus.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+        extra = ("--kraus", str(kraus)) if command == "transform" else ()
+        code, out, err = run(capsys, command, TRINE, *extra, f"--tolerance={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tolerance must be finite and positive")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--seed=-1"),
+        ("simulate", "--trials=0"),
+        ("verify", "--tolerance=nan"),
+    ])
+    def test_flags_are_checked_before_the_spec_is_read(self, capsys, command, flag):
+        code, out, err = run(capsys, command, "no/such/spec.json", flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag.split('=')[0]} must be")
+
+    def test_computation_error_names_its_stage(self, capsys, tmp_path):
+        # one pure member purifies to a product state, which cannot be concentrated
+        spec = tmp_path / "single.json"
+        spec.write_text(json.dumps({
+            "dimension": 2,
+            "states": [{"prior": 1.0, "ket": [[1.0, 0.0], [0.0, 0.0]]}],
+        }))
+        code, out, err = run(capsys, "concentrate", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == "error: concentrate: cannot concentrate: Schmidt rank 1 (product state)\n"
+
+    def test_input_error_keeps_its_field_path(self, capsys, tmp_path):
+        spec = tmp_path / "bad_prior.json"
+        spec.write_text(json.dumps({
+            "dimension": 2,
+            "states": [
+                {"prior": "half", "ket": [[1.0, 0.0], [0.0, 0.0]]},
+                {"prior": 0.5, "ket": [[0.0, 0.0], [1.0, 0.0]]},
+            ],
+        }))
+        code, _, err = run(capsys, "simulate", str(spec))
+        assert code == 2
+        assert err.startswith("error: states[0].prior ")
+
 
 class TestDiagnostics:
     def test_renormalized_ket_warns_on_one_line(self, capsys, tmp_path):

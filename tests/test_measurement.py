@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from maxconf import (
 )
 from maxconf.linalg import real_trace, support_inv, support_inv_sqrt
 from maxconf.measurement import _SAMPLE_CHUNK
-from maxconf.randomgen import ensemble_suite, random_effect
+from maxconf.randomgen import ensemble_suite, random_effect, random_ensemble
 
 from helpers import trine, trine_kets, worked, worked_bound
 
@@ -248,15 +250,57 @@ def one_shot_sample(ens, pom, trials, seed):
     return tuple(int(c) for c in counts), tuple(correct)
 
 
-class TestSimulate:
-    @pytest.mark.parametrize(
-        "trials", [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK - 1]
-    )
-    def test_blocked_sampling_matches_one_draw(self, trials):
+def sampler_case(name):
+    if name == "trine":
         ens = trine([0.2, 0.3, 0.5])  # misidentifications and a fail outcome
-        pom = complete_pom(ens)
+        return ens, complete_pom(ens)
+    if name == "d16-n32":
+        ens = random_ensemble(np.random.default_rng(22), 16, [1] * 32)
+        return ens, complete_pom(ens)
+    if name == "fail-only":
+        return trine([0.2, 0.3, 0.5]), POM((), np.eye(2))
+    # "overshoot": orthogonal members and diagonal effects that give member 0
+    # the outcome probabilities 0.3, 0.6, 0.1 and 0, whose running sum rounds
+    # above 1.0 before the last (fail) outcome
+    ens = Ensemble(3, tuple(np.diag(row) for row in np.eye(3)), np.full(3, 1.0 / 3.0))
+    effects = [np.diag([0.3, 0.5, 0.2]), np.diag([0.6, 0.25, 0.3]), np.diag([0.1, 0.25, 0.5])]
+    pom = POM(tuple(enumerate(effects)), np.eye(3) - effects[0] - effects[1] - effects[2])
+    prob = np.clip([real_trace(ens.states[0] @ e) for _, e in pom.all_effects()], 0.0, None)
+    assert np.cumsum(prob / prob.sum())[-2] > 1.0
+    return ens, pom
+
+
+_BLOCK_EDGES = [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK - 1]
+# The trine cases keep their bare trial-count ids.
+_SAMPLER_CASES = [pytest.param("trine", t, id=str(t)) for t in _BLOCK_EDGES] + [
+    pytest.param(name, t, id=f"{name}-{t}")
+    for name in ("d16-n32", "fail-only", "overshoot")
+    for t in _BLOCK_EDGES
+]
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("case, trials", _SAMPLER_CASES)
+    def test_blocked_sampling_matches_one_draw(self, case, trials):
+        ens, pom = sampler_case(case)
         sim = simulate_measurement(ens, pom, trials, 21)
         assert (sim.outcome_counts, sim.correct_counts) == one_shot_sample(ens, pom, trials, 21)
+
+    def test_memory_does_not_grow_with_outcomes(self):
+        # two blocks of trials; a (block x outcomes) table would cost
+        # 65536 x 65 x 8 B = 34 MB on the 65-outcome ensemble
+        def peak(ens):
+            pom = complete_pom(ens)
+            tracemalloc.start()
+            try:
+                simulate_measurement(ens, pom, 2 * _SAMPLE_CHUNK, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wide = random_ensemble(np.random.default_rng(23), 16, [1] * 64)
+        assert wide.n_states + 1 == 65
+        assert peak(wide) <= 2 * peak(trine())
 
     def test_orthogonal_states_never_misidentified(self):
         # equal priors make the completed measurement exactly projective
