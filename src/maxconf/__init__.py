@@ -14,13 +14,11 @@ from .ensembles import (
     SubspaceProjector,
     allowed_subspace,
     purify,
-    rho_left,
     schmidt,
 )
 from .linalg import (
     EigenSystem,
     hermitian_eigen,
-    partial_trace_left,
     support_inv_sqrt,
 )
 from .measurement import (
@@ -91,11 +89,9 @@ __all__ = [
     "monotonicity_check",
     "optimal_effect",
     "parse_spec",
-    "partial_trace_left",
     "projective_resolution",
     "purify",
     "read_spec",
-    "rho_left",
     "schmidt",
     "simulate_measurement",
     "state_leakage",

@@ -65,14 +65,14 @@ def run(args) -> int:
     if args.command == "bound":
         report = reports.bound_report(ens)
     elif args.command == "pom":
-        report = reports.pom_report(ens)
+        report = reports.pom_tree(ens)
     elif args.command == "verify":
         report, ok = reports.verify_report(ens, tolerance)
         code = 0 if ok else 1
     elif args.command == "simulate":
         report = reports.simulate_report(ens, args.trials, args.seed)
     elif args.command == "concentrate":
-        report = reports.concentrate_report(ens)
+        report = reports.concentrate_tree(ens)
     else:
         kraus = load_kraus(args.kraus)
         report, ok = reports.transform_report(ens, kraus, tolerance)

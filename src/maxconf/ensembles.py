@@ -256,11 +256,6 @@ def purify(ens: Ensemble) -> BipartiteState:
     return BipartiteState(ens.dim, cursor, amps, tuple(index_sets))
 
 
-def rho_left(ens: Ensemble) -> np.ndarray:
-    """Average state sum_i p_i rho_i, the left marginal of the purification."""
-    return ens.average
-
-
 def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
     """Schmidt decomposition via SVD of the amplitude matrix.
 

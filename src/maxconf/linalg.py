@@ -68,10 +68,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def hermitian_eigen(m, name: str = "matrix") -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
@@ -124,23 +120,6 @@ def support_inv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a PSD matrix via its eigendecomposition."""
     vals, vecs = _support_spectrum(m, "matrix", rank_tol)
     return (vecs / vals) @ vecs.conj().T
-
-
-def partial_trace_left(m, dim_left: int, dim_right: int) -> np.ndarray:
-    """Trace out the left factor of an operator on a bipartite space.
-
-    The composite index is left-major (row a * dim_right + i for
-    |a>_L |i>_R), so the result is a dim_right x dim_right matrix.
-    """
-    arr = as_matrix(m)
-    n = dim_left * dim_right
-    if arr.shape != (n, n):
-        raise ValueError(
-            f"operator shape {arr.shape} does not match dimensions "
-            f"{dim_left} x {dim_right}"
-        )
-    t = arr.reshape(dim_left, dim_right, dim_left, dim_right)
-    return np.einsum("aiaj->ij", t)
 
 
 def real_trace(m: np.ndarray) -> float:

@@ -260,10 +260,9 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     if trials < 1:
         raise ValueError("trials must be positive")
     labelled = pom.all_effects()
-    prob = np.empty((ens.n_states, len(labelled)))
-    for i, rho_i in enumerate(ens.states):
-        for k, (_, e) in enumerate(labelled):
-            prob[i, k] = real_trace(rho_i @ e)
+    # prob[i, k] = Tr(rho_i Pi_k)
+    effects = np.array([e for _, e in labelled])
+    prob = np.einsum("iab,kba->ik", np.array(ens.states), effects).real
     prob = np.clip(prob, 0.0, None)
     prob /= prob.sum(axis=1, keepdims=True)
 

@@ -1,6 +1,13 @@
 """Report assembly and rendering for the command line front end.
 
-Each subcommand produces one report tree (plain dicts, lists, floats).
+Each subcommand produces one report tree of dicts, lists and scalars.  The
+pom and concentrate trees (pom_tree, concentrate_tree) may also hold complex
+arrays: each matrix stays an array from the computation until it is
+printed.  plain() gives the library's JSON form of a tree, with every array
+as nested [re, im] pairs (specio.matrix_to_json); pom_report and
+concentrate_report return that form.  Both renderers print an array leaf
+one row at a time, with exactly the bytes of its plain form.
+
 The machine rendering is canonical JSON: sorted keys, a two-space indent
 for the structure, and each row of a numeric array (each row of a matrix,
 each [re, im] pair of a vector) on one line.  The text rendering walks the
@@ -15,7 +22,9 @@ from __future__ import annotations
 import json
 import math
 
-from .ensembles import purify, rho_left, allowed_subspace, schmidt
+import numpy as np
+
+from .ensembles import purify, allowed_subspace, schmidt
 from .linalg import frobenius, real_trace
 from .measurement import (
     complete_pom,
@@ -53,7 +62,19 @@ def bound_report(ens) -> dict:
     return {"command": "bound", "dimension": ens.dim, "states": states}
 
 
-def pom_report(ens) -> dict:
+def plain(tree):
+    """The tree with every array leaf as nested [re, im] pairs."""
+    if isinstance(tree, dict):
+        return {key: plain(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [plain(item) for item in tree]
+    if isinstance(tree, np.ndarray):
+        return matrix_to_json(tree)
+    return tree
+
+
+def pom_tree(ens) -> dict:
+    """The pom report with each effect as a complex array."""
     pom = complete_pom(ens)
     rep = confidence_report(ens, pom)
     states = []
@@ -66,22 +87,26 @@ def pom_report(ens) -> dict:
                 "bound": bound,
                 "confidence": achieved,
                 "outcome_probability": prob,
-                "effect": matrix_to_json(e),
+                "effect": e,
             }
         )
     return {
         "command": "pom",
         "dimension": ens.dim,
         "states": states,
-        "fail_effect": matrix_to_json(pom.fail),
+        "fail_effect": pom.fail,
         "inconclusive_probability": rep.inconclusive_probability,
     }
+
+
+def pom_report(ens) -> dict:
+    return plain(pom_tree(ens))
 
 
 def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     """Cross-picture verification tree plus an overall pass flag."""
     bs = purify(ens)
-    rl = rho_left(ens)
+    rl = ens.average
     pd = allowed_subspace(bs, rl)
     sd = schmidt(bs)
     pom = complete_pom(ens)
@@ -170,7 +195,8 @@ def simulate_report(ens, trials: int, seed: int) -> dict:
     }
 
 
-def concentrate_report(ens) -> dict:
+def concentrate_tree(ens) -> dict:
+    """The concentrate report with the filter and fail effect as complex arrays."""
     bs = purify(ens)
     before = schmidt(bs)
     result = concentrate(bs)
@@ -181,9 +207,13 @@ def concentrate_report(ens) -> dict:
         "schmidt_before": [float(x) for x in before.coefficients],
         "schmidt_after": [float(x) for x in after.coefficients],
         "success_probability": result.success_probability,
-        "kraus": matrix_to_json(result.kraus.matrix),
-        "fail_effect": matrix_to_json(result.fail_effect),
+        "kraus": result.kraus.matrix,
+        "fail_effect": result.fail_effect,
     }
+
+
+def concentrate_report(ens) -> dict:
+    return plain(concentrate_tree(ens))
 
 
 def transform_report(ens, kraus, tolerance: float) -> tuple[dict, bool]:
@@ -218,6 +248,14 @@ def transform_report(ens, kraus, tolerance: float) -> tuple[dict, bool]:
 _ROW = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
+def _pair_rows(a: np.ndarray):
+    """The encoded items of an array leaf's plain form, one per index of its
+    first axis: a matrix row as [[re, im], ...], a vector entry as [re, im].
+    Report arrays are matrices or vectors with no empty axis."""
+    for row in a:
+        yield _ROW.encode(np.stack([row.real, row.imag], -1).tolist())
+
+
 def _leaf_rank(node) -> int:
     """Nesting depth of a numeric array (lists of numbers), 0 for anything else.
 
@@ -242,6 +280,12 @@ def _machine(node, pad: str, out: list) -> None:
             _machine(node[key], inner, out)
             sep = ",\n"
         out.append(f"\n{pad}}}")
+    elif isinstance(node, np.ndarray):
+        sep = "[\n"
+        for row in _pair_rows(node):
+            out.append(f"{sep}{inner}{row}")
+            sep = ",\n"
+        out.append(f"\n{pad}]")
     elif isinstance(node, list) and node:
         rank = _leaf_rank(node)
         if rank == 1:
@@ -292,6 +336,8 @@ def _walk(node, depth: int, lines: list, label) -> None:
             depth += 1
         for key, value in node.items():
             _walk(value, depth, lines, key)
+    elif isinstance(node, np.ndarray):
+        lines.append(f"{head}: [{', '.join(_pair_rows(node))}]\n")
     elif isinstance(node, list):
         if not node or _leaf_rank(node):
             lines.append(f"{head}: {json.dumps(node)}\n")

@@ -14,12 +14,16 @@ A spec file looks like
     }
 
 Complex numbers are [re, im] pairs, matrices row-major nested lists.
-Kets are normalized on load (a warning fires when the correction exceeds
-1e-6); priors are checked to sum to 1 within 1e-9 and then renormalized
-exactly.  Matrices are checked (Hermitian, positive semidefinite, unit
-trace) by Ensemble alone, and its errors are reported under the member's
-field path.  The optional tolerance field overrides the verification
-default unless the command line sets one.  NaN and infinities are rejected.
+Each member's ket or matrix is decoded to an array as soon as the member's
+object closes, so at most one member's nested lists are alive at a time;
+an entry that does not convert stays a list, and the per-entry readers
+name its first bad value.  Kets are normalized on load (a warning fires
+when the correction exceeds 1e-6); priors are checked to sum to 1 within
+1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
+positive semidefinite, unit trace) by Ensemble alone, and its errors are
+reported under the member's field path.  The optional tolerance field
+overrides the verification default unless the command line sets one.  NaN
+and infinities are rejected.
 """
 
 from __future__ import annotations
@@ -47,17 +51,52 @@ def _reject_constant(token):
 
 
 def _load_json(path):
-    """The parsed document, and whether its text holds a true or false literal."""
+    """The parsed document, and whether its text holds a true or false literal.
+
+    Without such a literal, every well-formed ket and matrix in an object
+    arrives as a float array of [re, im] pairs (see _pair_array).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    literals = "true" in text or "false" in text
+    hook = None if literals else _arrays_as_they_close
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_hook=hook)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
-    return doc, "true" in text or "false" in text
+    return doc, literals
+
+
+def _pair_array(entry, ndim: int):
+    """A ket (ndim 1) or square matrix (ndim 2) of [re, im] pairs as a float
+    array of shape (k,) * ndim + (2,), or None when the entry is anything else:
+    not numbers, not finite, ragged, or of another shape."""
+    try:
+        arr = np.asarray(entry)
+    except ValueError:  # ragged nesting
+        return None
+    if (arr.ndim != ndim + 1 or arr.shape[-1] != 2 or len(set(arr.shape[:-1])) != 1
+            or arr.dtype.kind not in "fiu"):
+        return None
+    arr = np.asarray(arr, dtype=np.float64)
+    return arr if np.isfinite(arr).all() else None
+
+
+_ARRAY_FIELDS = (("ket", 1), ("matrix", 2))
+
+
+def _arrays_as_they_close(obj: dict) -> dict:
+    """json object_hook: replace a well-formed ket or matrix by its array."""
+    for key, ndim in _ARRAY_FIELDS:
+        value = obj.get(key)
+        if isinstance(value, list):
+            arr = _pair_array(value, ndim)
+            if arr is not None:
+                obj[key] = arr
+    return obj
 
 
 def _real(value, field: str) -> float:
@@ -93,22 +132,21 @@ def _matrix(entry, dim: int, field: str) -> np.ndarray:
 def _complex_array(entry, dim: int, ndim: int, field: str, literals: bool) -> np.ndarray:
     """A ket (ndim 1) or matrix (ndim 2) of [re, im] pairs as a complex array.
 
-    One numpy conversion reads a well-formed entry.  numpy reads a true
-    among numbers as 1.0, so a file holding a true/false literal goes
-    through the per-entry walkers, as does any entry that does not convert
-    to finite numbers of the right shape (a string, null, ragged or
-    wrong-length list); the walkers raise the message naming the first bad
-    entry.
+    The entry is the float array _load_json decoded, or a list: one numpy
+    conversion reads a well-formed list.  numpy reads a true among numbers
+    as 1.0, so a file holding a true/false literal goes through the
+    per-entry walkers, as does any entry that does not convert to finite
+    numbers of the right shape (a string, null, ragged or wrong-length
+    list); the walkers raise the message naming the first bad entry.
     """
-    if not literals:
-        try:
-            arr = np.asarray(entry)
-        except ValueError:  # ragged nesting
-            arr = None
-        if arr is not None and arr.shape == (dim,) * ndim + (2,) and arr.dtype.kind in "fiu":
-            arr = np.asarray(arr, dtype=np.float64)
-            if np.isfinite(arr).all():
-                return arr.view(np.complex128)[..., 0]
+    if isinstance(entry, np.ndarray):
+        arr = entry
+    else:
+        arr = None if literals else _pair_array(entry, ndim)
+    if arr is not None and arr.shape[0] == dim:
+        return arr.view(np.complex128)[..., 0]
+    if isinstance(entry, np.ndarray):  # of another dimension
+        entry = entry.tolist()
     walk = _vector if ndim == 1 else _matrix
     return walk(entry, dim, field)
 
@@ -195,7 +233,7 @@ def load_kraus(path) -> KrausOperator:
     doc, literals = _load_json(path)
     if isinstance(doc, dict) and "matrix" in doc:
         doc = doc["matrix"]
-    if not isinstance(doc, list) or not doc:
+    if not isinstance(doc, (list, np.ndarray)) or not len(doc):
         raise SpecError("kraus file must hold a square matrix of [re, im] pairs")
     m = _complex_array(doc, len(doc), 2, "matrix", literals)
     try:

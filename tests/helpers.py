@@ -1,8 +1,8 @@
-"""Shared ensemble builders and independent oracles used across the tests."""
+"""Shared ensemble builders and report helpers used across the tests."""
 
 import numpy as np
 
-from maxconf import BipartiteState, Ensemble
+from maxconf import BipartiteState, Ensemble, reports
 
 
 def worked(p: float, q: float) -> Ensemble:
@@ -60,11 +60,20 @@ def bell_state() -> BipartiteState:
     return BipartiteState(2, 2, amps, ((0,), (1,)))
 
 
-def partial_trace_left_oracle(m, dim_left, dim_right):
-    """Explicit double sum over the left index, independent of the library."""
-    out = np.zeros((dim_right, dim_right), dtype=complex)
-    for i in range(dim_right):
-        for j in range(dim_right):
-            for a in range(dim_left):
-                out[i, j] += m[a * dim_right + i, a * dim_right + j]
-    return out
+# command -> (builder of its tree with array leaves, library report)
+ARRAY_TREES = {
+    "pom": (reports.pom_tree, reports.pom_report),
+    "concentrate": (reports.concentrate_tree, reports.concentrate_report),
+}
+
+
+def rendered(tree, fmt: str) -> str:
+    return "".join(reports.render(tree, fmt))
+
+
+def array_leaves(tree) -> list:
+    """(container, key) of every array leaf in a pom or concentrate tree."""
+    leaves = [(tree, key) for key, value in tree.items() if isinstance(value, np.ndarray)]
+    for state in tree.get("states", []):
+        leaves += [(state, key) for key, value in state.items() if isinstance(value, np.ndarray)]
+    return leaves

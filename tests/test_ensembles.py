@@ -6,7 +6,6 @@ from maxconf import (
     Ensemble,
     allowed_subspace,
     purify,
-    rho_left,
     schmidt,
 )
 from maxconf.randomgen import ensemble_suite, random_bipartite
@@ -93,20 +92,20 @@ class TestPurify:
     def test_left_marginal_is_average(self):
         for ens in ensemble_suite(103, 10):
             bs = purify(ens)
-            assert np.linalg.norm(bs.left_marginal() - rho_left(ens)) <= 1e-10
+            assert np.linalg.norm(bs.left_marginal() - ens.average) <= 1e-10
 
 
 class TestRhoLeft:
     def test_trine_average_is_maximally_mixed(self):
         direct = sum(np.outer(k, k.conj()) for k in trine_kets()) / 3.0
         ens = trine()
-        assert np.abs(rho_left(ens) - direct).max() <= 1e-14
-        assert np.abs(rho_left(ens) - np.eye(2) / 2.0).max() <= 1e-12
+        assert np.abs(ens.average - direct).max() <= 1e-14
+        assert np.abs(ens.average - np.eye(2) / 2.0).max() <= 1e-12
 
     def test_worked_average_by_hand(self):
         # p = q = 1/2: rho = [[1/2, 1/4], [1/4, 1/2]]
         expected = np.array([[0.5, 0.25], [0.25, 0.5]])
-        assert np.abs(rho_left(worked(0.5, 0.5)) - expected).max() <= 1e-14
+        assert np.abs(worked(0.5, 0.5).average - expected).max() <= 1e-14
 
 
 class TestSchmidt:
@@ -166,7 +165,7 @@ class TestAllowedSubspace:
     def test_single_state_purification(self):
         ens = Ensemble.from_pure([np.array([0.6, 0.8])], [1.0])
         bs = purify(ens)
-        pd = allowed_subspace(bs, rho_left(ens))
+        pd = allowed_subspace(bs, ens.average)
         assert pd.rank == 1
         assert np.abs(pd.matrix - np.array([[1.0]])).max() <= 1e-12
 
@@ -182,7 +181,7 @@ class TestAllowedSubspace:
     def test_trace_formula_matches_schmidt_projectors(self):
         for ens in ensemble_suite(105, 30):
             bs = purify(ens)
-            pd = allowed_subspace(bs, rho_left(ens))
+            pd = allowed_subspace(bs, ens.average)
             sd = schmidt(bs)
             direct = sd.right_vectors @ sd.right_vectors.conj().T
             assert np.linalg.norm(pd.matrix - direct) <= 1e-10
@@ -191,7 +190,7 @@ class TestAllowedSubspace:
     def test_projector_fixes_right_marginal(self):
         for ens in ensemble_suite(106, 10):
             bs = purify(ens)
-            pd = allowed_subspace(bs, rho_left(ens))
+            pd = allowed_subspace(bs, ens.average)
             rr = bs.right_marginal()
             assert np.linalg.norm(pd.matrix @ rr - rr) <= 1e-10
 

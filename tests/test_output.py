@@ -1,10 +1,13 @@
 """The output contract of the command line.
 
 Machine output must parse to exactly the report tree the library builds,
-with each row of a numeric array on its own line.  Text output is pinned
-byte for byte: by stored sha256 on the fixtures, and against the original
-text renderer (kept below as the reference) on a seeded d=16 ensemble,
-whose last digits depend on the BLAS build and so cannot be pinned by hash.
+with each row of a numeric array on its own line.  The pom and concentrate
+trees keep matrices as complex arrays until they are printed, and both
+renderers print them exactly as their plain() form, the nested [re, im]
+pairs the library returns.  Text output is pinned byte for byte: by stored
+sha256 on the fixtures, and against the original text renderer (kept below
+as the reference) on a seeded d=16 ensemble, whose last digits depend on
+the BLAS build and so cannot be pinned by hash.
 """
 
 import hashlib
@@ -17,6 +20,8 @@ from maxconf import parse_spec, reports
 from maxconf.cli import main
 from maxconf.randomgen import random_ensemble
 from maxconf.specio import load_kraus, matrix_to_json
+
+from helpers import ARRAY_TREES, array_leaves, rendered
 
 COMMANDS = ("bound", "pom", "verify", "concentrate", "transform")
 SPECS = ("worked_example", "trine", "d16")
@@ -145,6 +150,39 @@ def test_text_output_bytes_are_pinned(capsys, inputs, spec, command):
 def test_text_output_matches_the_reference_renderer(capsys, inputs, command):
     out = _stdout(capsys, _argv(inputs, "d16", command, "text"))
     assert out == reference_render_text(_report(inputs, "d16", command))
+
+
+# sha256 of json.dumps(<command>_report(fixture), sort_keys=True), as built
+# before the trees held arrays.
+REPORT_SHA256 = {
+    ("worked_example", "pom"):
+        "3e34bba63b422f1623e87e7a9a97cf5795c781c2632f9cfc898b97b6a1196c70",
+    ("worked_example", "concentrate"):
+        "3dd59aff6ae8c982e8b417d927929b3efee4ddde6bc23ad475d9eaf230eb3363",
+    ("trine", "pom"):
+        "494762906f2da3618d30ed83b9a3ba9e8422990a3233ec038fc8c3008c8214b6",
+    ("trine", "concentrate"):
+        "93484447a0ad5994fc84251288ab5f84ce7214326efdd7ff176fef0769e80750",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARRAY_TREES))
+@pytest.mark.parametrize("spec", ("worked_example", "trine"))
+def test_fixture_trees_render_as_their_plain_form(spec, command):
+    build, report = ARRAY_TREES[command]
+    ens = parse_spec(f"fixtures/{spec}.json")
+    tree = build(ens)
+    assert array_leaves(tree)
+    for fmt in ("machine", "text"):
+        assert rendered(tree, fmt) == rendered(reports.plain(tree), fmt)
+    assert reports.plain(tree) == report(ens)
+    digest = hashlib.sha256(json.dumps(report(ens), sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_SHA256[(spec, command)]
+
+
+def test_plain_leaves_other_nodes_alone():
+    tree = {"a": [1, 2.5, None, True, "x"], "b": {"c": np.array([[1 - 2j]])}}
+    assert reports.plain(tree) == {"a": [1, 2.5, None, True, "x"], "b": {"c": [[[1.0, -2.0]]]}}
 
 
 # The text renderer as first released, visiting every scalar.

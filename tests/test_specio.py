@@ -220,6 +220,8 @@ class TestArrayParsing:
                 [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0, 1.0]]],
                 r"states\[0\]\.matrix\[1\]\[1\] must be an \[re, im\] pair",
             ),
+            # well formed, but square in another dimension
+            ("matrix", [[[1.0, 0.0]]], r"states\[0\]\.matrix must be a 2 x 2 matrix"),
         ],
     )
     def test_bad_entries_are_named(self, tmp_path, key, value, message):
@@ -236,6 +238,13 @@ class TestArrayParsing:
         path.write_text(json.dumps(doc).replace("123.25", literal))
         with pytest.raises(SpecError, match=r"states\[1\]\.ket\[1\]\[0\] is not finite"):
             parse_spec(str(path))
+
+    def test_overflowing_entry_in_wrapped_kraus_file_is_not_finite(self, tmp_path):
+        path = tmp_path / "k.json"
+        doc = {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [123.25, 0.0]]]}
+        path.write_text(json.dumps(doc).replace("123.25", "1e400"))
+        with pytest.raises(SpecError, match=r"matrix\[1\]\[1\]\[0\] is not finite"):
+            load_kraus(str(path))
 
     def test_bool_in_kraus_file_rejected(self, tmp_path):
         path = tmp_path / "k.json"
