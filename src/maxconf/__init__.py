@@ -19,7 +19,7 @@ from .ensembles import (
 from .linalg import (
     EigenSystem,
     hermitian_eigen,
-    support_inv_sqrt,
+    support,
 )
 from .measurement import (
     POM,
@@ -96,6 +96,6 @@ __all__ = [
     "simulate_measurement",
     "state_leakage",
     "subspace_leakage",
-    "support_inv_sqrt",
+    "support",
     "two_step_filter",
 ]

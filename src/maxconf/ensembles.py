@@ -16,7 +16,7 @@ of the ensemble while the right side keeps the record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,15 +24,14 @@ import numpy as np
 from .linalg import (
     HERMITICITY_TOL,
     RANK_TOL,
+    Support,
     as_matrix,
     fix_phase,
     frobenius,
-    hermitian_eigen,
     hermitize,
     real_trace,
     require_hermitian,
-    support_inv_sqrt,
-    support_rank,
+    support,
 )
 
 _TRACE_TOL = 1e-10
@@ -64,11 +63,12 @@ class StateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """States rho_i with priors p_i on a d-dimensional system."""
+    """States rho_i with priors p_i on a d-dimensional system, validated on construction."""
 
     dim: int
     states: tuple
     priors: np.ndarray
+    state_ranks: tuple = field(init=False)  # from the eigenvalues of the PSD check
 
     def __post_init__(self):
         if self.dim < 1:
@@ -78,15 +78,20 @@ class Ensemble:
         priors = np.asarray(self.priors, dtype=np.float64)
         if priors.shape != (len(self.states),):
             raise ValueError("one prior per state required")
+        if not np.all(np.isfinite(priors)):
+            raise ValueError("priors must be finite")
         if np.any(priors <= 0.0):
             raise ValueError("priors must be strictly positive")
         if abs(priors.sum() - 1.0) > _PRIOR_SUM_TOL:
             raise ValueError(f"priors sum to {float(priors.sum())!r}, expected 1")
         checked = []
+        ranks = []
         for k, rho in enumerate(self.states):
             h = as_matrix(rho)
             if h.shape != (self.dim, self.dim):
                 raise StateError(k, f"has shape {h.shape}, expected ({self.dim}, {self.dim})")
+            if not np.all(np.isfinite(h)):
+                raise StateError(k, "has a non-finite entry")
             try:
                 h = require_hermitian(h)
             except ValueError:
@@ -99,13 +104,17 @@ class Ensemble:
             if abs(real_trace(h) - 1.0) > _TRACE_TOL:
                 raise StateError(k, f"has trace {real_trace(h)!r}, expected 1")
             checked.append(_frozen(h))
+            ranks.append(int(np.count_nonzero(vals > RANK_TOL * vals[-1])))
         priors.setflags(write=False)
         object.__setattr__(self, "states", tuple(checked))
         object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "state_ranks", tuple(ranks))
 
     @classmethod
     def from_pure(cls, kets, priors) -> "Ensemble":
         kets = [np.asarray(k, dtype=np.complex128).reshape(-1) for k in kets]
+        if not kets:
+            raise ValueError("ensemble needs at least one state")
         dim = kets[0].size
         states = []
         for k in kets:
@@ -128,8 +137,9 @@ class Ensemble:
         return _frozen(sum(p * rho for p, rho in zip(self.priors, self.states)))
 
     @cached_property
-    def state_ranks(self) -> tuple:
-        return tuple(support_rank(rho) for rho in self.states)
+    def support(self) -> Support:
+        """Support of the average; the bipartite route never reads it."""
+        return support(self.average)
 
     def is_pure(self, j: int) -> bool:
         return self.state_ranks[j] == 1
@@ -243,10 +253,9 @@ def purify(ens: Ensemble) -> BipartiteState:
     index_sets = []
     cursor = 0
     for p, rho in zip(ens.priors, ens.states):
-        eig = hermitian_eigen(p * rho)
-        keep = eig.eigenvalues > RANK_TOL * eig.eigenvalues[0]
+        supp = support(p * rho)
         block = []
-        for beta, v in zip(eig.eigenvalues[keep], eig.eigenvectors[:, keep].T):
+        for beta, v in zip(supp.eigenvalues, supp.eigenvectors.T):
             block.append(np.sqrt(beta) * fix_phase(v))
         columns.extend(block)
         index_sets.append(tuple(range(cursor, cursor + len(block))))
@@ -280,7 +289,7 @@ def allowed_subspace(bs: BipartiteState, rho_l: np.ndarray) -> SubspaceProjector
     rho_l = require_hermitian(rho_l, name="left marginal")
     if frobenius(bs.left_marginal() - rho_l) > _MARGINAL_CONSISTENCY_TOL:
         raise ValueError("left marginal inconsistent with the bipartite state")
-    phi = support_inv_sqrt(rho_l) @ bs.amplitudes
+    supp = support(rho_l)
+    phi = supp.inv_sqrt @ bs.amplitudes
     proj = hermitize(phi.T @ phi.conj())
-    rank = support_rank(rho_l)
-    return SubspaceProjector(bs.dim_right, proj, rank)
+    return SubspaceProjector(bs.dim_right, proj, supp.rank)

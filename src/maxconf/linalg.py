@@ -2,12 +2,14 @@
 
 Operators are plain numpy arrays (complex128, row major).  Bipartite
 operators use the left-major composite index: basis state |a>_L |i>_R
-sits at row a * dim_right + i.
+sits at row a * dim_right + i.  support() alone decides which eigenvalues
+of a PSD matrix count as zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +21,11 @@ HERMITICITY_TOL = 1e-9
 # Slack allowed on the most negative eigenvalue of a nominally
 # positive semidefinite operator.
 PSD_TOL = 1e-10
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def as_matrix(m) -> np.ndarray:
@@ -41,7 +48,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def require_hermitian(m, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Validate that m is square and Hermitian, return its Hermitian part.
 
     The symmetrized matrix is returned so that downstream eigensolvers see
@@ -52,8 +59,8 @@ def require_hermitian(m, name: str = "matrix", tol: float = HERMITICITY_TOL) -> 
     if n != k:
         raise ValueError(f"{name} is not square: shape {arr.shape}")
     scale = frobenius(arr)
-    if frobenius(arr - arr.conj().T) > tol * max(scale, 1e-300):
-        raise ValueError(f"{name} is not Hermitian within relative tolerance {tol}")
+    if frobenius(arr - arr.conj().T) > HERMITICITY_TOL * max(scale, 1e-300):
+        raise ValueError(f"{name} is not Hermitian within relative tolerance {HERMITICITY_TOL}")
     return hermitize(arr)
 
 
@@ -69,57 +76,55 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def hermitian_eigen(m, name: str = "matrix") -> EigenSystem:
+def hermitian_eigen(m) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    h = require_hermitian(m, name=name)
+    h = require_hermitian(m)
     vals, vecs = np.linalg.eigh(h)
-    vals = np.ascontiguousarray(vals[::-1].real)
-    vecs = np.ascontiguousarray(vecs[:, ::-1])
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
+    vals = _readonly(np.ascontiguousarray(vals[::-1].real))
+    vecs = _readonly(np.ascontiguousarray(vecs[:, ::-1]))
     return EigenSystem(vals, vecs)
 
 
-def _support_spectrum(m, name: str, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Retained (eigenvalue, eigenvector) pairs of a PSD matrix's support."""
-    eig = hermitian_eigen(m, name=name)
+@dataclass(frozen=True, eq=False)
+class Support:
+    """Retained eigenpairs of a PSD matrix, eigenvalues descending; the
+    pseudo-inverse, its square root and the projector act on their span."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.eigenvalues.size)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return _readonly(self.eigenvectors @ self.eigenvectors.conj().T)
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        v = self.eigenvectors
+        return _readonly((v / np.sqrt(self.eigenvalues)) @ v.conj().T)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        v = self.eigenvectors
+        return _readonly((v / self.eigenvalues) @ v.conj().T)
+
+
+def support(m) -> Support:
+    """Eigenpairs above RANK_TOL of the largest eigenvalue; the rest are zeros.
+
+    Raises ValueError for the zero matrix and beyond the PSD slack.
+    """
+    eig = hermitian_eigen(m)
     top = float(eig.eigenvalues[0])
     if eig.eigenvalues[-1] < -PSD_TOL * max(top, 0.0):
-        raise ValueError(
-            f"{name} has a negative eigenvalue beyond tolerance: {eig.eigenvalues[-1]:.3e}"
-        )
+        raise ValueError(f"matrix has a negative eigenvalue beyond tolerance: {eig.eigenvalues[-1]:.3e}")
     if top <= 0.0:
-        raise ValueError(f"{name} has no support (largest eigenvalue {top:.3e})")
-    keep = eig.eigenvalues > rank_tol * top
-    return eig.eigenvalues[keep], eig.eigenvectors[:, keep]
-
-
-def support_rank(m, rank_tol: float = RANK_TOL) -> int:
-    vals, _ = _support_spectrum(m, "matrix", rank_tol)
-    return int(vals.size)
-
-
-def support_projector(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    _, vecs = _support_spectrum(m, "matrix", rank_tol)
-    return vecs @ vecs.conj().T
-
-
-def support_inv_sqrt(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Inverse square root of a PSD matrix restricted to its support.
-
-    Eigenvalues at or below rank_tol relative to the largest one are treated
-    as exact zeros and excluded; the result annihilates their eigenvectors.
-    Raises ValueError for the zero matrix (no support) and for matrices with
-    a negative eigenvalue beyond the PSD slack.
-    """
-    vals, vecs = _support_spectrum(m, "matrix", rank_tol)
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
-
-
-def support_inv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a PSD matrix via its eigendecomposition."""
-    vals, vecs = _support_spectrum(m, "matrix", rank_tol)
-    return (vecs / vals) @ vecs.conj().T
+        raise ValueError(f"matrix has no support (largest eigenvalue {top:.3e})")
+    keep = eig.eigenvalues > RANK_TOL * top
+    return Support(_readonly(eig.eigenvalues[keep]), _readonly(eig.eigenvectors[:, keep]))
 
 
 def real_trace(m: np.ndarray) -> float:

@@ -31,8 +31,6 @@ from .linalg import (
     hermitize,
     real_trace,
     require_hermitian,
-    support_inv,
-    support_inv_sqrt,
 )
 
 _EFFECT_PSD_TOL = 1e-10
@@ -131,11 +129,10 @@ def confidence_of(ens: Ensemble, effect: np.ndarray, j: int) -> float:
 
 def max_confidence(ens: Ensemble, j: int) -> float:
     """Largest achievable confidence for ensemble member j."""
-    rho = ens.average
     if ens.is_pure(j):
-        value = float(ens.priors[j] * real_trace(ens.states[j] @ support_inv(rho)))
+        value = float(ens.priors[j] * real_trace(ens.states[j] @ ens.support.inv))
     else:
-        s = support_inv_sqrt(rho)
+        s = ens.support.inv_sqrt
         x = hermitize(ens.priors[j] * (s @ ens.states[j] @ s))
         value = float(np.linalg.eigvalsh(x)[-1])
     return _unit_interval(value, f"bound for state {j}")
@@ -148,11 +145,10 @@ def optimal_effect(ens: Ensemble, j: int) -> np.ndarray:
     1e-9 relative of the maximum all enter, so degenerate directions are
     never split by roundoff.
     """
-    rho = ens.average
     if ens.is_pure(j):
-        rinv = support_inv(rho)
+        rinv = ens.support.inv
         return hermitize(rinv @ (ens.priors[j] * ens.states[j]) @ rinv)
-    s = support_inv_sqrt(rho)
+    s = ens.support.inv_sqrt
     x = hermitize(ens.priors[j] * (s @ ens.states[j] @ s))
     eig = hermitian_eigen(x)
     top = eig.eigenvalues[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ensembles import BipartiteState, Ensemble
-from .linalg import hermitize, support_inv_sqrt
+from .linalg import hermitize, support
 from .measurement import POM
 from .transforms import KrausOperator
 
@@ -81,7 +81,7 @@ def random_complete_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> 
     """Complete measurement: Wishart pieces whitened by their sum, last piece the fail."""
     pieces = [random_density(rng, dim, dim) for _ in range(n_outcomes + 1)]
     total = hermitize(sum(pieces))
-    w = support_inv_sqrt(total)
+    w = support(total).inv_sqrt
     effects = tuple((k, hermitize(w @ p @ w)) for k, p in enumerate(pieces[:-1]))
     fail = hermitize(w @ pieces[-1] @ w)
     return POM(effects, fail)

@@ -220,8 +220,7 @@ def transform_report(ens, kraus, tolerance: float) -> tuple[dict, bool]:
     transformed, success = apply_kraus(ens, kraus)
     states = []
     ok = True
-    for j in range(ens.n_states):
-        record = monotonicity_check(ens, kraus, j, tol=tolerance)
+    for j, record in enumerate(monotonicity_check(ens, kraus, tol=tolerance)):
         ok = ok and record.ok
         states.append(
             {

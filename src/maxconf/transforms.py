@@ -7,7 +7,7 @@ maximum confidence, and leaves every one unchanged when A is invertible
 on the support of the average state.  The canonical example is the
 two-step filter A = sqrt(lambda_min) rho^{-1/2}, which flattens the
 average state (and, on the purification, the Schmidt spectrum) at success
-probability lambda_min * D.
+probability lambda_min * D; two_step_filter and concentrate share it.
 """
 
 from __future__ import annotations
@@ -17,16 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import BipartiteState, Ensemble
-from .linalg import (
-    RANK_TOL,
-    as_matrix,
-    hermitian_eigen,
-    hermitize,
-    real_trace,
-    support_inv,
-    support_inv_sqrt,
-    support_projector,
-)
+from .linalg import RANK_TOL, Support, as_matrix, hermitize, real_trace, support
 from .measurement import max_confidence
 
 _WEIGHT_TOL = 1e-10
@@ -102,8 +93,8 @@ class MonotonicityRecord:
         return self.verdict != "violated"
 
 
-def monotonicity_check(ens: Ensemble, kraus: KrausOperator, j: int, tol: float = _EQUALITY_TOL) -> MonotonicityRecord:
-    """Confirm filtering cannot raise the confidence of member j.
+def monotonicity_check(ens: Ensemble, kraus: KrausOperator, tol: float = _EQUALITY_TOL) -> tuple:
+    """Confirm filtering cannot raise any member's confidence; one record per member.
 
     Verdicts: "invariant" when before and after agree within tol (expected
     whenever the element is full rank on the support of rho), "decreased"
@@ -111,22 +102,32 @@ def monotonicity_check(ens: Ensemble, kraus: KrausOperator, j: int, tol: float =
     exceeds the before value beyond tol, or when a full-rank element moved
     it at all.
     """
-    before = max_confidence(ens, j)
     transformed, _ = apply_kraus(ens, kraus)
-    after = max_confidence(transformed, j)
-    supp = support_projector(ens.average)
-    s = np.linalg.svd(kraus.matrix @ supp, compute_uv=False)
+    s = np.linalg.svd(kraus.matrix @ ens.support.projector, compute_uv=False)
     rank_on_support = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-    full = rank_on_support == round(real_trace(supp))
-    if after > before + tol:
-        verdict = "violated"
-    elif abs(after - before) <= tol:
-        verdict = "invariant"
-    elif full:
-        verdict = "violated"
-    else:
-        verdict = "decreased"
-    return MonotonicityRecord(j, float(before), float(after), full, verdict)
+    full = rank_on_support == ens.support.rank
+    records = []
+    for j in range(ens.n_states):
+        before = max_confidence(ens, j)
+        after = max_confidence(transformed, j)
+        if after > before + tol:
+            verdict = "violated"
+        elif abs(after - before) <= tol:
+            verdict = "invariant"
+        elif full:
+            verdict = "violated"
+        else:
+            verdict = "decreased"
+        records.append(MonotonicityRecord(j, float(before), float(after), full, verdict))
+    return tuple(records)
+
+
+def _flattening(supp: Support) -> tuple[KrausOperator, float, np.ndarray]:
+    """sqrt(lambda_min) rho^{-1/2}, its success probability lambda_min * D, the fail effect."""
+    lam_min = float(supp.eigenvalues[-1])
+    a = KrausOperator(np.sqrt(lam_min) * supp.inv_sqrt)
+    fail = hermitize(np.eye(supp.eigenvectors.shape[0]) - lam_min * supp.inv)
+    return a, lam_min * supp.rank, fail
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +149,7 @@ def two_step_filter(ens: Ensemble) -> TwoStepFilter:
     has one zero direction per lambda_min multiplicity, and the transformed
     average is the maximally mixed state on the support.
     """
-    rho = ens.average
-    eig = hermitian_eigen(rho)
-    keep = eig.eigenvalues > RANK_TOL * eig.eigenvalues[0]
-    lam_min = float(eig.eigenvalues[keep][-1])
-    d_supp = int(np.count_nonzero(keep))
-    p_succ = lam_min * d_supp
-    a = KrausOperator(np.sqrt(lam_min) * support_inv_sqrt(rho))
-    fail = hermitize(np.eye(ens.dim) - lam_min * support_inv(rho))
+    a, p_succ, fail = _flattening(ens.support)
     transformed, _ = apply_kraus(ens, a)
     return TwoStepFilter(a, p_succ, fail, transformed)
 
@@ -177,19 +171,13 @@ def concentrate(bs: BipartiteState) -> ConcentrationResult:
     entangled across its original Schmidt rank D.  Product states cannot
     be concentrated.
     """
-    rho_l = bs.left_marginal()
-    eig = hermitian_eigen(rho_l)
-    keep = eig.eigenvalues > RANK_TOL * eig.eigenvalues[0]
-    d_supp = int(np.count_nonzero(keep))
-    if d_supp < 2:
+    supp = support(bs.left_marginal())
+    if supp.rank < 2:
         raise ValueError("cannot concentrate: Schmidt rank 1 (product state)")
-    lam_min = float(eig.eigenvalues[keep][-1])
-    p_succ = lam_min * d_supp
-    a = KrausOperator(np.sqrt(lam_min) * support_inv_sqrt(rho_l))
+    a, p_succ, fail = _flattening(supp)
     amps = a.matrix @ bs.amplitudes
     amps = amps / np.linalg.norm(amps)
     post = BipartiteState(bs.dim_left, bs.dim_right, amps, bs.index_sets)
-    fail = hermitize(np.eye(bs.dim_left) - lam_min * support_inv(rho_l))
     return ConcentrationResult(a, p_succ, fail, post)
 
 
@@ -214,7 +202,7 @@ def projective_resolution(ens: Ensemble, tol: float = 1e-9) -> ResolutionCheck:
     """
     if not all(ens.is_pure(j) for j in range(ens.n_states)):
         raise ValueError("projective resolution is defined for pure-state ensembles")
-    target = support_projector(ens.average)
+    target = ens.support.projector
     cols = []
     for rho_j in ens.states:
         cols.append(np.concatenate([rho_j.real.reshape(-1), rho_j.imag.reshape(-1)]))

@@ -8,6 +8,7 @@ from maxconf import (
     purify,
     schmidt,
 )
+from maxconf.ensembles import StateError
 from maxconf.randomgen import ensemble_suite, random_bipartite
 
 from helpers import (
@@ -48,6 +49,27 @@ class TestEnsembleValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             Ensemble(3, (np.eye(2, dtype=complex) / 2,), np.array([1.0]))
+
+    def test_priors_must_be_finite(self):
+        # every comparison with NaN is false, so only an explicit check stops it
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Ensemble(2, (np.eye(2) / 2, np.diag([1.0, 0.0])), np.array([bad, 1.0]))
+
+    def test_states_must_be_finite(self, monkeypatch):
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("decomposed a non-finite state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_decomposition)
+        for bad in (np.nan, np.inf):
+            rho = np.array([[0.5, bad], [bad, 0.5]])
+            with pytest.raises(StateError, match="state 0 has a non-finite entry") as info:
+                Ensemble(2, (rho, np.eye(2) / 2), np.array([0.5, 0.5]))
+            assert info.value.index == 0
+
+    def test_from_pure_needs_a_state(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            Ensemble.from_pure([], [])
 
 
 class TestPurify:

@@ -4,10 +4,7 @@ import pytest
 from maxconf.linalg import (
     hermitian_eigen,
     hermitize,
-    support_inv,
-    support_inv_sqrt,
-    support_projector,
-    support_rank,
+    support,
 )
 
 
@@ -71,37 +68,37 @@ class TestHermitianEigen:
 
 class TestSupportInvSqrt:
     def test_identity(self):
-        assert np.allclose(support_inv_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
+        assert np.allclose(support(np.eye(3)).inv_sqrt, np.eye(3), atol=1e-14)
 
     def test_rank_deficient_diagonal(self):
-        r = support_inv_sqrt(np.diag([4.0, 0.0]))
+        r = support(np.diag([4.0, 0.0])).inv_sqrt
         assert np.allclose(r, np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_sandwich_gives_support_projector(self):
         rng = np.random.default_rng(11)
         for dim, rank in ((3, 2), (4, 2), (5, 4)):
             m = random_psd(rng, dim, rank)
-            r = support_inv_sqrt(m)
-            proj = support_projector(m)
+            r = support(m).inv_sqrt
+            proj = support(m).projector
             assert np.linalg.norm(r @ m @ r - proj) <= 1e-9
             assert np.linalg.norm(hermitize(r) - r) <= 1e-12
-            assert support_rank(m) == rank
+            assert support(m).rank == rank
 
     def test_inverse_on_support(self):
         rng = np.random.default_rng(12)
         m = random_psd(rng, 4, 4)
-        assert np.linalg.norm(support_inv(m) @ m - np.eye(4)) <= 1e-8
+        assert np.linalg.norm(support(m).inv @ m - np.eye(4)) <= 1e-8
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="support"):
-            support_inv_sqrt(np.zeros((2, 2)))
+            support(np.zeros((2, 2))).inv_sqrt
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            support_inv_sqrt(np.diag([1.0, -0.1]))
+            support(np.diag([1.0, -0.1])).inv_sqrt
 
     def test_rank_tolerance_is_relative(self):
         # 1e-9 relative to a top eigenvalue of 1e6 stays in the support
         m = np.diag([1e6, 1e-3])
-        assert support_rank(m) == 2
-        assert support_rank(np.diag([1e6, 1e-7])) == 1
+        assert support(m).rank == 2
+        assert support(np.diag([1e6, 1e-7])).rank == 1

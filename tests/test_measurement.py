@@ -13,7 +13,7 @@ from maxconf import (
     optimal_effect,
     simulate_measurement,
 )
-from maxconf.linalg import real_trace, support_inv, support_inv_sqrt
+from maxconf.linalg import real_trace, support
 from maxconf.measurement import _SAMPLE_CHUNK
 from maxconf.randomgen import ensemble_suite, random_effect, random_ensemble
 
@@ -83,8 +83,8 @@ class TestMaxConfidence:
         # evaluate both branch formulas directly on pure members
         for ens in ensemble_suite(203, 20):
             rho = ens.average
-            rinv = support_inv(rho)
-            s = support_inv_sqrt(rho)
+            rinv = support(rho).inv
+            s = support(rho).inv_sqrt
             for j in range(ens.n_states):
                 if not ens.is_pure(j):
                     continue

@@ -14,7 +14,7 @@ from maxconf import (
     schmidt,
     two_step_filter,
 )
-from maxconf.linalg import dagger, support_projector
+from maxconf.linalg import dagger, support
 from maxconf.measurement import confidence_of
 from maxconf.randomgen import (
     ensemble_suite,
@@ -97,8 +97,9 @@ class TestMonotonicity:
         rng = np.random.default_rng(53)
         for ens in ensemble_suite(403, 25):
             a = random_kraus(rng, ens.dim)
+            j = rng.integers(ens.n_states)
             try:
-                record = monotonicity_check(ens, a, rng.integers(ens.n_states))
+                record = monotonicity_check(ens, a)[j]
             except ValueError:
                 continue
             assert record.ok
@@ -108,15 +109,14 @@ class TestMonotonicity:
         rng = np.random.default_rng(54)
         for ens in ensemble_suite(404, 15):
             a = random_kraus(rng, ens.dim, min_singular=0.3)
-            for j in range(ens.n_states):
-                record = monotonicity_check(ens, a, j)
+            for record in monotonicity_check(ens, a):
                 assert record.full_rank_on_support
                 assert record.verdict == "invariant"
 
     def test_unitaries_leave_confidence_invariant(self):
         rng = np.random.default_rng(55)
         for ens in ensemble_suite(405, 10):
-            record = monotonicity_check(ens, KrausOperator(random_unitary(rng, ens.dim)), 0)
+            record = monotonicity_check(ens, KrausOperator(random_unitary(rng, ens.dim)))[0]
             assert record.verdict == "invariant"
 
     def test_rank_one_element_erases_distinguishability(self):
@@ -124,11 +124,11 @@ class TestMonotonicity:
         # confidence falls to the posterior prior for the minority members
         ens = trine()
         a = KrausOperator(np.diag([1.0, 0.0]))
-        rec1 = monotonicity_check(ens, a, 1)
+        rec1 = monotonicity_check(ens, a)[1]
         assert rec1.verdict == "decreased"
         assert abs(rec1.confidence_before - 2.0 / 3.0) <= 1e-12
         assert abs(rec1.confidence_after - 1.0 / 6.0) <= 1e-12
-        rec0 = monotonicity_check(ens, a, 0)
+        rec0 = monotonicity_check(ens, a)[0]
         assert abs(rec0.confidence_after - 2.0 / 3.0) <= 1e-12
         assert rec0.verdict == "invariant"
         assert not rec0.full_rank_on_support
@@ -161,7 +161,7 @@ class TestTwoStepFilter:
     def test_transformed_average_is_flat_on_support(self):
         for ens in ensemble_suite(406, 15):
             flt = two_step_filter(ens)
-            supp = support_projector(ens.average)
+            supp = support(ens.average).projector
             d = round(np.trace(supp).real)
             target = supp / d
             assert np.abs(flt.ensemble.average - target).max() <= 1e-10
