@@ -23,19 +23,19 @@ import numpy as np
 
 from .linalg import (
     HERMITICITY_TOL,
-    RANK_TOL,
     Support,
     as_matrix,
     fix_phase,
     frobenius,
     hermitize,
+    kept,
     real_trace,
     require_hermitian,
     support,
+    within_psd_slack,
 )
 
 _TRACE_TOL = 1e-10
-_STATE_PSD_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _MARGINAL_CONSISTENCY_TOL = 1e-8
@@ -68,7 +68,7 @@ class Ensemble:
     dim: int
     states: tuple
     priors: np.ndarray
-    state_ranks: tuple = field(init=False)  # from the eigenvalues of the PSD check
+    state_ranks: tuple = field(init=False)  # kept eigenvalues of the PSD check
 
     def __post_init__(self):
         if self.dim < 1:
@@ -97,14 +97,14 @@ class Ensemble:
             except ValueError:
                 raise StateError(k, f"is not Hermitian within relative tolerance {HERMITICITY_TOL}") from None
             vals = np.linalg.eigvalsh(h)
-            if vals[0] < -_STATE_PSD_TOL:
+            if not within_psd_slack(vals[0], real_trace(h)):
                 raise StateError(
                     k, f"is not positive semidefinite (most negative eigenvalue {float(vals[0])!r})"
                 )
             if abs(real_trace(h) - 1.0) > _TRACE_TOL:
                 raise StateError(k, f"has trace {real_trace(h)!r}, expected 1")
             checked.append(_frozen(h))
-            ranks.append(int(np.count_nonzero(vals > RANK_TOL * vals[-1])))
+            ranks.append(int(np.count_nonzero(kept(vals))))
         priors.setflags(write=False)
         object.__setattr__(self, "states", tuple(checked))
         object.__setattr__(self, "priors", priors)
@@ -178,10 +178,6 @@ class BipartiteState:
     def right_marginal(self) -> np.ndarray:
         return hermitize(self.amplitudes.T @ self.amplitudes.conj())
 
-    def ket(self) -> np.ndarray:
-        """Flattened state vector in the left-major composite basis."""
-        return self.amplitudes.reshape(-1)
-
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
@@ -245,7 +241,7 @@ def purify(ens: Ensemble) -> BipartiteState:
     Each member contributes one contiguous block of right-side labels, in
     ensemble order: a pure rho_j = |psi_j><psi_j| contributes the single
     column sqrt(p_j) |psi_j>, a mixed rho_j one column sqrt(beta_i) |beta_i>
-    per nonzero eigenvalue of p_j rho_j (descending).  Eigenvector phases
+    per kept eigenvalue of p_j rho_j (descending).  Eigenvector phases
     are fixed (largest-magnitude entry real positive) so the construction
     is reproducible.
     """
@@ -268,12 +264,12 @@ def purify(ens: Ensemble) -> BipartiteState:
 def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
     """Schmidt decomposition via SVD of the amplitude matrix.
 
-    Squared singular values at or below the shared rank tolerance
-    (relative to the largest) are discarded.
+    Only the kept squared singular values (linalg.kept) are Schmidt
+    coefficients, so the rank is the support rank of the left marginal.
     """
     u, s, vh = np.linalg.svd(bs.amplitudes, full_matrices=False)
     lam = s * s
-    keep = lam > RANK_TOL * lam[0]
+    keep = kept(lam)
     return SchmidtDecomposition(lam[keep], u[:, keep], vh[keep, :].T)
 
 

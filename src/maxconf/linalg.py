@@ -2,8 +2,8 @@
 
 Operators are plain numpy arrays (complex128, row major).  Bipartite
 operators use the left-major composite index: basis state |a>_L |i>_R
-sits at row a * dim_right + i.  support() alone decides which eigenvalues
-of a PSD matrix count as zero.
+sits at row a * dim_right + i.  kept() alone decides which eigenvalues
+count as zero, and within_psd_slack() what counts as positive.
 """
 
 from __future__ import annotations
@@ -13,14 +13,23 @@ from functools import cached_property
 
 import numpy as np
 
-# Relative cutoff separating "zero" eigenvalues from the support.
+# Rank: kept() keeps the entries of a spectrum above RANK_TOL times the largest.
 RANK_TOL = 1e-12
 # Relative Frobenius deviation tolerated before a matrix is rejected
 # as non-Hermitian.
 HERMITICITY_TOL = 1e-9
-# Slack allowed on the most negative eigenvalue of a nominally
-# positive semidefinite operator.
+# PSD slack: the most negative eigenvalue may reach -PSD_TOL times the scale, the
+# trace for a (weighted) state, so rho_j and p_j rho_j agree, and 1 for an effect.
 PSD_TOL = 1e-10
+
+
+def kept(spectrum: np.ndarray) -> np.ndarray:
+    """Rank mask; singular values go in squared, so a matrix's rank is its Gram matrix's."""
+    return spectrum > RANK_TOL * spectrum.max()
+
+
+def within_psd_slack(lowest: float, scale: float) -> bool:
+    return lowest >= -PSD_TOL * scale
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -113,18 +122,18 @@ class Support:
 
 
 def support(m) -> Support:
-    """Eigenpairs above RANK_TOL of the largest eigenvalue; the rest are zeros.
+    """The kept eigenpairs of a state or weighted state; the rest are zeros.
 
-    Raises ValueError for the zero matrix and beyond the PSD slack.
+    Raises ValueError beyond the PSD slack (at the trace) and for the zero matrix.
     """
     eig = hermitian_eigen(m)
-    top = float(eig.eigenvalues[0])
-    if eig.eigenvalues[-1] < -PSD_TOL * max(top, 0.0):
-        raise ValueError(f"matrix has a negative eigenvalue beyond tolerance: {eig.eigenvalues[-1]:.3e}")
-    if top <= 0.0:
-        raise ValueError(f"matrix has no support (largest eigenvalue {top:.3e})")
-    keep = eig.eigenvalues > RANK_TOL * top
-    return Support(_readonly(eig.eigenvalues[keep]), _readonly(eig.eigenvectors[:, keep]))
+    vals = eig.eigenvalues
+    if not within_psd_slack(vals[-1], vals.sum()):
+        raise ValueError(f"matrix has a negative eigenvalue beyond tolerance: {vals[-1]:.3e}")
+    if vals[0] <= 0.0:
+        raise ValueError(f"matrix has no support (largest eigenvalue {vals[0]:.3e})")
+    keep = kept(vals)
+    return Support(_readonly(vals[keep]), _readonly(eig.eigenvectors[:, keep]))
 
 
 def real_trace(m: np.ndarray) -> float:

@@ -31,9 +31,9 @@ from .linalg import (
     hermitize,
     real_trace,
     require_hermitian,
+    within_psd_slack,
 )
 
-_EFFECT_PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-9
 _DEGENERACY_TOL = 1e-9
 _OUTCOME_PROB_FLOOR = 1e-14
@@ -48,8 +48,8 @@ class POM:
     """Probability operator measurement: labelled effects plus optional fail.
 
     effects is a tuple of (label, matrix) pairs.  Each effect must be PSD
-    and the effects must sum to at most the identity; when fail is present
-    the collection must resolve the identity within 1e-9.
+    (within the slack at scale 1) and the effects must sum to at most the
+    identity; when fail is present they must resolve it within 1e-9.
     """
 
     effects: tuple
@@ -68,7 +68,7 @@ class POM:
             h = require_hermitian(e, name=f"effect {label}")
             if h.shape != (dim, dim):
                 raise ValueError("effects must share one dimension")
-            if np.linalg.eigvalsh(h)[0] < -_EFFECT_PSD_TOL:
+            if not within_psd_slack(np.linalg.eigvalsh(h)[0], 1.0):
                 raise ValueError(f"effect {label} is not positive semidefinite")
             h = np.array(h)
             h.setflags(write=False)
@@ -77,7 +77,7 @@ class POM:
         fail = self.fail
         if fail is not None:
             fail = require_hermitian(fail, name="fail effect")
-            if np.linalg.eigvalsh(fail)[0] < -_EFFECT_PSD_TOL:
+            if not within_psd_slack(np.linalg.eigvalsh(fail)[0], 1.0):
                 raise ValueError("fail effect is not positive semidefinite")
             if frobenius(total + fail - np.eye(dim)) > _COMPLETENESS_TOL:
                 raise ValueError("effects plus fail do not resolve the identity")

@@ -113,7 +113,8 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
 
     gaps = {}
     gaps["purification_residual"] = frobenius(bs.left_marginal() - rl)
-    gaps["schmidt_reconstruction"] = frobenius(sd.reconstruct() - bs.amplitudes)
+    u = sd.left_vectors  # against U_k U_k^dagger A, the amplitudes on the kept Schmidt space
+    gaps["schmidt_reconstruction"] = frobenius(sd.reconstruct() - u @ (u.conj().T @ bs.amplitudes))
     gaps["projector_gap"] = frobenius(sd.right_vectors @ sd.right_vectors.conj().T - pd.matrix)
     gaps["marginal_deviation"] = marginal_invariance(bs, pom)
 
@@ -220,7 +221,7 @@ def transform_report(ens, kraus, tolerance: float) -> tuple[dict, bool]:
     transformed, success = apply_kraus(ens, kraus)
     states = []
     ok = True
-    for j, record in enumerate(monotonicity_check(ens, kraus, tol=tolerance)):
+    for j, record in enumerate(monotonicity_check(ens, transformed, tol=tolerance)):
         ok = ok and record.ok
         states.append(
             {

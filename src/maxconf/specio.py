@@ -246,7 +246,3 @@ def matrix_to_json(m) -> list:
     """Nested [re, im] pairs of a complex array (of any shape)."""
     a = np.asarray(m)
     return np.stack([a.real, a.imag], -1).tolist()
-
-
-def vector_to_json(v) -> list:
-    return matrix_to_json(np.asarray(v).reshape(-1))

@@ -8,6 +8,7 @@ on the support of the average state.  The canonical example is the
 two-step filter A = sqrt(lambda_min) rho^{-1/2}, which flattens the
 average state (and, on the purification, the Schmidt spectrum) at success
 probability lambda_min * D; two_step_filter and concentrate share it.
+Ranks follow linalg.kept: an element's rank is the support rank of A^dagger A.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import BipartiteState, Ensemble
-from .linalg import RANK_TOL, Support, as_matrix, hermitize, real_trace, support
+from .linalg import Support, as_matrix, hermitize, kept, real_trace, support
 from .measurement import max_confidence
 
 _WEIGHT_TOL = 1e-10
@@ -27,7 +28,7 @@ _EQUALITY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class KrausOperator:
-    """Operation element with its numerical rank."""
+    """Operation element with its numerical rank (kept squared singular values)."""
 
     matrix: np.ndarray
     rank: int = -1
@@ -39,7 +40,7 @@ class KrausOperator:
         s = np.linalg.svd(m, compute_uv=False)
         if s[0] == 0.0:
             raise ValueError("zero operation element")
-        rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
+        rank = int(np.count_nonzero(kept(s * s)))
         if self.rank >= 0 and self.rank != rank:
             raise ValueError(f"declared rank {self.rank} but computed {rank}")
         m = np.array(m)
@@ -93,19 +94,16 @@ class MonotonicityRecord:
         return self.verdict != "violated"
 
 
-def monotonicity_check(ens: Ensemble, kraus: KrausOperator, tol: float = _EQUALITY_TOL) -> tuple:
+def monotonicity_check(ens: Ensemble, transformed: Ensemble, tol: float = _EQUALITY_TOL) -> tuple:
     """Confirm filtering cannot raise any member's confidence; one record per member.
 
-    Verdicts: "invariant" when before and after agree within tol (expected
-    whenever the element is full rank on the support of rho), "decreased"
+    transformed is apply_kraus(ens, kraus)[0]; the element is full rank on
+    the support of rho when the transformed average keeps its support rank.
+    Verdicts: "invariant" when before and after agree within tol, "decreased"
     when the confidence genuinely dropped, "violated" when the after value
-    exceeds the before value beyond tol, or when a full-rank element moved
-    it at all.
+    exceeds the before value beyond tol, or when a full-rank element moved it.
     """
-    transformed, _ = apply_kraus(ens, kraus)
-    s = np.linalg.svd(kraus.matrix @ ens.support.projector, compute_uv=False)
-    rank_on_support = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-    full = rank_on_support == ens.support.rank
+    full = transformed.support.rank == ens.support.rank
     records = []
     for j in range(ens.n_states):
         before = max_confidence(ens, j)

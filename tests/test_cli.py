@@ -6,10 +6,12 @@ import pytest
 
 from maxconf import max_confidence, parse_spec
 from maxconf.cli import main
+from maxconf.specio import matrix_to_json
 
 
 WORKED = "fixtures/worked_example.json"
 TRINE = "fixtures/trine.json"
+NEAR_PARALLEL = "fixtures/near_parallel.json"
 
 
 def run(capsys, *argv):
@@ -54,7 +56,7 @@ class TestPom:
 
 class TestVerify:
     def test_fixtures_pass(self, capsys):
-        for spec in (WORKED, TRINE):
+        for spec in (WORKED, TRINE, NEAR_PARALLEL):
             code, out, _ = run(capsys, "verify", spec)
             assert code == 0
             assert "status" in out
@@ -251,6 +253,40 @@ class TestErrors:
         code, _, err = run(capsys, "simulate", str(spec))
         assert code == 2
         assert err.startswith("error: states[0].prior ")
+
+
+class TestOneCutoffPolicy:
+    """Every subcommand agrees on what is positive and what has rank."""
+
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.1, 0.9)])
+    @pytest.mark.parametrize("neg", [7e-11, 9.9e-11])
+    def test_member_within_the_psd_slack_passes_every_route(self, capsys, tmp_path, neg, priors):
+        # diag(0.5, 0.5 + neg, -neg) is within the slack, and so is p_0 times it
+        spec = tmp_path / "slack.json"
+        spec.write_text(json.dumps({
+            "dimension": 3,
+            "states": [
+                {"prior": priors[0], "matrix": matrix_to_json(np.diag([0.5, 0.5 + neg, -neg]))},
+                {"prior": priors[1], "matrix": matrix_to_json(np.diag([0.0, 0.0, 1.0]))},
+            ],
+        }))
+        for command in ("bound", "verify", "concentrate"):
+            code, out, err = run(capsys, command, str(spec), "--output", "machine")
+            assert code == 0, err
+            if command == "verify":
+                assert json.loads(out)["status"] == "pass"
+
+    def test_filter_singular_within_the_cutoff_decreases_confidence(self, capsys, tmp_path):
+        # s = 1e-8 enters the rank rule as s^2 = 1e-16, under the cutoff, so the
+        # filter has rank 1 and the transformed average loses a support direction
+        kraus = tmp_path / "filter.json"
+        kraus.write_text(json.dumps(matrix_to_json(np.diag([1.0, 1e-8]))))
+        code, out, err = run(capsys, "transform", WORKED, "--kraus", str(kraus), "--output", "machine")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["kraus_rank"] == 1
+        assert [entry["verdict"] for entry in doc["states"]] == ["decreased", "decreased"]
+        assert not any(entry["full_rank_on_support"] for entry in doc["states"])
 
 
 class TestDiagnostics:

@@ -30,14 +30,15 @@ SPECS = ("worked_example", "trine", "d16")
 # with the diag(1, 0.5) filter, simulate with --trials 70001 --seed 5).
 # All equal the first release's output except worked_example pom, verify and
 # transform, where it printed the confidence 1.0000000000000002 that is now
-# clamped to 1.0.
+# clamped to 1.0, and worked_example verify, whose schmidt_reconstruction is
+# now measured against the kept Schmidt space (see the test below).
 TEXT_SHA256 = {
     ("worked_example", "bound"):
         "6681c3abc6b7fdefe59e9a8040dbd7d7b7568c6b070d55b39cd9a83d09d407b0",
     ("worked_example", "pom"):
         "8fb4d1df51a979ace4169a767be97483ee146f786442cd1af8671aefcb9f4de7",
     ("worked_example", "verify"):
-        "8f00232797424996b2d1a2a5cdee4be2c9d9d22a287b9ad0d161aff7d1a1dace",
+        "2fba6031932494f9e2594c3e8b355bee757d2a25c366ef832fe8c5c2f1744567",
     ("worked_example", "concentrate"):
         "dd4797865fa09ff208824ade9fccffa405e847db9f62025f2b35b6d9f56a47e3",
     ("worked_example", "transform"):
@@ -144,6 +145,36 @@ def test_machine_output_keeps_sorted_keys_and_two_space_structure(capsys, inputs
 def test_text_output_bytes_are_pinned(capsys, inputs, spec, command):
     out = _stdout(capsys, _argv(inputs, spec, command, "text"))
     assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[(spec, command)]
+
+
+# worked_example verify as printed when schmidt_reconstruction compared the
+# Schmidt sum with the untruncated amplitudes; that key read 3.583948318490248e-16.
+WORKED_VERIFY_BEFORE = {
+    "checks": {
+        "fail_leakage": 2.3129646346357432e-17,
+        "marginal_deviation": 0.0,
+        "projector_gap": 5.874748045952207e-16,
+        "purification_residual": 7.850462293418876e-17,
+    },
+    "command": "verify",
+    "dimension": 2,
+    "exceeded": [],
+    "states": [
+        {"achievability_gap": 0.0, "bound": 1.0, "bound_gap": 0.0,
+         "crosspicture_gap": 0.0, "label": 0, "leakage": 9.251858538542981e-18},
+        {"achievability_gap": 0.0, "bound": 0.6666666666666667,
+         "bound_gap": 1.1102230246251565e-16, "crosspicture_gap": 1.1102230246251565e-16,
+         "label": 1, "leakage": 9.25185853854298e-18},
+    ],
+    "status": "pass",
+    "tolerance": 1e-09,
+}
+
+
+def test_worked_example_verify_changes_only_the_schmidt_reconstruction(capsys, inputs):
+    doc = json.loads(_stdout(capsys, _argv(inputs, "worked_example", "verify", "machine")))
+    assert abs(doc["checks"].pop("schmidt_reconstruction") - 3.583948318490248e-16) < 1e-14
+    assert doc == WORKED_VERIFY_BEFORE
 
 
 @pytest.mark.parametrize("command", COMMANDS)

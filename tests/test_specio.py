@@ -8,7 +8,7 @@ import pytest
 from maxconf import SpecError, load_kraus, parse_spec, read_spec
 from maxconf import specio
 from maxconf.randomgen import random_density
-from maxconf.specio import matrix_to_json, vector_to_json
+from maxconf.specio import matrix_to_json
 
 from helpers import trine_kets
 
@@ -358,5 +358,5 @@ class TestSerialization:
 
     def test_vector_serialization_shape(self):
         v = np.array([1.0 + 2.0j, -0.5])
-        out = vector_to_json(v)
+        out = matrix_to_json(v)
         assert out == [[1.0, 2.0], [-0.5, 0.0]]

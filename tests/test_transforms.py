@@ -31,6 +31,11 @@ class TestKrausOperator:
         a = KrausOperator(np.diag([1.0, 0.5, 0.0]))
         assert a.rank == 2
 
+    @pytest.mark.parametrize("small, rank", [(1e-8, 1), (1e-5, 2)])
+    def test_rank_is_the_support_rank_of_the_gram_matrix(self, small, rank):
+        a = KrausOperator(np.diag([1.0, small]))
+        assert a.rank == support(dagger(a.matrix) @ a.matrix).rank == rank
+
     def test_declared_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="declared rank"):
             KrausOperator(np.diag([1.0, 0.5, 0.0]), rank=3)
@@ -99,7 +104,7 @@ class TestMonotonicity:
             a = random_kraus(rng, ens.dim)
             j = rng.integers(ens.n_states)
             try:
-                record = monotonicity_check(ens, a)[j]
+                record = monotonicity_check(ens, apply_kraus(ens, a)[0])[j]
             except ValueError:
                 continue
             assert record.ok
@@ -109,14 +114,15 @@ class TestMonotonicity:
         rng = np.random.default_rng(54)
         for ens in ensemble_suite(404, 15):
             a = random_kraus(rng, ens.dim, min_singular=0.3)
-            for record in monotonicity_check(ens, a):
+            for record in monotonicity_check(ens, apply_kraus(ens, a)[0]):
                 assert record.full_rank_on_support
                 assert record.verdict == "invariant"
 
     def test_unitaries_leave_confidence_invariant(self):
         rng = np.random.default_rng(55)
         for ens in ensemble_suite(405, 10):
-            record = monotonicity_check(ens, KrausOperator(random_unitary(rng, ens.dim)))[0]
+            u = KrausOperator(random_unitary(rng, ens.dim))
+            record = monotonicity_check(ens, apply_kraus(ens, u)[0])[0]
             assert record.verdict == "invariant"
 
     def test_rank_one_element_erases_distinguishability(self):
@@ -124,11 +130,11 @@ class TestMonotonicity:
         # confidence falls to the posterior prior for the minority members
         ens = trine()
         a = KrausOperator(np.diag([1.0, 0.0]))
-        rec1 = monotonicity_check(ens, a)[1]
+        rec1 = monotonicity_check(ens, apply_kraus(ens, a)[0])[1]
         assert rec1.verdict == "decreased"
         assert abs(rec1.confidence_before - 2.0 / 3.0) <= 1e-12
         assert abs(rec1.confidence_after - 1.0 / 6.0) <= 1e-12
-        rec0 = monotonicity_check(ens, a)[0]
+        rec0 = monotonicity_check(ens, apply_kraus(ens, a)[0])[0]
         assert abs(rec0.confidence_after - 2.0 / 3.0) <= 1e-12
         assert rec0.verdict == "invariant"
         assert not rec0.full_rank_on_support
