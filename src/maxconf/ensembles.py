@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import (
     HERMITICITY_TOL,
     Support,
+    _readonly,
     as_matrix,
     fix_phase,
     frobenius,
@@ -39,12 +40,6 @@ _TRACE_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _MARGINAL_CONSISTENCY_TOL = 1e-8
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
 
 
 class StateError(ValueError):
@@ -103,7 +98,7 @@ class Ensemble:
                 )
             if abs(real_trace(h) - 1.0) > _TRACE_TOL:
                 raise StateError(k, f"has trace {real_trace(h)!r}, expected 1")
-            checked.append(_frozen(h))
+            checked.append(_readonly(h))
             ranks.append(int(np.count_nonzero(kept(vals))))
         priors.setflags(write=False)
         object.__setattr__(self, "states", tuple(checked))
@@ -134,7 +129,7 @@ class Ensemble:
     @cached_property
     def average(self) -> np.ndarray:
         """The mixture sum_i p_i rho_i actually handed to the measurement."""
-        return _frozen(sum(p * rho for p, rho in zip(self.priors, self.states)))
+        return _readonly(sum(p * rho for p, rho in zip(self.priors, self.states)))
 
     @cached_property
     def support(self) -> Support:
@@ -159,7 +154,7 @@ class BipartiteState:
     index_sets: tuple
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.dim_left, self.dim_right):
             raise ValueError(f"amplitude matrix shape {amps.shape}, expected ({self.dim_left}, {self.dim_right})")
         n = np.linalg.norm(amps)
@@ -169,7 +164,7 @@ class BipartiteState:
         seen = [i for s in sets for i in s]
         if sorted(seen) != list(range(self.dim_right)):
             raise ValueError("index sets must partition the right-side labels")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        object.__setattr__(self, "amplitudes", _readonly(amps))
         object.__setattr__(self, "index_sets", sets)
 
     def left_marginal(self) -> np.ndarray:
@@ -229,7 +224,7 @@ class SubspaceProjector:
             raise ValueError("projector is not idempotent within 1e-10")
         if abs(real_trace(m) - self.rank) > 1e-9:
             raise ValueError(f"projector trace {real_trace(m)!r} does not match rank {self.rank}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _readonly(m))
 
     def complement(self) -> np.ndarray:
         return np.eye(self.dim) - self.matrix

@@ -70,10 +70,9 @@ class POM:
                 raise ValueError("effects must share one dimension")
             if not within_psd_slack(np.linalg.eigvalsh(h)[0], 1.0):
                 raise ValueError(f"effect {label} is not positive semidefinite")
-            h = np.array(h)
             h.setflags(write=False)
             checked.append((int(label), h))
-            total = total + h
+            total += h
         fail = self.fail
         if fail is not None:
             fail = require_hermitian(fail, name="fail effect")
@@ -81,7 +80,6 @@ class POM:
                 raise ValueError("fail effect is not positive semidefinite")
             if frobenius(total + fail - np.eye(dim)) > _COMPLETENESS_TOL:
                 raise ValueError("effects plus fail do not resolve the identity")
-            fail = np.array(fail)
             fail.setflags(write=False)
         elif np.linalg.eigvalsh(total)[-1] > 1.0 + _COMPLETENESS_TOL:
             raise ValueError("effects exceed the identity")
@@ -171,9 +169,10 @@ def complete_pom(ens: Ensemble) -> POM:
     total = hermitize(sum(dirs))
     gamma = float(np.linalg.eigvalsh(total)[-1])
     t = 1.0 / gamma
-    effects = tuple((j, t * d) for j, d in enumerate(dirs))
+    for d in dirs:
+        d *= t  # in place: each direction is this function's own array
     fail = hermitize(np.eye(ens.dim) - t * total)
-    return POM(effects, fail)
+    return POM(tuple(enumerate(dirs)), fail)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,14 +13,17 @@ for the structure, and each row of a numeric array (each row of a matrix,
 each [re, im] pair of a vector) on one line.  The text rendering walks the
 same tree and prints every number with its full shortest round-trip
 representation, so both carry identical numeric values.  Both renderers
-return the output as a list of string pieces, which the command line
-writes in order, and both are byte-identical for identical inputs.
+return the output as an iterator of string pieces, each made as it is
+taken, which the command line writes in order, so the output is never held
+whole: an array leaf goes out one row at a time.  Both are byte-identical
+for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -271,50 +274,50 @@ def _leaf_rank(node) -> int:
     return rank
 
 
-def _machine(node, pad: str, out: list) -> None:
+def _machine(node, pad: str) -> Iterator[str]:
     inner = pad + "  "
     if isinstance(node, dict) and node:
         sep = "{\n"
         for key in sorted(node):
-            out.append(f"{sep}{inner}{_ROW.encode(key)}: ")
-            _machine(node[key], inner, out)
+            yield f"{sep}{inner}{_ROW.encode(key)}: "
+            yield from _machine(node[key], inner)
             sep = ",\n"
-        out.append(f"\n{pad}}}")
+        yield f"\n{pad}}}"
     elif isinstance(node, np.ndarray):
         sep = "[\n"
         for row in _pair_rows(node):
-            out.append(f"{sep}{inner}{row}")
+            yield f"{sep}{inner}{row}"
             sep = ",\n"
-        out.append(f"\n{pad}]")
+        yield f"\n{pad}]"
     elif isinstance(node, list) and node:
         rank = _leaf_rank(node)
         if rank == 1:
-            out.append(_ROW.encode(node))
+            yield _ROW.encode(node)
             return
         sep = "[\n"
         for item in node:
             if rank:
-                out.append(f"{sep}{inner}{_ROW.encode(item)}")
+                yield f"{sep}{inner}{_ROW.encode(item)}"
             else:
-                out.append(f"{sep}{inner}")
-                _machine(item, inner, out)
+                yield f"{sep}{inner}"
+                yield from _machine(item, inner)
             sep = ",\n"
-        out.append(f"\n{pad}]")
+        yield f"\n{pad}]"
     else:
-        out.append(_ROW.encode(node))
+        yield _ROW.encode(node)
 
 
-def render_machine(report: dict) -> list:
-    """Canonical JSON as a list of string pieces to write in order.
+def render_machine(report: dict) -> Iterator[str]:
+    """Canonical JSON as an iterator of string pieces to write in order.
 
     Keys are sorted and structure is indented by two spaces as with
     json.dumps(indent=2, sort_keys=True), except that a numeric array is
-    printed one row per line (a flat one on a single line).
+    printed one row per line (a flat one on a single line).  Pieces are
+    encoded as they are taken, so a value JSON cannot hold (NaN) raises
+    ValueError after the pieces before it.
     """
-    out: list = []
-    _machine(report, "", out)
-    out.append("\n")
-    return out
+    yield from _machine(report, "")
+    yield "\n"
 
 
 def _scalar(node) -> str:
@@ -327,39 +330,43 @@ def _scalar(node) -> str:
     return str(node)
 
 
-def _walk(node, depth: int, lines: list, label) -> None:
+def _walk(node, depth: int, label) -> Iterator[str]:
     pad = "  " * depth
     head = f"{pad}{label}" if label is not None else pad
     if isinstance(node, dict):
         if label is not None:
-            lines.append(f"{head}:\n")
+            yield f"{head}:\n"
             depth += 1
         for key, value in node.items():
-            _walk(value, depth, lines, key)
+            yield from _walk(value, depth, key)
     elif isinstance(node, np.ndarray):
-        lines.append(f"{head}: [{', '.join(_pair_rows(node))}]\n")
+        rows = _pair_rows(node)
+        yield f"{head}: [{next(rows, '')}"
+        for row in rows:
+            yield f", {row}"
+        yield "]\n"
     elif isinstance(node, list):
         if not node or _leaf_rank(node):
-            lines.append(f"{head}: {json.dumps(node)}\n")
+            yield f"{head}: {json.dumps(node)}\n"
         else:
-            lines.append(f"{head}:\n")
+            yield f"{head}:\n"
             for item in node:
                 if isinstance(item, dict):
-                    lines.append(f"{pad}  -\n")
+                    yield f"{pad}  -\n"
                     for key, value in item.items():
-                        _walk(value, depth + 2, lines, key)
+                        yield from _walk(value, depth + 2, key)
                 else:
-                    _walk(item, depth + 1, lines, "-")
+                    yield from _walk(item, depth + 1, "-")
     else:
-        lines.append(f"{head}: {_scalar(node)}\n")
+        yield f"{head}: {_scalar(node)}\n"
 
 
-def render_text(report: dict) -> list:
-    """Indented key: value lines, one string per line, in order."""
-    lines: list = []
-    _walk(report, 0, lines, None)
-    return lines
+def render_text(report: dict) -> Iterator[str]:
+    """Indented key: value lines as an iterator of pieces, in order; each
+    line is one piece, except that an array leaf's comes one row at a time."""
+    return _walk(report, 0, None)
 
 
-def render(report: dict, output: str) -> list:
+def render(report: dict, output: str) -> Iterator[str]:
+    """The report's pieces in the requested form, produced as they are taken."""
     return render_machine(report) if output == "machine" else render_text(report)

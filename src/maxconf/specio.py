@@ -14,22 +14,27 @@ A spec file looks like
     }
 
 Complex numbers are [re, im] pairs, matrices row-major nested lists.
-Each member's ket or matrix is decoded to an array as soon as the member's
-object closes, so at most one member's nested lists are alive at a time;
-an entry that does not convert stays a list, and the per-entry readers
-name its first bad value.  Kets are normalized on load (a warning fires
-when the correction exceeds 1e-6); priors are checked to sum to 1 within
-1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
-positive semidefinite, unit trace) by Ensemble alone, and its errors are
-reported under the member's field path.  The optional tolerance field
-overrides the verification default unless the command line sets one.  NaN
-and infinities are rejected.
+A file is streamed: it is read in chunks of _READ_CHUNK characters, and
+each member of the states array is decoded on its own as soon as its text
+is in, so neither the file's bytes nor its whole text is ever held, and
+at most one member's text and nested lists are alive at a time.  A valid
+file is decoded once; a file that is not JSON is read again whole only to
+give json.loads's own message.  Each member's ket or matrix is decoded to
+an array as its object closes; an entry that does not convert stays a
+list, and the per-entry readers name its first bad value.  Kets are
+normalized on load (a warning fires when the correction exceeds 1e-6);
+priors are checked to sum to 1 within 1e-9 and then renormalized exactly.
+Matrices are checked (Hermitian, positive semidefinite, unit trace) by
+Ensemble alone, and its errors are reported under the member's field
+path.  The optional tolerance field overrides the verification default
+unless the command line sets one.  NaN and infinities are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -50,24 +55,158 @@ def _reject_constant(token):
     raise SpecError(f"non-finite number {token!r} in input")
 
 
+# Characters read from a spec or Kraus file at a time.
+_READ_CHUNK = 1 << 18
+_WHITESPACE = re.compile(r"[ \t\n\r]*").match  # JSON's, as json.decoder skips it
+_NUMBER_CHARS = re.compile(r"[0-9.eE+-]*").match
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+class _NotJSON(Exception):
+    """The streamed text breaks JSON's grammar; _not_json names where."""
+
+
+class _Stream:
+    """A JSON text read _READ_CHUNK characters at a time.
+
+    buf[pos:] is the text read but not yet consumed.  literals records
+    whether the text of a decoded value held a true or false literal.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buf = ""
+        self.pos = 0
+        self.eof = False
+        self.literals = False
+
+    def _read(self, want=1, stop=None):
+        """Read chunks until the unconsumed text has at least `want`
+        characters and holds the character `stop`, or the file ends."""
+        pieces = [self.buf[self.pos:]]
+        have = len(pieces[0])
+        found = stop is None or stop in pieces[0]
+        while (have < want or not found) and not self.eof:
+            chunk = self.fh.read(_READ_CHUNK)
+            self.eof = not chunk
+            pieces.append(chunk)
+            have += len(chunk)
+            found = found or stop in chunk
+        self.buf = "".join(pieces)
+        self.pos = 0
+
+    def peek(self) -> str:
+        """The next character after whitespace, or "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self._read()
+
+    def expect(self, chars: str) -> str:
+        c = self.peek()
+        if not c or c not in chars:
+            raise _NotJSON
+        self.pos += 1
+        return c
+
+    def value(self, stop=None):
+        """The JSON value at the next character, read on until `stop` first.
+
+        A value without a true or false literal in its text that is an
+        object has its well-formed ket or matrix decoded to an array, as the
+        object closes.  A decode that fails, or a number that the text read
+        so far may continue ("1" of "1e-9"), reads on to twice the text and
+        starts again; at the end of the file the text is not JSON.
+        """
+        self.peek()
+        if stop is not None and self.buf.find(stop, self.pos) < 0:
+            self._read(stop=stop)
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+                if (self.eof or not isinstance(value, (int, float))
+                        or _NUMBER_CHARS(self.buf, end).end() < len(self.buf)):
+                    break
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise _NotJSON from None
+            self._read(want=2 * (len(self.buf) - self.pos) + 1)
+        start, self.pos = self.pos, end
+        if self.buf.find("true", start, end) >= 0 or self.buf.find("false", start, end) >= 0:
+            self.literals = True
+        elif isinstance(value, dict):
+            _arrays_as_they_close(value)
+        return value
+
+    def document(self):
+        """The whole document.  Only a root object and its states array are
+        tokenized here: each member, and every other value, is one value()."""
+        if self.peek() != "{":
+            self._read(want=math.inf)  # a bare Kraus matrix is one value
+            doc = self.value()
+        else:
+            self.pos += 1
+            doc = {}
+            if self.peek() == "}":
+                self.pos += 1
+            else:
+                while True:
+                    if self.peek() != '"':
+                        raise _NotJSON
+                    key = self.value()
+                    self.expect(":")
+                    doc[key] = self.members() if key == "states" and self.peek() == "[" else self.value()
+                    if self.expect(",}") == "}":
+                        break
+            if not self.literals:
+                _arrays_as_they_close(doc)
+        if self.peek():
+            raise _NotJSON  # json.loads: extra data
+        return doc
+
+    def members(self) -> list:
+        self.pos += 1
+        out = []
+        if self.peek() == "]":
+            self.pos += 1
+            return out
+        while True:
+            out.append(self.value(stop="}"))
+            if self.expect(",]") == "]":
+                return out
+
+
+def _not_json(path):
+    """Raise json.loads's own error for the whole file (a SpecError), or the
+    UnicodeDecodeError of reading it whole; the streamed read only finds
+    that the file is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    raise RuntimeError(f"{path}: the streamed reader rejected a document json.loads accepts")
+
+
 def _load_json(path):
     """The parsed document, and whether its text holds a true or false literal.
 
-    Without such a literal, every well-formed ket and matrix in an object
-    arrives as a float array of [re, im] pairs (see _pair_array).
+    The file is streamed (see _Stream), so its text is never held whole.
+    Every well-formed ket or matrix in an object whose text holds no such
+    literal arrives as a float array of [re, im] pairs (see _pair_array).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            stream = _Stream(fh)
+            try:
+                return stream.document(), stream.literals
+            except (_NotJSON, UnicodeDecodeError):
+                pass
+        _not_json(path)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    literals = "true" in text or "false" in text
-    hook = None if literals else _arrays_as_they_close
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant, object_hook=hook)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
-    return doc, literals
 
 
 def _pair_array(entry, ndim: int):

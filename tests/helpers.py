@@ -1,8 +1,12 @@
-"""Shared ensemble builders and report helpers used across the tests."""
+"""Shared ensemble builders, report and reader helpers used across the tests."""
+
+import json
+import warnings
 
 import numpy as np
+import pytest
 
-from maxconf import BipartiteState, Ensemble, reports
+from maxconf import BipartiteState, Ensemble, SpecError, reports, specio
 
 
 def worked(p: float, q: float) -> Ensemble:
@@ -77,3 +81,48 @@ def array_leaves(tree) -> list:
     for state in tree.get("states", []):
         leaves += [(state, key) for key, value in state.items() if isinstance(value, np.ndarray)]
     return leaves
+
+
+def whole_file_load_json(path):
+    """Reference reader for specio._load_json: json.loads over the file's whole text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    literals = "true" in text or "false" in text
+    hook = None if literals else specio._arrays_as_they_close
+    try:
+        doc = json.loads(text, parse_constant=specio._reject_constant, object_hook=hook)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    return doc, literals
+
+
+def outcome(load, path):
+    """What load(path) gives: the bytes it holds, or its error's type and text."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = load(path)
+    except ValueError as exc:  # SpecError, or a file that is not UTF-8
+        return type(exc).__name__, str(exc)
+    notes = [str(w.message) for w in caught]
+    if isinstance(result, specio.KrausOperator):
+        return result.matrix.tobytes(), result.rank, notes
+    ens = result.ensemble
+    return ens.dim, ens.priors.tobytes(), [s.tobytes() for s in ens.states], result.tolerance, notes
+
+
+def streamed_and_whole(load, path, chunk=None):
+    """The outcome of load(path) streamed (in chunks of `chunk` characters if
+    given), and with the whole-file reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(specio, "_READ_CHUNK", chunk)
+        streamed = outcome(load, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specio, "_load_json", whole_file_load_json)
+        whole = outcome(load, path)
+    return streamed, whole
+

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import BipartiteState, Ensemble
-from .linalg import hermitize, support
-from .measurement import POM
-from .transforms import KrausOperator
+from maxconf.ensembles import BipartiteState, Ensemble
+from maxconf.linalg import hermitize, support
+from maxconf.measurement import POM
+from maxconf.transforms import KrausOperator
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -28,14 +28,14 @@ from maxconf.nosignalling import (
     marginal_invariance,
     subspace_leakage,
 )
-from maxconf.randomgen import (
+
+from randomgen import (
     ensemble_suite,
     random_bipartite,
     random_complete_pom,
     random_effect,
     random_kraus,
 )
-
 from helpers import trine, worked, worked_bound
 
 SUITE = ensemble_suite(11, 200)

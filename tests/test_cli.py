@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from maxconf import max_confidence, parse_spec
+from maxconf import max_confidence, parse_spec, reports
 from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
@@ -253,6 +253,22 @@ class TestErrors:
         code, _, err = run(capsys, "simulate", str(spec))
         assert code == 2
         assert err.startswith("error: states[0].prior ")
+
+    def test_render_error_names_its_stage_after_a_partial_report(self, capsys, monkeypatch):
+        real_pom_tree = reports.pom_tree
+
+        def nan_tree(ens):
+            tree = real_pom_tree(ens)
+            tree["inconclusive_probability"] = math.nan
+            return tree
+
+        monkeypatch.setattr(reports, "pom_tree", nan_tree)
+        code, out, err = run(capsys, "pom", WORKED, "--output", "machine")
+        assert code == 2
+        assert err == "error: pom: Out of range float values are not JSON compliant\n"
+        # The report streams, so the keys sorted before the bad value are out.
+        assert out.startswith('{\n  "command": "pom",\n  "dimension": 2,\n  "fail_effect": [\n')
+        assert '"inconclusive_probability"' in out and '"states"' not in out
 
 
 class TestOneCutoffPolicy:

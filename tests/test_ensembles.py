@@ -9,8 +9,8 @@ from maxconf import (
     schmidt,
 )
 from maxconf.ensembles import StateError
-from maxconf.randomgen import ensemble_suite, random_bipartite
 
+from randomgen import ensemble_suite, random_bipartite
 from helpers import (
     bell_state,
     trine,

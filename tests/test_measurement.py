@@ -15,8 +15,8 @@ from maxconf import (
 )
 from maxconf.linalg import real_trace, support
 from maxconf.measurement import _SAMPLE_CHUNK
-from maxconf.randomgen import ensemble_suite, random_effect, random_ensemble
 
+from randomgen import ensemble_suite, random_effect, random_ensemble
 from helpers import trine, trine_kets, worked, worked_bound
 
 

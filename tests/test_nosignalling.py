@@ -20,8 +20,8 @@ from maxconf.nosignalling import (
     state_leakage,
     subspace_leakage,
 )
-from maxconf.randomgen import ensemble_suite, random_effect
 
+from randomgen import ensemble_suite, random_effect
 from helpers import (
     bell_state,
     trine,
@@ -194,7 +194,7 @@ class TestMarginalInvariance:
         assert abs(deviation - 0.264575131106459) <= 1e-9
 
     def test_random_complete_poms_cannot_signal(self):
-        from maxconf.randomgen import random_complete_pom
+        from randomgen import random_complete_pom
 
         rng = np.random.default_rng(43)
         for ens in ensemble_suite(306, 10):

@@ -18,9 +18,9 @@ import pytest
 
 from maxconf import parse_spec, reports
 from maxconf.cli import main
-from maxconf.randomgen import random_ensemble
 from maxconf.specio import load_kraus, matrix_to_json
 
+from randomgen import random_ensemble
 from helpers import ARRAY_TREES, array_leaves, rendered
 
 COMMANDS = ("bound", "pom", "verify", "concentrate", "transform")

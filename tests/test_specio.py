@@ -7,10 +7,10 @@ import pytest
 
 from maxconf import SpecError, load_kraus, parse_spec, read_spec
 from maxconf import specio
-from maxconf.randomgen import random_density
 from maxconf.specio import matrix_to_json
 
-from helpers import trine_kets
+from randomgen import random_density
+from helpers import streamed_and_whole, trine_kets
 
 
 FIXTURES = "fixtures"
@@ -360,3 +360,113 @@ class TestSerialization:
         v = np.array([1.0 + 2.0j, -0.5])
         out = matrix_to_json(v)
         assert out == [[1.0, 2.0], [-0.5, 0.0]]
+
+
+MIXED = [[[0.75, 0.0], [0.125, -0.25]], [[0.125, 0.25], [0.25, 0.0]]]
+SPEC_TEXTS = {
+    "states first": '{"states": [{"ket": [[0.6, 0], [0.8, 0]], "prior": 0.25},'
+                    ' {"matrix": %s, "prior": 0.75}], "tolerance": 1e-7, "dimension": 2}' % json.dumps(MIXED),
+    "duplicate keys": '{"dimension": 3, "states": 5, "tolerance": -1, "dimension": 2,'
+                      ' "states": [{"prior": 1.0, "prior": 0.5, "ket": [[1, 0], [0, 0]]},'
+                      ' {"prior": 0.5, "matrix": %s}], "tolerance": 1e-8}' % json.dumps(MIXED),
+    "whitespace": ' \n\t{ \r\n"dimension"\n:\t2 ,\n "states" : [ \n{ "prior" : 0.5 ,"ket":[ [ 1.0 ,0 ]\n,[0,0]]}'
+                  '\n\n, {"prior":0.5,\n"matrix":\n%s}\n ]\n} \n' % json.dumps(MIXED, indent=3),
+    "true in a later member": '{"dimension": 2, "states": [{"prior": 0.5, "ket": [[1, 0], [0, 0]]},'
+                              ' {"prior": 0.5, "ket": [[0, 0], [true, 0]]}]}',
+    "false in another key": '{"dimension": 2, "states": [{"prior": 0.5, "ket": [[1, 0], [0, 0]]},'
+                            ' {"prior": 0.5, "matrix": %s, "checked": false}]}' % json.dumps(MIXED),
+    "string holding a brace": '{"dimension": 2, "states": [{"note": "}}]", "prior": 1.0,'
+                              ' "matrix": %s}], "about": "{[\\"}"}' % json.dumps(MIXED),
+    "empty states": '{"dimension": 2, "states": []}',
+    "states not a list": '{"dimension": 2, "states": {"prior": 1.0}}',
+    "member not an object": '{"dimension": 2, "states": [{"prior": 1.0, "ket": [[1, 0], [0, 0]]}, 7]}',
+    "root not an object": '[{"dimension": 2}]',
+    "large integer": '{"dimension": 2, "states": [{"prior": 1.0, "ket": [[1, 0], [%s, 0]]}]}' % ("1" * 400),
+    "extra data": '{"dimension": 2, "states": []} []',
+    "trailing comma": '{"dimension": 2, "states": [{"prior": 1.0, "ket": [[1, 0], [0, 0]]},]}',
+    "nan before a syntax error": '{"dimension": NaN, "states": [}',
+    "syntax error before a nan": '{"dimension": 2 "states": [NaN]}',
+    "byte order mark": '\ufeff{"dimension": 2, "states": []}',
+    "empty file": "",
+}
+KRAUS_TEXTS = {
+    "bare": json.dumps([[[1.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [0.25, 0.0]]]),
+    "wrapped": json.dumps({"matrix": [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]], "note": "x"}),
+    "wrapped, literal elsewhere": '{"unitary": true, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "bare, literal inside": "[[[1, 0], [0, 0]], [[0, 0], [false, 0]]]",
+    "wrapped, truncated": '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]',
+}
+
+
+class TestStreamedRead:
+    """The streamed reader gives what json.loads over the whole file gives."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 7, 64], ids=lambda c: f"chunk-{c}")
+    @pytest.mark.parametrize("name", sorted(SPEC_TEXTS))
+    def test_specs_match_the_whole_file_read(self, tmp_path, name, chunk):
+        path = tmp_path / "spec.json"
+        path.write_text(SPEC_TEXTS[name], encoding="utf-8")
+        streamed, whole = streamed_and_whole(read_spec, str(path), chunk)
+        assert streamed == whole
+
+    @pytest.mark.parametrize("chunk", [None, 1, 5], ids=lambda c: f"chunk-{c}")
+    @pytest.mark.parametrize("name", sorted(KRAUS_TEXTS))
+    def test_kraus_files_match_the_whole_file_read(self, tmp_path, name, chunk):
+        path = tmp_path / "kraus.json"
+        path.write_text(KRAUS_TEXTS[name], encoding="utf-8")
+        streamed, whole = streamed_and_whole(load_kraus, str(path), chunk)
+        assert streamed == whole
+
+    def test_fields_and_literals_are_read_as_before(self, tmp_path):
+        path = tmp_path / "spec.json"
+        for name, expected in [
+            ("states first", 1e-7),
+            ("duplicate keys", 1e-8),
+        ]:
+            path.write_text(SPEC_TEXTS[name])
+            assert read_spec(str(path)).tolerance == expected
+        path.write_text(SPEC_TEXTS["true in a later member"])
+        with pytest.raises(SpecError, match=r"^states\[1\]\.ket\[1\]\[0\] must be a number, got True$"):
+            read_spec(str(path))
+
+    def test_members_straddling_chunk_edges(self, tmp_path):
+        rng = np.random.default_rng(12)
+        doc = {
+            "dimension": 5,
+            "states": [{"prior": 0.25, "matrix": matrix_to_json(random_density(rng, 5, r))}
+                       for r in (1, 2, 3, 5)],
+        }
+        path = write_spec(tmp_path, doc)
+        for chunk in (1, 3, 10, 97, 1000):
+            streamed, whole = streamed_and_whole(read_spec, path, chunk)
+            assert streamed == whole, chunk
+
+    def test_file_that_is_not_utf8_fails_as_before(self, tmp_path):
+        path = tmp_path / "spec.json"
+        text = json.dumps(qubit_spec()).encode()
+        path.write_bytes(text[:30] + b"\xff" + text[30:])
+        streamed, whole = streamed_and_whole(read_spec, str(path), chunk=8)
+        assert streamed == whole
+        assert streamed[0] == "UnicodeDecodeError"
+
+    def test_each_member_is_decoded_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        doc = {
+            "dimension": 6,
+            "states": [{"prior": 0.2, "matrix": matrix_to_json(random_density(rng, 6, 2))}
+                       for _ in range(5)],
+        }
+        path = write_spec(tmp_path, doc)
+        starts = []
+
+        class Counting:
+            def raw_decode(self, text, pos):
+                starts.append(text[pos])
+                return decoder.raw_decode(text, pos)
+
+        decoder = specio._DECODER
+        monkeypatch.setattr(specio, "_DECODER", Counting())
+        monkeypatch.setattr(specio, "_READ_CHUNK", 100)  # a member is about 2 kB
+        read_spec(path)
+        assert starts.count("{") == len(doc["states"])
+

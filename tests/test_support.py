@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from maxconf import Ensemble, reports, support
-from maxconf.randomgen import random_ensemble, random_kraus
 
+from randomgen import random_ensemble, random_kraus
 from helpers import trine, worked
 
 DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")

@@ -16,13 +16,13 @@ from maxconf import (
 )
 from maxconf.linalg import dagger, support
 from maxconf.measurement import confidence_of
-from maxconf.randomgen import (
+
+from randomgen import (
     ensemble_suite,
     random_ensemble,
     random_kraus,
     random_unitary,
 )
-
 from helpers import trine, worked
 
 
