@@ -70,7 +70,7 @@ class Ensemble:
             raise ValueError("dimension must be positive")
         if len(self.states) == 0:
             raise ValueError("ensemble needs at least one state")
-        priors = np.asarray(self.priors, dtype=np.float64)
+        priors = np.array(self.priors, dtype=np.float64)  # a copy: the caller's stays writable
         if priors.shape != (len(self.states),):
             raise ValueError("one prior per state required")
         if not np.all(np.isfinite(priors)):

@@ -61,8 +61,16 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Validate that m is square and Hermitian, return its Hermitian part.
 
     The symmetrized matrix is returned so that downstream eigensolvers see
-    an exactly Hermitian operand regardless of roundoff in the input.
+    an exactly Hermitian operand regardless of roundoff in the input.  It
+    is a new array; m is left as it is.
     """
+    return hermitian_in_place(np.array(m, dtype=np.complex128), name)
+
+
+def hermitian_in_place(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """require_hermitian for an array the caller owns: the same checks and
+    messages, then the Hermitian part, with hermitize's float operations,
+    is written over m and returned."""
     arr = as_matrix(m)
     n, k = arr.shape
     if n != k:
@@ -70,7 +78,9 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     scale = frobenius(arr)
     if frobenius(arr - arr.conj().T) > HERMITICITY_TOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not Hermitian within relative tolerance {HERMITICITY_TOL}")
-    return hermitize(arr)
+    arr += arr.conj().T
+    arr /= 2
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

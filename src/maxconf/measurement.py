@@ -28,6 +28,7 @@ from .ensembles import Ensemble
 from .linalg import (
     frobenius,
     hermitian_eigen,
+    hermitian_in_place,
     hermitize,
     real_trace,
     require_hermitian,
@@ -50,22 +51,40 @@ class POM:
     effects is a tuple of (label, matrix) pairs.  Each effect must be PSD
     (within the slack at scale 1) and the effects must sum to at most the
     identity; when fail is present they must resolve it within 1e-9.
+
+    The constructor validates and keeps a copy of each matrix it is given,
+    so the caller's arrays stay as they were.  complete_pom hands over
+    arrays it built for the measurement instead; the same checks run on
+    them in place, so each effect is held once.  Either way the stored
+    effects are Hermitian and read-only.
     """
 
     effects: tuple
     fail: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.effects) == 0 and self.fail is None:
+        self._settle(
+            tuple((label, np.array(e, dtype=np.complex128)) for label, e in self.effects),
+            None if self.fail is None else np.array(self.fail, dtype=np.complex128),
+        )
+
+    @classmethod
+    def _adopt(cls, effects: tuple, fail: np.ndarray | None) -> "POM":
+        """The measurement of arrays the caller built for it and keeps no
+        reference to: the constructor's checks run on them, not on copies."""
+        pom = object.__new__(cls)
+        pom._settle(effects, fail)
+        return pom
+
+    def _settle(self, effects: tuple, fail: np.ndarray | None):
+        """Validate, symmetrize in place, freeze and store arrays this POM owns."""
+        if len(effects) == 0 and fail is None:
             raise ValueError("a measurement needs at least one effect")
-        if len(self.effects) > 0:
-            dim = np.asarray(self.effects[0][1]).shape[0]
-        else:
-            dim = np.asarray(self.fail).shape[0]
+        dim = (effects[0][1] if effects else fail).shape[0]
         checked = []
         total = np.zeros((dim, dim), dtype=np.complex128)
-        for label, e in self.effects:
-            h = require_hermitian(e, name=f"effect {label}")
+        for label, e in effects:
+            h = hermitian_in_place(e, name=f"effect {label}")
             if h.shape != (dim, dim):
                 raise ValueError("effects must share one dimension")
             if not within_psd_slack(np.linalg.eigvalsh(h)[0], 1.0):
@@ -73,9 +92,8 @@ class POM:
             h.setflags(write=False)
             checked.append((int(label), h))
             total += h
-        fail = self.fail
         if fail is not None:
-            fail = require_hermitian(fail, name="fail effect")
+            fail = hermitian_in_place(fail, name="fail effect")
             if not within_psd_slack(np.linalg.eigvalsh(fail)[0], 1.0):
                 raise ValueError("fail effect is not positive semidefinite")
             if frobenius(total + fail - np.eye(dim)) > _COMPLETENESS_TOL:
@@ -164,6 +182,10 @@ def complete_pom(ens: Ensemble) -> POM:
     remainder, including the orthocomplement of the support, becomes the
     fail effect.  Every conclusive outcome then still attains its
     maximum-confidence bound.
+
+    The scaled directions and the fail effect go to the POM as they are,
+    without a copy; it runs the public constructor's Hermiticity, PSD and
+    completeness checks on them in place, so each effect is held once.
     """
     dirs = [optimal_effect(ens, j) for j in range(ens.n_states)]
     total = hermitize(sum(dirs))
@@ -172,7 +194,7 @@ def complete_pom(ens: Ensemble) -> POM:
     for d in dirs:
         d *= t  # in place: each direction is this function's own array
     fail = hermitize(np.eye(ens.dim) - t * total)
-    return POM(tuple(enumerate(dirs)), fail)
+    return POM._adopt(tuple(enumerate(dirs)), fail)
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,6 +67,14 @@ class TestEnsembleValidation:
                 Ensemble(2, (rho, np.eye(2) / 2), np.array([0.5, 0.5]))
             assert info.value.index == 0
 
+    def test_priors_are_copied(self):
+        # the stored priors are frozen; the caller's array must not be
+        p = np.array([0.5, 0.5])
+        ens = Ensemble(2, (np.eye(2) / 2, np.diag([1.0, 0.0])), p)
+        p[0] = 0.7
+        assert ens.priors[0] == 0.5
+        assert not ens.priors.flags.writeable
+
     def test_from_pure_needs_a_state(self):
         with pytest.raises(ValueError, match="at least one state"):
             Ensemble.from_pure([], [])

@@ -13,8 +13,10 @@ from maxconf import (
     optimal_effect,
     simulate_measurement,
 )
+from maxconf import measurement
 from maxconf.linalg import real_trace, support
 from maxconf.measurement import _SAMPLE_CHUNK
+from maxconf.specio import read_spec
 
 from randomgen import ensemble_suite, random_effect, random_ensemble
 from helpers import trine, trine_kets, worked, worked_bound
@@ -393,3 +395,59 @@ class TestPomValidation:
     def test_needs_some_effect(self):
         with pytest.raises(ValueError, match="at least one"):
             POM((), None)
+
+
+class TestCompletePomKeepsEveryCheck:
+    """complete_pom hands the arrays it built to POM without a copy; the
+    checks of the public constructor still run on them."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "effect 0 is not Hermitian within relative tolerance 1e-09"),
+            (np.diag([1.0, -0.2]), "effect 0 is not positive semidefinite"),
+        ],
+        ids=["non-hermitian", "negative-eigenvalue"],
+    )
+    def test_bad_direction_raises_the_constructors_error(self, monkeypatch, bad, message):
+        original = measurement.optimal_effect
+
+        def direction(ens, j):
+            return bad.astype(np.complex128) if j == 0 else original(ens, j)
+
+        monkeypatch.setattr(measurement, "optimal_effect", direction)
+        with pytest.raises(ValueError) as public:
+            POM(((0, bad),), None)
+        with pytest.raises(ValueError) as owned:
+            complete_pom(trine())
+        assert str(public.value) == message
+        assert str(owned.value) == message
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: read_spec("fixtures/trine.json").ensemble,
+            lambda: read_spec("fixtures/worked_example.json").ensemble,
+            lambda: read_spec("fixtures/near_parallel.json").ensemble,
+            lambda: random_ensemble(np.random.default_rng(41), 6, [1, 3, 2, 1, 4]),
+        ],
+        ids=["trine", "worked_example", "near_parallel", "seeded-mixed"],
+    )
+    def test_public_constructor_accepts_the_result(self, make):
+        pom = complete_pom(make())
+        for _, e in pom.all_effects():
+            assert not e.flags.writeable
+        again = POM(pom.effects, pom.fail)
+        for (label, e), (label_again, e_again) in zip(pom.all_effects(), again.all_effects()):
+            assert label == label_again
+            assert np.array_equal(e, e_again)
+
+    def test_public_constructor_leaves_the_callers_arrays_alone(self):
+        effect = np.array([[0.5, 1e-12], [0.0, 0.5]], dtype=np.complex128)
+        fail = np.eye(2, dtype=np.complex128) - effect
+        before = effect.copy(), fail.copy()
+        pom = POM(((0, effect),), fail)
+        assert effect.flags.writeable and fail.flags.writeable
+        assert np.array_equal(effect, before[0]) and np.array_equal(fail, before[1])
+        stored = pom.effects[0][1]
+        assert stored is not effect and np.array_equal(stored, stored.conj().T)
