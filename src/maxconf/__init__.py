@@ -16,11 +16,7 @@ from .ensembles import (
     purify,
     schmidt,
 )
-from .linalg import (
-    EigenSystem,
-    hermitian_eigen,
-    support,
-)
+from .linalg import hermitian_eigen, support
 from .measurement import (
     POM,
     ConfidenceReport,
@@ -62,7 +58,6 @@ __all__ = [
     "ConcentrationResult",
     "ConditionalRightState",
     "ConfidenceReport",
-    "EigenSystem",
     "Ensemble",
     "KrausOperator",
     "MonotonicityRecord",

@@ -12,6 +12,11 @@ member, with sum over i in sigma(j) of beta_i |beta_i><beta_i| = p_j rho_j.
 Conditioned on a right-side index in sigma(j), the left system holds rho_j
 with probability p_j, so measurements on the left realize discrimination
 of the ensemble while the right side keeps the record.
+
+An Ensemble decomposes lazily and once: support is the average state's
+factorization, and top(j) member j's bound with its top eigenspace, made
+when member j is first asked for.  The measurement route reads both;
+the bipartite route computes its own.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .linalg import (
     as_matrix,
     fix_phase,
     frobenius,
+    hermitian_eigen,
     hermitize,
     kept,
     real_trace,
@@ -40,6 +46,8 @@ _TRACE_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _MARGINAL_CONSISTENCY_TOL = 1e-8
+# Eigenvalues within this relative distance of the top one share its eigenspace.
+_DEGENERACY_TOL = 1e-9
 
 
 class StateError(ValueError):
@@ -135,6 +143,31 @@ class Ensemble:
     def support(self) -> Support:
         """Support of the average; the bipartite route never reads it."""
         return support(self.average)
+
+    @cached_property
+    def _tops(self) -> list:
+        return [None] * self.n_states
+
+    def top(self, j: int) -> tuple:
+        """Member j's maximum-confidence bound C_j, unclamped, with the
+        eigenvectors of the whole top eigenspace of
+        p_j rho^{-1/2} rho_j rho^{-1/2} for a mixed member (None for a pure
+        one, whose bound p_j Tr(rho_j rho^{-1}) needs no decomposition).
+
+        Eigenvalues within 1e-9 relative of the maximum all enter, so
+        degenerate directions are never split by roundoff.  Decomposed on
+        first use and kept beside support; the bipartite route never reads it.
+        """
+        if self._tops[j] is None:
+            p, rho = self.priors[j], self.states[j]
+            if self.is_pure(j):
+                self._tops[j] = (float(p * real_trace(rho @ self.support.inv)), None)
+            else:
+                s = self.support.inv_sqrt
+                vals, vecs = hermitian_eigen(hermitize(p * (s @ rho @ s)))
+                keep = vals >= vals[0] * (1.0 - _DEGENERACY_TOL)
+                self._tops[j] = (float(vals[0]), _readonly(vecs[:, keep]))
+        return self._tops[j]
 
     def is_pure(self, j: int) -> bool:
         return self.state_ranks[j] == 1

@@ -4,6 +4,8 @@ Operators are plain numpy arrays (complex128, row major).  Bipartite
 operators use the left-major composite index: basis state |a>_L |i>_R
 sits at row a * dim_right + i.  kept() alone decides which eigenvalues
 count as zero, and within_psd_slack() what counts as positive.
+hermitian_eigen() is the one full eigendecomposition: support() and
+Ensemble.top() are its callers.
 """
 
 from __future__ import annotations
@@ -83,25 +85,11 @@ def hermitian_in_place(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
-
-    eigenvalues are real and sorted descending; eigenvectors[:, k] is the
-    unit-norm eigenvector paired with eigenvalues[k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigen(m) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    h = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(h)
-    vals = _readonly(np.ascontiguousarray(vals[::-1].real))
-    vecs = _readonly(np.ascontiguousarray(vecs[:, ::-1]))
-    return EigenSystem(vals, vecs)
+def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's (eigenvalues, eigenvectors) pair of a Hermitian matrix, both
+    read-only and in descending order: column k belongs to eigenvalue k."""
+    vals, vecs = np.linalg.eigh(require_hermitian(m))
+    return _readonly(np.ascontiguousarray(vals[::-1])), _readonly(np.ascontiguousarray(vecs[:, ::-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +124,13 @@ def support(m) -> Support:
 
     Raises ValueError beyond the PSD slack (at the trace) and for the zero matrix.
     """
-    eig = hermitian_eigen(m)
-    vals = eig.eigenvalues
+    vals, vecs = hermitian_eigen(m)
     if not within_psd_slack(vals[-1], vals.sum()):
         raise ValueError(f"matrix has a negative eigenvalue beyond tolerance: {vals[-1]:.3e}")
     if vals[0] <= 0.0:
         raise ValueError(f"matrix has no support (largest eigenvalue {vals[0]:.3e})")
     keep = kept(vals)
-    return Support(_readonly(vals[keep]), _readonly(eig.eigenvectors[:, keep]))
+    return Support(_readonly(vals[keep]), _readonly(vecs[:, keep]))
 
 
 def real_trace(m: np.ndarray) -> float:

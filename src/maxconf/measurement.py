@@ -13,7 +13,8 @@ with rho = sum_i p_i rho_i.  Over all effects this is bounded by
 with inverses restricted to the support of rho, and the bound is attained
 by Pi_j proportional to rho^{-1} p_j rho_j rho^{-1} (pure) or
 rho^{-1/2} P_max rho^{-1/2} with P_max the projector onto the full top
-eigenspace (mixed).  Scaling an effect changes outcome probabilities but
+eigenspace (mixed).  A mixed member's bound and effect come from one
+decomposition, kept by Ensemble.top.  Scaling an effect changes outcome probabilities but
 never its confidence, so one overall scale completes the collection into
 a measurement with an inconclusive remainder.
 """
@@ -27,7 +28,6 @@ import numpy as np
 from .ensembles import Ensemble
 from .linalg import (
     frobenius,
-    hermitian_eigen,
     hermitian_in_place,
     hermitize,
     real_trace,
@@ -36,7 +36,6 @@ from .linalg import (
 )
 
 _COMPLETENESS_TOL = 1e-9
-_DEGENERACY_TOL = 1e-9
 _OUTCOME_PROB_FLOOR = 1e-14
 # Roundoff tolerated outside [0, 1] on a confidence before it is an error.
 _UNIT_SLACK = 1e-10
@@ -145,33 +144,18 @@ def confidence_of(ens: Ensemble, effect: np.ndarray, j: int) -> float:
 
 def max_confidence(ens: Ensemble, j: int) -> float:
     """Largest achievable confidence for ensemble member j."""
-    if ens.is_pure(j):
-        value = float(ens.priors[j] * real_trace(ens.states[j] @ ens.support.inv))
-    else:
-        s = ens.support.inv_sqrt
-        x = hermitize(ens.priors[j] * (s @ ens.states[j] @ s))
-        value = float(np.linalg.eigvalsh(x)[-1])
-    return _unit_interval(value, f"bound for state {j}")
+    return _unit_interval(ens.top(j)[0], f"bound for state {j}")
 
 
 def optimal_effect(ens: Ensemble, j: int) -> np.ndarray:
-    """Unnormalized effect attaining max_confidence(ens, j).
-
-    For a mixed member the top eigenspace is taken whole: eigenvalues within
-    1e-9 relative of the maximum all enter, so degenerate directions are
-    never split by roundoff.
-    """
+    """Unnormalized effect attaining max_confidence(ens, j), built from
+    the member's cached top eigenspace (Ensemble.top)."""
     if ens.is_pure(j):
         rinv = ens.support.inv
         return hermitize(rinv @ (ens.priors[j] * ens.states[j]) @ rinv)
     s = ens.support.inv_sqrt
-    x = hermitize(ens.priors[j] * (s @ ens.states[j] @ s))
-    eig = hermitian_eigen(x)
-    top = eig.eigenvalues[0]
-    keep = eig.eigenvalues >= top * (1.0 - _DEGENERACY_TOL)
-    v = eig.eigenvectors[:, keep]
-    p_max = v @ v.conj().T
-    return hermitize(s @ p_max @ s)
+    v = ens.top(j)[1]
+    return hermitize(s @ (v @ v.conj().T) @ s)
 
 
 def complete_pom(ens: Ensemble) -> POM:
@@ -208,12 +192,12 @@ class ConfidenceReport:
         total = self.inconclusive_probability
         for label, bound, achieved, prob in self.records:
             for name, value in (("bound", bound), ("confidence", achieved), ("probability", prob)):
-                if not -1e-10 <= value <= 1.0 + 1e-10:
+                if not -_UNIT_SLACK <= value <= 1.0 + _UNIT_SLACK:
                     raise ValueError(f"{name} for state {label} out of range: {value!r}")
             total += prob
-        if not -1e-10 <= self.inconclusive_probability <= 1.0 + 1e-10:
+        if not -_UNIT_SLACK <= self.inconclusive_probability <= 1.0 + _UNIT_SLACK:
             raise ValueError("inconclusive probability out of range")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _COMPLETENESS_TOL:
             raise ValueError(f"outcome probabilities sum to {total!r}")
 
 

@@ -28,10 +28,9 @@ from collections.abc import Iterator
 import numpy as np
 
 from .ensembles import purify, allowed_subspace, schmidt
-from .linalg import frobenius, real_trace
+from .linalg import frobenius
 from .measurement import (
     complete_pom,
-    confidence_of,
     confidence_report,
     max_confidence,
     simulate_measurement,
@@ -121,11 +120,9 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     gaps["projector_gap"] = frobenius(sd.right_vectors @ sd.right_vectors.conj().T - pd.matrix)
     gaps["marginal_deviation"] = marginal_invariance(bs, pom)
 
+    rep = confidence_report(ens, pom)
     per_state = []
-    worst_leakage = 0.0
-    for label, e in pom.effects:
-        bound = max_confidence(ens, label)
-        achieved = confidence_of(ens, e, label)
+    for (label, e), (_, bound, achieved, _) in zip(pom.effects, rep.records):
         entry = {
             "label": label,
             "bound": bound,
@@ -134,13 +131,10 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
             "crosspicture_gap": abs(confidence_bipartite(bs, e, label) - achieved),
             "leakage": subspace_leakage(bs, pd, e),
         }
-        worst_leakage = max(worst_leakage, entry["leakage"])
         per_state.append(entry)
 
-    fail_weight = real_trace(ens.average @ pom.fail)
-    if fail_weight > 1e-12:
+    if rep.inconclusive_probability > 1e-12:
         gaps["fail_leakage"] = subspace_leakage(bs, pd, pom.fail)
-        worst_leakage = max(worst_leakage, gaps["fail_leakage"])
     else:
         gaps["fail_leakage"] = None
 
