@@ -13,10 +13,12 @@ Conditioned on a right-side index in sigma(j), the left system holds rho_j
 with probability p_j, so measurements on the left realize discrimination
 of the ensemble while the right side keeps the record.
 
-An Ensemble decomposes lazily and once: support is the average state's
-factorization, and top(j) member j's bound with its top eigenspace, made
-when member j is first asked for.  The measurement route reads both;
-the bipartite route computes its own.
+An Ensemble holds one validated, read-only copy of each member: a copy of
+the caller's array, or the array itself when a reader that built it for
+the ensemble hands it over.  It decomposes lazily and once: support is
+the average state's factorization, and top(j) member j's bound with its
+top eigenspace, made when member j is first asked for.  The measurement
+route reads both; the bipartite route computes its own.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .linalg import (
     fix_phase,
     frobenius,
     hermitian_eigen,
+    hermitian_in_place,
     hermitize,
     kept,
     real_trace,
@@ -66,7 +69,14 @@ class StateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """States rho_i with priors p_i on a d-dimensional system, validated on construction."""
+    """States rho_i with priors p_i on a d-dimensional system, validated on construction.
+
+    The constructor validates and keeps a copy of each state, so the
+    caller's arrays stay as they were.  Code that has just built the
+    states for the ensemble (read_spec, apply_kraus, from_pure) hands them over with
+    _adopt instead: the same checks run on them in place, so each state is
+    held once.  Either way the stored states are Hermitian and read-only.
+    """
 
     dim: int
     states: tuple
@@ -74,6 +84,21 @@ class Ensemble:
     state_ranks: tuple = field(init=False)  # kept eigenvalues of the PSD check
 
     def __post_init__(self):
+        self._settle(np.array(rho, dtype=np.complex128) for rho in self.states)
+
+    @classmethod
+    def _adopt(cls, dim: int, states: tuple, priors) -> "Ensemble":
+        """The ensemble of complex arrays the caller built for it and keeps
+        no reference to: the constructor's checks run on them, not on copies."""
+        ens = object.__new__(cls)
+        for name, value in (("dim", dim), ("states", states), ("priors", priors)):
+            object.__setattr__(ens, name, value)
+        ens._settle(states)
+        return ens
+
+    def _settle(self, owned):
+        """Validate the priors and the arrays of owned, one state per array
+        in order, symmetrizing each in place; store them read-only."""
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if len(self.states) == 0:
@@ -89,14 +114,14 @@ class Ensemble:
             raise ValueError(f"priors sum to {float(priors.sum())!r}, expected 1")
         checked = []
         ranks = []
-        for k, rho in enumerate(self.states):
-            h = as_matrix(rho)
+        for k, h in enumerate(owned):
+            h = as_matrix(h)
             if h.shape != (self.dim, self.dim):
                 raise StateError(k, f"has shape {h.shape}, expected ({self.dim}, {self.dim})")
             if not np.all(np.isfinite(h)):
                 raise StateError(k, "has a non-finite entry")
             try:
-                h = require_hermitian(h)
+                h = hermitian_in_place(h)
             except ValueError:
                 raise StateError(k, f"is not Hermitian within relative tolerance {HERMITICITY_TOL}") from None
             vals = np.linalg.eigvalsh(h)
@@ -128,7 +153,7 @@ class Ensemble:
                 raise ValueError("zero ket")
             k = k / n
             states.append(np.outer(k, k.conj()))
-        return cls(dim, tuple(states), np.asarray(priors, dtype=np.float64))
+        return cls._adopt(dim, tuple(states), np.asarray(priors, dtype=np.float64))
 
     @property
     def n_states(self) -> int:

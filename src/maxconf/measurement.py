@@ -16,17 +16,23 @@ rho^{-1/2} P_max rho^{-1/2} with P_max the projector onto the full top
 eigenspace (mixed).  A mixed member's bound and effect come from one
 decomposition, kept by Ensemble.top.  Scaling an effect changes outcome probabilities but
 never its confidence, so one overall scale completes the collection into
-a measurement with an inconclusive remainder.
+a measurement with an inconclusive remainder.  Each completed effect is
+then fixed by its member, the average state and that one scale, so the
+completed measurement keeps only the scale and the fail effect and
+rebuilds an effect, bit for bit the same, whenever it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .ensembles import Ensemble
 from .linalg import (
+    _readonly,
     frobenius,
     hermitian_in_place,
     hermitize,
@@ -43,82 +49,124 @@ _UNIT_SLACK = 1e-10
 _SAMPLE_CHUNK = 1 << 16
 
 
+class _Effects(Sequence):
+    """A measurement's (label, read-only matrix) pairs, in order.
+
+    matrix(k) gives entry k's matrix each time the entry is read: a stored
+    array, or one rebuilt from the ensemble (complete_pom).  labels are
+    read without making any matrix.
+    """
+
+    def __init__(self, labels: tuple, matrix):
+        self.labels = labels
+        self._matrix = matrix
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, k: int) -> tuple:
+        k = range(len(self.labels))[k]  # IndexError past the end ends iteration
+        return self.labels[k], self._matrix(k)
+
+
+def _finite_hermitian(m: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return hermitian_in_place(m, name=name)
+
+
+def _checked(pairs, finish) -> tuple:
+    """POM's validation, over (label, matrix) pairs whose arrays it may overwrite.
+
+    One pass takes the pairs one at a time: each matrix is checked finite,
+    made Hermitian and read-only in place, checked against the first
+    one's shape, and its lowest eigenvalue is kept while it is summed into
+    the total.  finish(total) then gives the scale of every effect and the
+    fail effect (or None).  Each effect's PSD check runs at that scale, in
+    order, and then the fail effect's checks and completeness.  Returns
+    the labels, the scale and the checked fail effect.
+    """
+    labels, lowest, total = [], [], None
+    for label, e in pairs:
+        h = _readonly(_finite_hermitian(e, f"effect {label}"))
+        if total is None:
+            total = np.zeros_like(h)
+        elif h.shape != total.shape:
+            raise ValueError("effects must share one dimension")
+        total += h
+        labels.append(int(label))
+        lowest.append(np.linalg.eigvalsh(h)[0])
+    scale, fail = finish(total)
+    for label, low in zip(labels, lowest):
+        if not within_psd_slack(scale * low, 1.0):
+            raise ValueError(f"effect {label} is not positive semidefinite")
+    if fail is not None:
+        fail = _readonly(_finite_hermitian(fail, "fail effect"))
+        if total is None:
+            total = np.zeros_like(fail)
+        if not within_psd_slack(np.linalg.eigvalsh(fail)[0], 1.0):
+            raise ValueError("fail effect is not positive semidefinite")
+        if frobenius(scale * total + fail - np.eye(len(fail))) > _COMPLETENESS_TOL:
+            raise ValueError("effects plus fail do not resolve the identity")
+    elif np.linalg.eigvalsh(scale * total)[-1] > 1.0 + _COMPLETENESS_TOL:
+        raise ValueError("effects exceed the identity")
+    return tuple(labels), scale, fail
+
+
 @dataclass(frozen=True, eq=False)
 class POM:
     """Probability operator measurement: labelled effects plus optional fail.
 
-    effects is a tuple of (label, matrix) pairs.  Each effect must be PSD
-    (within the slack at scale 1) and the effects must sum to at most the
-    identity; when fail is present they must resolve it within 1e-9.
+    effects is a sequence of (label, matrix) pairs.  Each effect must be
+    finite and PSD (within the slack at scale 1) and the effects must sum
+    to at most the identity; when fail is present they must resolve it
+    within 1e-9.
 
     The constructor validates and keeps a copy of each matrix it is given,
-    so the caller's arrays stay as they were.  complete_pom hands over
-    arrays it built for the measurement instead; the same checks run on
-    them in place, so each effect is held once.  Either way the stored
-    effects are Hermitian and read-only.
+    so the caller's arrays stay as they were.  The POM that complete_pom
+    returns holds no effect arrays: each effect is rebuilt from the
+    ensemble whenever it is read, bit for bit the same each time, after
+    the same checks ran on it once.  Either way effects is a sequence,
+    not a tuple, read one effect at a time, and every matrix read from it
+    is Hermitian and read-only; effects.labels are read without making any.
     """
 
-    effects: tuple
+    effects: Sequence
     fail: np.ndarray | None = None
 
     def __post_init__(self):
-        self._settle(
-            tuple((label, np.array(e, dtype=np.complex128)) for label, e in self.effects),
-            None if self.fail is None else np.array(self.fail, dtype=np.complex128),
-        )
+        owned = tuple((label, np.array(e, dtype=np.complex128)) for label, e in self.effects)
+        fail = None if self.fail is None else np.array(self.fail, dtype=np.complex128)
+        if not owned and fail is None:
+            raise ValueError("a measurement needs at least one effect")
+        labels, _, fail = _checked(owned, lambda total: (1.0, fail))
+        object.__setattr__(self, "effects", _Effects(labels, lambda k: owned[k][1]))
+        object.__setattr__(self, "fail", fail)
 
     @classmethod
-    def _adopt(cls, effects: tuple, fail: np.ndarray | None) -> "POM":
-        """The measurement of arrays the caller built for it and keeps no
-        reference to: the constructor's checks run on them, not on copies."""
+    def _of(cls, effects: _Effects, fail: np.ndarray) -> "POM":
+        """The measurement of effects and a fail effect that _checked has passed."""
         pom = object.__new__(cls)
-        pom._settle(effects, fail)
+        object.__setattr__(pom, "effects", effects)
+        object.__setattr__(pom, "fail", fail)
         return pom
-
-    def _settle(self, effects: tuple, fail: np.ndarray | None):
-        """Validate, symmetrize in place, freeze and store arrays this POM owns."""
-        if len(effects) == 0 and fail is None:
-            raise ValueError("a measurement needs at least one effect")
-        dim = (effects[0][1] if effects else fail).shape[0]
-        checked = []
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for label, e in effects:
-            h = hermitian_in_place(e, name=f"effect {label}")
-            if h.shape != (dim, dim):
-                raise ValueError("effects must share one dimension")
-            if not within_psd_slack(np.linalg.eigvalsh(h)[0], 1.0):
-                raise ValueError(f"effect {label} is not positive semidefinite")
-            h.setflags(write=False)
-            checked.append((int(label), h))
-            total += h
-        if fail is not None:
-            fail = hermitian_in_place(fail, name="fail effect")
-            if not within_psd_slack(np.linalg.eigvalsh(fail)[0], 1.0):
-                raise ValueError("fail effect is not positive semidefinite")
-            if frobenius(total + fail - np.eye(dim)) > _COMPLETENESS_TOL:
-                raise ValueError("effects plus fail do not resolve the identity")
-            fail.setflags(write=False)
-        elif np.linalg.eigvalsh(total)[-1] > 1.0 + _COMPLETENESS_TOL:
-            raise ValueError("effects exceed the identity")
-        object.__setattr__(self, "effects", tuple(checked))
-        object.__setattr__(self, "fail", fail)
 
     @property
     def dim(self) -> int:
-        if self.effects:
-            return self.effects[0][1].shape[0]
-        return self.fail.shape[0]
+        return (self.fail if self.fail is not None else self.effects[0][1]).shape[0]
 
     @property
     def complete(self) -> bool:
         return self.fail is not None
 
-    def all_effects(self) -> list:
-        """(label, matrix) pairs with the fail effect appended last as label None."""
-        out = list(self.effects)
-        if self.fail is not None:
-            out.append((None, self.fail))
-        return out
+    def all_effects(self) -> Sequence:
+        """effects with the fail effect appended last as label None: a
+        sequence like effects, whose matrices are made as they are read."""
+        effects, fail = self.effects, self.fail
+        if fail is None:
+            return effects
+        n = len(effects)
+        return _Effects(effects.labels + (None,), lambda k: fail if k == n else effects[k][1])
 
 
 def _unit_interval(value: float, name: str) -> float:
@@ -158,6 +206,13 @@ def optimal_effect(ens: Ensemble, j: int) -> np.ndarray:
     return hermitize(s @ (v @ v.conj().T) @ s)
 
 
+def _scaled_effect(ens: Ensemble, t: float, j: int) -> np.ndarray:
+    """Effect j of complete_pom(ens): the scale t times direction j."""
+    e = optimal_effect(ens, j)
+    e *= t
+    return _readonly(e)
+
+
 def complete_pom(ens: Ensemble) -> POM:
     """Scale the optimal effects into a single measurement.
 
@@ -167,18 +222,19 @@ def complete_pom(ens: Ensemble) -> POM:
     fail effect.  Every conclusive outcome then still attains its
     maximum-confidence bound.
 
-    The scaled directions and the fail effect go to the POM as they are,
-    without a copy; it runs the public constructor's Hermiticity, PSD and
-    completeness checks on them in place, so each effect is held once.
+    One pass builds the directions D_j one at a time: POM's checks
+    (_checked) run on each while it is summed, and on the scaled effects
+    and the fail effect once t is known.  The returned POM keeps only t
+    and the fail effect: effect j is t D_j rebuilt whenever it is read,
+    from the cached decompositions, with the same float operations.
     """
-    dirs = [optimal_effect(ens, j) for j in range(ens.n_states)]
-    total = hermitize(sum(dirs))
-    gamma = float(np.linalg.eigvalsh(total)[-1])
-    t = 1.0 / gamma
-    for d in dirs:
-        d *= t  # in place: each direction is this function's own array
-    fail = hermitize(np.eye(ens.dim) - t * total)
-    return POM._adopt(tuple(enumerate(dirs)), fail)
+    def finish(total):
+        # A sum of exactly Hermitian arrays (each is, once checked) is exactly Hermitian.
+        t = 1.0 / float(np.linalg.eigvalsh(total)[-1])
+        return t, hermitize(np.eye(ens.dim) - t * total)
+
+    labels, t, fail = _checked(((j, optimal_effect(ens, j)) for j in range(ens.n_states)), finish)
+    return POM._of(_Effects(labels, partial(_scaled_effect, ens, t)), fail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,14 +316,13 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
         raise ValueError("simulation requires a complete measurement")
     if trials < 1:
         raise ValueError("trials must be positive")
-    labelled = pom.all_effects()
     # prob[i, k] = Tr(rho_i Pi_k)
-    effects = np.array([e for _, e in labelled])
+    effects = np.array([e for _, e in pom.all_effects()])
+    n_out = len(effects)
     prob = np.einsum("iab,kba->ik", np.array(ens.states), effects).real
     prob = np.clip(prob, 0.0, None)
     prob /= prob.sum(axis=1, keepdims=True)
 
-    n_out = len(labelled)
     cum_priors = np.cumsum(ens.priors)
     # Roundoff can push a partial sum above 1.0 before the last outcome;
     # clamping keeps each row sorted for the binary search and, as every
@@ -292,7 +347,7 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
             joint[i] += np.bincount(outcome, minlength=n_out)
 
     outcome_counts = joint.sum(axis=0)
-    labels = tuple(label for label, _ in pom.effects)
+    labels = pom.effects.labels
     correct = [int(joint[label, k]) for k, label in enumerate(labels)]
     freqs = [
         hits / int(outcome_counts[k]) if outcome_counts[k] > 0 else None

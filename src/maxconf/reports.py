@@ -3,7 +3,9 @@
 Each subcommand produces one report tree of dicts, lists and scalars.  The
 pom and concentrate trees (pom_tree, concentrate_tree) may also hold complex
 arrays: each matrix stays an array from the computation until it is
-printed.  plain() gives the library's JSON form of a tree, with every array
+printed.  An array leaf may also be a function of no arguments that makes
+the array: pom_tree's effects are made only when they are reached, one at
+a time.  plain() gives the library's JSON form of a tree, with every array
 as nested [re, im] pairs (specio.matrix_to_json); pom_report and
 concentrate_report return that form.  Both renderers print an array leaf
 one row at a time, with exactly the bytes of its plain form.
@@ -66,6 +68,8 @@ def bound_report(ens) -> dict:
 
 def plain(tree):
     """The tree with every array leaf as nested [re, im] pairs."""
+    if callable(tree):
+        tree = tree()
     if isinstance(tree, dict):
         return {key: plain(value) for key, value in tree.items()}
     if isinstance(tree, list):
@@ -76,11 +80,12 @@ def plain(tree):
 
 
 def pom_tree(ens) -> dict:
-    """The pom report with each effect as a complex array."""
+    """The pom report with each effect as a complex array leaf, made only
+    when plain() or a renderer reaches it."""
     pom = complete_pom(ens)
     rep = confidence_report(ens, pom)
     states = []
-    for (label, e), (_, bound, achieved, prob) in zip(pom.effects, rep.records):
+    for k, (label, bound, achieved, prob) in enumerate(rep.records):
         states.append(
             {
                 "label": label,
@@ -89,7 +94,7 @@ def pom_tree(ens) -> dict:
                 "bound": bound,
                 "confidence": achieved,
                 "outcome_probability": prob,
-                "effect": e,
+                "effect": lambda k=k: pom.effects[k][1],
             }
         )
     return {
@@ -165,7 +170,7 @@ def simulate_report(ens, trials: int, seed: int) -> dict:
     rep = confidence_report(ens, pom)
     sim = simulate_measurement(ens, pom, trials, seed)
     outcomes = []
-    for k, (label, _) in enumerate(pom.effects):
+    for k, label in enumerate(sim.labels):
         expected = rep.records[k][2]
         count = sim.outcome_counts[k]
         freq = sim.conditional_frequencies[k]
@@ -270,6 +275,8 @@ def _leaf_rank(node) -> int:
 
 def _machine(node, pad: str) -> Iterator[str]:
     inner = pad + "  "
+    if callable(node):
+        node = node()
     if isinstance(node, dict) and node:
         sep = "{\n"
         for key in sorted(node):
@@ -327,6 +334,8 @@ def _scalar(node) -> str:
 def _walk(node, depth: int, label) -> Iterator[str]:
     pad = "  " * depth
     head = f"{pad}{label}" if label is not None else pad
+    if callable(node):
+        node = node()
     if isinstance(node, dict):
         if label is not None:
             yield f"{head}:\n"

@@ -25,8 +25,8 @@ list, and the per-entry readers name its first bad value.  Kets are
 normalized on load (a warning fires when the correction exceeds 1e-6);
 priors are checked to sum to 1 within 1e-9 and then renormalized exactly.
 Matrices are checked (Hermitian, positive semidefinite, unit trace) by
-Ensemble alone, and its errors are reported under the member's field
-path.  The optional tolerance field overrides the verification default
+Ensemble alone, in place on the decoded arrays, which it adopts, and its
+errors are reported under the member's field path.  The optional tolerance field overrides the verification default
 unless the command line sets one.  NaN and infinities are rejected.
 """
 
@@ -297,7 +297,8 @@ class ParsedSpec:
 
 
 def read_spec(path) -> ParsedSpec:
-    """Load an ensemble spec; the matrices are validated by Ensemble alone."""
+    """Load an ensemble spec; the matrices are validated by Ensemble alone,
+    in place on the arrays just decoded, so each member is held once."""
     doc, literals = _load_json(path)
     if not isinstance(doc, dict):
         raise SpecError("spec root must be an object")
@@ -354,7 +355,7 @@ def read_spec(path) -> ParsedSpec:
             raise SpecError("tolerance must be positive")
 
     try:
-        ens = Ensemble(dim, tuple(states), priors)
+        ens = Ensemble._adopt(dim, tuple(states), priors)
     except StateError as exc:
         raise SpecError(f"{fields[exc.index]} {exc.problem}") from exc
     except ValueError as exc:

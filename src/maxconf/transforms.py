@@ -37,6 +37,8 @@ class KrausOperator:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("operation element must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("operation element has a non-finite entry")
         s = np.linalg.svd(m, compute_uv=False)
         if s[0] == 0.0:
             raise ValueError("zero operation element")
@@ -56,6 +58,8 @@ class KrausOperator:
 def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
     """Transformed ensemble plus the overall success probability.
 
+    The transformed members are this function's own arrays, so the
+    ensemble adopts them (Ensemble._adopt) rather than copying each.
     Raises when the element overweights the ensemble
     (Tr(rho A^dagger A) > 1 beyond slack) or annihilates a member.
     """
@@ -76,7 +80,7 @@ def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
         new_weights.append(ens.priors[i] * t_i)
     success = float(sum(new_weights))
     priors = np.asarray(new_weights) / success
-    return Ensemble(ens.dim, tuple(new_states), priors), success
+    return Ensemble._adopt(ens.dim, tuple(new_states), priors), success
 
 
 @dataclass(frozen=True, eq=False)

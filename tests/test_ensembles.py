@@ -10,7 +10,7 @@ from maxconf import (
 )
 from maxconf.ensembles import StateError
 
-from randomgen import ensemble_suite, random_bipartite
+from randomgen import ensemble_suite, random_bipartite, random_ensemble
 from helpers import (
     bell_state,
     trine,
@@ -78,6 +78,40 @@ class TestEnsembleValidation:
     def test_from_pure_needs_a_state(self):
         with pytest.raises(ValueError, match="at least one state"):
             Ensemble.from_pure([], [])
+
+
+BAD_STATES = [
+    (np.diag([1.5, -0.5]), "state 1 is not positive semidefinite (most negative eigenvalue -0.5)"),
+    (np.diag([0.6, 0.6]), "state 1 has trace 1.2, expected 1"),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "state 1 is not Hermitian within relative tolerance 1e-09"),
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), "state 1 has a non-finite entry"),
+    (np.eye(3) / 3, "state 1 has shape (3, 3), expected (2, 2)"),
+]
+
+
+class TestAdoptedStates:
+    """Ensemble._adopt runs the constructor's checks in place on arrays it is handed."""
+
+    def test_adopts_the_arrays_and_matches_the_constructor_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        built = random_ensemble(rng, 6, [1, 3, 2])
+        owned = tuple(rho + 1e-13j * (rho - rho.T) for rho in built.states)  # Hermitian up to roundoff
+        public = Ensemble(6, owned, built.priors)
+        handed = tuple(rho.copy() for rho in owned)
+        adopted = Ensemble._adopt(6, handed, built.priors)
+        for a, b, mine in zip(public.states, adopted.states, handed):
+            assert b is mine and not b.flags.writeable
+            assert a.tobytes() == b.tobytes()
+        assert adopted.state_ranks == public.state_ranks == (1, 3, 2)
+
+    @pytest.mark.parametrize("bad, message", BAD_STATES,
+                             ids=["psd", "trace", "hermitian", "finite", "shape"])
+    def test_raises_the_constructors_error(self, bad, message):
+        states = (np.eye(2, dtype=complex) / 2, bad.astype(complex))
+        for build in (Ensemble, Ensemble._adopt):
+            with pytest.raises(StateError) as info:
+                build(2, states, np.array([0.5, 0.5]))
+            assert str(info.value) == message and info.value.index == 1
 
 
 class TestPurify:

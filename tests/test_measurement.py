@@ -14,7 +14,7 @@ from maxconf import (
     simulate_measurement,
 )
 from maxconf import measurement
-from maxconf.linalg import real_trace, support
+from maxconf.linalg import hermitize, real_trace, support
 from maxconf.measurement import _SAMPLE_CHUNK
 from maxconf.specio import read_spec
 
@@ -396,6 +396,21 @@ class TestPomValidation:
         with pytest.raises(ValueError, match="at least one"):
             POM((), None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_effect_before_decomposing(self, monkeypatch, bad):
+        # every comparison with NaN is false, so only an explicit check stops it
+        def finite_only(m):
+            assert np.all(np.isfinite(m)), "decomposed a non-finite matrix"
+            return np.linalg.eigh(m)[0]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+        with pytest.raises(ValueError, match="^effect 0 has a non-finite entry$"):
+            POM(((0, [[bad, 0.0], [0.0, 1.0]]),), None)
+        with pytest.raises(ValueError, match="^effect 1 has a non-finite entry$"):
+            POM(((0, 0.25 * np.eye(2)), (1, np.diag([0.25, bad]))), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="^fail effect has a non-finite entry$"):
+            POM(((0, 0.5 * np.eye(2)),), [[0.5, bad], [bad, 0.5]])
+
 
 class TestCompletePomKeepsEveryCheck:
     """complete_pom hands the arrays it built to POM without a copy; the
@@ -451,3 +466,59 @@ class TestCompletePomKeepsEveryCheck:
         assert np.array_equal(effect, before[0]) and np.array_equal(fail, before[1])
         stored = pom.effects[0][1]
         assert stored is not effect and np.array_equal(stored, stored.conj().T)
+
+
+def eager_complete_pom(ens):
+    """complete_pom as computed when the measurement kept every effect: all
+    directions built and summed, then scaled in place and symmetrized again."""
+    dirs = [optimal_effect(ens, j) for j in range(ens.n_states)]
+    total = hermitize(sum(dirs))
+    t = 1.0 / float(np.linalg.eigvalsh(total)[-1])
+    fail = hermitize(np.eye(ens.dim) - t * total)
+    for m in dirs + [fail]:
+        if m is not fail:
+            m *= t
+        m += m.conj().T
+        m /= 2
+    return dirs, fail
+
+
+REBUILT_CASES = pytest.mark.parametrize("make", [
+    lambda: read_spec("fixtures/trine.json").ensemble,
+    lambda: read_spec("fixtures/worked_example.json").ensemble,
+    lambda: read_spec("fixtures/near_parallel.json").ensemble,
+    lambda: random_ensemble(np.random.default_rng(43), 5, [2, 1, 3, 1]),
+    lambda: random_ensemble(np.random.default_rng(44), 16, [1, 4] * 6),
+], ids=["trine", "worked_example", "near_parallel", "seeded-mixed-d5", "seeded-mixed-d16"])
+
+
+class TestEffectsRebuiltOnRead:
+    """complete_pom keeps no effect arrays: each read rebuilds one."""
+
+    @REBUILT_CASES
+    def test_each_read_gives_the_same_read_only_array(self, make):
+        pom = complete_pom(make())
+        assert pom.effects.labels == tuple(range(len(pom.effects)))
+        for j, (label, e) in enumerate(pom.effects):
+            again = pom.effects[j][1]
+            assert label == j and again is not e
+            assert np.array_equal(e, again) and e.tobytes() == again.tobytes()
+            assert not e.flags.writeable and not again.flags.writeable
+
+    @REBUILT_CASES
+    def test_effects_are_bit_identical_to_an_eager_completion(self, make):
+        effects, fail = eager_complete_pom(make())
+        pom = complete_pom(make())
+        labels = list(range(len(effects))) + [None]
+        assert [label for label, _ in pom.all_effects()] == labels
+        for (label, e), expected in zip(pom.all_effects(), effects + [fail]):
+            assert e.tobytes() == expected.tobytes(), label
+
+    def test_all_effects_appends_fail_without_building_a_list(self):
+        pom = complete_pom(trine())
+        labelled = pom.all_effects()
+        assert not isinstance(labelled, (list, tuple))
+        assert len(labelled) == 4 and [label for label, _ in labelled] == [0, 1, 2, None]
+        assert labelled[-1][1] is pom.fail
+        with pytest.raises(IndexError):
+            labelled[4]

@@ -14,7 +14,7 @@ from maxconf import (
     schmidt,
     two_step_filter,
 )
-from maxconf.linalg import dagger, support
+from maxconf.linalg import dagger, hermitize, real_trace, support
 from maxconf.measurement import confidence_of
 
 from randomgen import (
@@ -48,8 +48,29 @@ class TestKrausOperator:
         with pytest.raises(ValueError, match="square"):
             KrausOperator(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_before_the_svd(self, monkeypatch, bad):
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("decomposed a non-finite element")
+
+        monkeypatch.setattr(np.linalg, "svd", no_decomposition)
+        with pytest.raises(ValueError, match="^operation element has a non-finite entry$"):
+            KrausOperator(np.array([[1.0, 0.0], [bad, 0.5]]))
+
 
 class TestApplyKraus:
+    def test_states_match_the_public_constructor_bit_for_bit(self):
+        rng = np.random.default_rng(52)
+        ens = random_ensemble(rng, 5, [1, 2, 3])
+        kraus = random_kraus(rng, 5, min_singular=0.3)
+        a = kraus.matrix
+        gram = a.conj().T @ a
+        out, _ = apply_kraus(ens, kraus)
+        states = tuple(hermitize(a @ rho @ a.conj().T) / real_trace(rho @ gram) for rho in ens.states)
+        public = Ensemble(ens.dim, states, out.priors)
+        for adopted, copied in zip(out.states, public.states):
+            assert adopted.tobytes() == copied.tobytes() and not adopted.flags.writeable
+
     def test_unitary_preserves_priors_and_rotates_states(self):
         rng = np.random.default_rng(51)
         for ens in ensemble_suite(401, 10):
