@@ -37,7 +37,7 @@ from .nosignalling import (
     state_leakage,
     subspace_leakage,
 )
-from .specio import SpecError, load_kraus, parse_spec, read_spec
+from .specio import SpecError, load_kraus, read_spec
 from .transforms import (
     ConcentrationResult,
     KrausOperator,
@@ -83,7 +83,6 @@ __all__ = [
     "max_confidence",
     "monotonicity_check",
     "optimal_effect",
-    "parse_spec",
     "projective_resolution",
     "purify",
     "read_spec",

@@ -48,7 +48,6 @@ from .linalg import (
 _TRACE_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
-_MARGINAL_CONSISTENCY_TOL = 1e-8
 # Eigenvalues within this relative distance of the top one share its eigenspace.
 _DEGENERACY_TOL = 1e-9
 
@@ -202,25 +201,22 @@ class Ensemble:
 class BipartiteState:
     """Pure two-party state given by its amplitude matrix.
 
-    amplitudes[a, i] is the coefficient of |a>_L |i>_R.  index_sets
-    partitions the right-side labels into one tuple per ensemble member.
+    amplitudes[a, i] is the coefficient of |a>_L |i>_R, so its shape gives
+    both dimensions.  index_sets partitions the right-side labels into one
+    tuple per ensemble member.
     """
 
-    dim_left: int
-    dim_right: int
     amplitudes: np.ndarray
     index_sets: tuple
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.dim_left, self.dim_right):
-            raise ValueError(f"amplitude matrix shape {amps.shape}, expected ({self.dim_left}, {self.dim_right})")
+        amps = as_matrix(np.array(self.amplitudes, dtype=np.complex128))
         n = np.linalg.norm(amps)
         if abs(n - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {float(n)!r} deviates from 1 beyond {_NORM_TOL}")
         sets = tuple(tuple(int(i) for i in s) for s in self.index_sets)
         seen = [i for s in sets for i in s]
-        if sorted(seen) != list(range(self.dim_right)):
+        if sorted(seen) != list(range(amps.shape[1])):
             raise ValueError("index sets must partition the right-side labels")
         object.__setattr__(self, "amplitudes", _readonly(amps))
         object.__setattr__(self, "index_sets", sets)
@@ -270,14 +266,11 @@ class SchmidtDecomposition:
 class SubspaceProjector:
     """Orthogonal projector onto the reachable right-side subspace."""
 
-    dim: int
     matrix: np.ndarray
     rank: int
 
     def __post_init__(self):
         m = require_hermitian(self.matrix, name="projector")
-        if m.shape != (self.dim, self.dim):
-            raise ValueError("projector dimension mismatch")
         if frobenius(m @ m - m) > 1e-10:
             raise ValueError("projector is not idempotent within 1e-10")
         if abs(real_trace(m) - self.rank) > 1e-9:
@@ -285,7 +278,7 @@ class SubspaceProjector:
         object.__setattr__(self, "matrix", _readonly(m))
 
     def complement(self) -> np.ndarray:
-        return np.eye(self.dim) - self.matrix
+        return np.eye(len(self.matrix)) - self.matrix
 
 
 def purify(ens: Ensemble) -> BipartiteState:
@@ -311,7 +304,7 @@ def purify(ens: Ensemble) -> BipartiteState:
         cursor += len(block)
     amps = np.column_stack(columns)
     amps = amps / np.linalg.norm(amps)
-    return BipartiteState(ens.dim, cursor, amps, tuple(index_sets))
+    return BipartiteState(amps, tuple(index_sets))
 
 
 def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
@@ -326,19 +319,13 @@ def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
     return SchmidtDecomposition(lam[keep], u[:, keep], vh[keep, :].T)
 
 
-def allowed_subspace(bs: BipartiteState, rho_l: np.ndarray) -> SubspaceProjector:
+def allowed_subspace(bs: BipartiteState) -> SubspaceProjector:
     """Projector onto the right-side subspace reachable by left measurements.
 
-    Computed as the left partial trace of
-    (rho_L^{-1/2} tensor I) |Psi><Psi| (rho_L^{-1/2} tensor I),
-    which equals the sum of projectors onto the right Schmidt vectors.
+    The span of the right Schmidt vectors, found as the support of the
+    right marginal (one eigh of the R x R marginal, not the Schmidt SVD).
     Conditional right states of any outcome live inside this subspace;
     that containment is what stops the left party from signalling.
     """
-    rho_l = require_hermitian(rho_l, name="left marginal")
-    if frobenius(bs.left_marginal() - rho_l) > _MARGINAL_CONSISTENCY_TOL:
-        raise ValueError("left marginal inconsistent with the bipartite state")
-    supp = support(rho_l)
-    phi = supp.inv_sqrt @ bs.amplitudes
-    proj = hermitize(phi.T @ phi.conj())
-    return SubspaceProjector(bs.dim_right, proj, supp.rank)
+    supp = support(bs.right_marginal())
+    return SubspaceProjector(supp.projector, supp.rank)

@@ -2,8 +2,9 @@
 
 Operators are plain numpy arrays (complex128, row major).  Bipartite
 operators use the left-major composite index: basis state |a>_L |i>_R
-sits at row a * dim_right + i.  kept() alone decides which eigenvalues
-count as zero, and within_psd_slack() what counts as positive.
+sits at row a * R + i, R the right-side dimension.  kept() alone decides
+which eigenvalues count as zero, and within_psd_slack() what counts as
+positive.
 hermitian_eigen() is the one full eigendecomposition: support() and
 Ensemble.top() are its callers.
 """

@@ -152,10 +152,6 @@ class POM:
         return pom
 
     @property
-    def dim(self) -> int:
-        return (self.fail if self.fail is not None else self.effects[0][1]).shape[0]
-
-    @property
     def complete(self) -> bool:
         return self.fail is not None
 
@@ -246,10 +242,9 @@ class ConfidenceReport:
 
     def __post_init__(self):
         total = self.inconclusive_probability
-        for label, bound, achieved, prob in self.records:
-            for name, value in (("bound", bound), ("confidence", achieved), ("probability", prob)):
-                if not -_UNIT_SLACK <= value <= 1.0 + _UNIT_SLACK:
-                    raise ValueError(f"{name} for state {label} out of range: {value!r}")
+        for label, _, _, prob in self.records:
+            if not -_UNIT_SLACK <= prob <= 1.0 + _UNIT_SLACK:
+                raise ValueError(f"probability for state {label} out of range: {prob!r}")
             total += prob
         if not -_UNIT_SLACK <= self.inconclusive_probability <= 1.0 + _UNIT_SLACK:
             raise ValueError("inconclusive probability out of range")

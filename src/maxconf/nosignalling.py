@@ -28,7 +28,6 @@ _PROB_FLOOR = 1e-14
 class ConditionalRightState:
     """Right-side state given one left-side outcome."""
 
-    label: int | None
     state: np.ndarray
     probability: float
 
@@ -38,15 +37,15 @@ def _unnormalized_conditional(bs: BipartiteState, effect: np.ndarray) -> np.ndar
     return bs.amplitudes.T @ effect.conj() @ bs.amplitudes.conj()
 
 
-def conditional_right_state(bs: BipartiteState, effect, label: int | None = None) -> ConditionalRightState:
+def conditional_right_state(bs: BipartiteState, effect) -> ConditionalRightState:
     e = require_hermitian(effect, name="effect")
-    if e.shape != (bs.dim_left, bs.dim_left):
+    if len(e) != len(bs.amplitudes):
         raise ValueError("effect must act on the left system")
     m = _unnormalized_conditional(bs, e)
     p = real_trace(m)
     if p <= _PROB_FLOOR:
         raise ValueError(f"outcome probability {p!r} too small: conditional undefined")
-    return ConditionalRightState(label, hermitize(m) / p, float(p))
+    return ConditionalRightState(hermitize(m) / p, float(p))
 
 
 def confidence_bipartite(bs: BipartiteState, effect, j: int) -> float:
@@ -54,7 +53,7 @@ def confidence_bipartite(bs: BipartiteState, effect, j: int) -> float:
 
     Equals p_j Tr(rho_j Pi) / Tr(rho Pi) computed on the left side.
     """
-    crs = conditional_right_state(bs, effect, j)
+    crs = conditional_right_state(bs, effect)
     idx = list(bs.index_sets[j])
     return float(np.sum(np.diag(crs.state)[idx].real))
 
@@ -62,20 +61,15 @@ def confidence_bipartite(bs: BipartiteState, effect, j: int) -> float:
 def bound_bipartite(bs: BipartiteState, p_d: SubspaceProjector, j: int) -> float:
     """Maximum confidence for member j read off the allowed subspace.
 
-    A single right label i gives <i| P_D |i>; a block sigma(j) gives the
-    largest eigenvalue of P_D Pi_sigma P_D with Pi_sigma the projector
-    onto the block.
+    The largest eigenvalue of P_D Pi_sigma P_D, with Pi_sigma the
+    projector onto the block, is that of Pi_sigma P_D Pi_sigma, the block
+    of P_D on sigma(j); a single right label i gives <i| P_D |i>.
     """
     idx = list(bs.index_sets[j])
-    pd = p_d.matrix
+    block = p_d.matrix[np.ix_(idx, idx)]
     if len(idx) == 1:
-        i = idx[0]
-        return float(pd[i, i].real)
-    pi_sigma = np.zeros((bs.dim_right, bs.dim_right), dtype=np.complex128)
-    for i in idx:
-        pi_sigma[i, i] = 1.0
-    sandwich = hermitize(pd @ pi_sigma @ pd)
-    return float(np.linalg.eigvalsh(sandwich)[-1])
+        return float(block[0, 0].real)
+    return float(np.linalg.eigvalsh(block)[-1])
 
 
 def state_leakage(rho_r: np.ndarray, p_d: SubspaceProjector) -> float:
@@ -98,7 +92,7 @@ def marginal_invariance(bs: BipartiteState, pom) -> float:
     harmless.  Complete measurements must come out at most 1e-10; a
     measurement missing its fail element reports the weight it dropped.
     """
-    total = np.zeros((bs.dim_right, bs.dim_right), dtype=np.complex128)
-    for _, e in pom.all_effects():
-        total = total + _unnormalized_conditional(bs, np.asarray(e, dtype=np.complex128))
+    total = sum(
+        _unnormalized_conditional(bs, np.asarray(e, dtype=np.complex128)) for _, e in pom.all_effects()
+    )
     return frobenius(hermitize(total) - bs.right_marginal())

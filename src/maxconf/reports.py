@@ -113,13 +113,12 @@ def pom_report(ens) -> dict:
 def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     """Cross-picture verification tree plus an overall pass flag."""
     bs = purify(ens)
-    rl = ens.average
-    pd = allowed_subspace(bs, rl)
+    pd = allowed_subspace(bs)
     sd = schmidt(bs)
     pom = complete_pom(ens)
 
     gaps = {}
-    gaps["purification_residual"] = frobenius(bs.left_marginal() - rl)
+    gaps["purification_residual"] = frobenius(bs.left_marginal() - ens.average)
     u = sd.left_vectors  # against U_k U_k^dagger A, the amplitudes on the kept Schmidt space
     gaps["schmidt_reconstruction"] = frobenius(sd.reconstruct() - u @ (u.conj().T @ bs.amplitudes))
     gaps["projector_gap"] = frobenius(sd.right_vectors @ sd.right_vectors.conj().T - pd.matrix)

@@ -363,11 +363,6 @@ def read_spec(path) -> ParsedSpec:
     return ParsedSpec(ens, tolerance)
 
 
-def parse_spec(path) -> Ensemble:
-    """Load an ensemble spec file, applying normalization and validation."""
-    return read_spec(path).ensemble
-
-
 def load_kraus(path) -> KrausOperator:
     """Operation element from a JSON file holding one nested [re, im] matrix."""
     doc, literals = _load_json(path)

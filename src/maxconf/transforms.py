@@ -13,7 +13,7 @@ Ranks follow linalg.kept: an element's rank is the support rank of A^dagger A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class KrausOperator:
     """Operation element with its numerical rank (kept squared singular values)."""
 
     matrix: np.ndarray
-    rank: int = -1
+    rank: int = field(init=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -42,17 +42,10 @@ class KrausOperator:
         s = np.linalg.svd(m, compute_uv=False)
         if s[0] == 0.0:
             raise ValueError("zero operation element")
-        rank = int(np.count_nonzero(kept(s * s)))
-        if self.rank >= 0 and self.rank != rank:
-            raise ValueError(f"declared rank {self.rank} but computed {rank}")
         m = np.array(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rank", rank)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        object.__setattr__(self, "rank", int(np.count_nonzero(kept(s * s))))
 
 
 def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
@@ -179,7 +172,7 @@ def concentrate(bs: BipartiteState) -> ConcentrationResult:
     a, p_succ, fail = _flattening(supp)
     amps = a.matrix @ bs.amplitudes
     amps = amps / np.linalg.norm(amps)
-    post = BipartiteState(bs.dim_left, bs.dim_right, amps, bs.index_sets)
+    post = BipartiteState(amps, bs.index_sets)
     return ConcentrationResult(a, p_succ, fail, post)
 
 

@@ -32,7 +32,7 @@ def worked_purification(p: float, q: float) -> BipartiteState:
             np.sqrt(1.0 - p) * plus,
         ]
     ).astype(complex)
-    return BipartiteState(2, 3, amps, ((0, 1), (2,)))
+    return BipartiteState(amps, ((0, 1), (2,)))
 
 
 def worked_perp(p: float, q: float) -> np.ndarray:
@@ -61,7 +61,7 @@ def trine(priors=None) -> Ensemble:
 
 def bell_state() -> BipartiteState:
     amps = np.eye(2, dtype=complex) / np.sqrt(2.0)
-    return BipartiteState(2, 2, amps, ((0,), (1,)))
+    return BipartiteState(amps, ((0,), (1,)))
 
 
 # command -> (builder of its tree with array leaves, library report)

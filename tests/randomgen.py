@@ -116,4 +116,4 @@ def random_bipartite(rng: np.random.Generator, dim_left: int, dim_right: int,
     amps = (u * np.sqrt(lam)) @ w.T
     amps = amps / np.linalg.norm(amps)
     sets = tuple((i,) for i in range(dim_right))
-    return BipartiteState(dim_left, dim_right, amps, sets)
+    return BipartiteState(amps, sets)

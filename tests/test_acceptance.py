@@ -94,7 +94,7 @@ def test_acceptance_3_bipartite_bound_agreement():
         start = time.perf_counter()
         for ens in SUITE:
             bs = purify(ens)
-            pd = allowed_subspace(bs, bs.left_marginal())
+            pd = allowed_subspace(bs)
             for j in range(ens.n_states):
                 gap = abs(bound_bipartite(bs, pd, j) - max_confidence(ens, j))
                 assert gap <= 1e-9
@@ -112,7 +112,7 @@ def test_acceptance_4_no_signalling():
         rng = np.random.default_rng(4)
         for ens in SUITE:
             bs = purify(ens)
-            pd = allowed_subspace(bs, bs.left_marginal())
+            pd = allowed_subspace(bs)
             for _ in range(20):
                 e = random_effect(rng, ens.dim)
                 assert subspace_leakage(bs, pd, e) <= 1e-10

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from maxconf import max_confidence, parse_spec, reports
+from maxconf import max_confidence, read_spec, reports
 from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
@@ -32,7 +32,7 @@ class TestBound:
         code, out, _ = run(capsys, "bound", WORKED, "--output", "machine")
         assert code == 0
         doc = json.loads(out)
-        ens = parse_spec(WORKED)
+        ens = read_spec(WORKED).ensemble
         for entry in doc["states"]:
             assert entry["bound"] == max_confidence(ens, entry["label"])
 

@@ -10,7 +10,7 @@ from maxconf import (
 )
 from maxconf.ensembles import StateError
 
-from randomgen import ensemble_suite, random_bipartite, random_ensemble
+from randomgen import ensemble_suite, random_bipartite, random_ensemble, random_unitary
 from helpers import (
     bell_state,
     trine,
@@ -118,7 +118,7 @@ class TestPurify:
     def test_single_pure_state(self):
         ens = Ensemble.from_pure([np.array([1.0, 0.0])], [1.0])
         bs = purify(ens)
-        assert bs.dim_right == 1
+        assert bs.amplitudes.shape == (2, 1)
         assert bs.index_sets == ((0,),)
         assert np.allclose(bs.amplitudes, [[1.0], [0.0]], atol=1e-14)
 
@@ -181,7 +181,7 @@ class TestSchmidt:
     def test_product_state(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = 1.0
-        bs = BipartiteState(2, 2, amps, ((0,), (1,)))
+        bs = BipartiteState(amps, ((0,), (1,)))
         sd = schmidt(bs)
         assert sd.rank == 1
         assert np.allclose(sd.coefficients, [1.0], atol=1e-14)
@@ -189,7 +189,7 @@ class TestSchmidt:
     def test_sine_cosine_split(self):
         theta = 0.7
         amps = np.diag([np.cos(theta), np.sin(theta)]).astype(complex)
-        bs = BipartiteState(2, 2, amps, ((0,), (1,)))
+        bs = BipartiteState(amps, ((0,), (1,)))
         sd = schmidt(bs)
         assert np.allclose(sd.coefficients, [np.cos(theta) ** 2, np.sin(theta) ** 2], atol=1e-14)
 
@@ -211,9 +211,7 @@ class TestSchmidt:
         rng = np.random.default_rng(22)
         bs = random_bipartite(rng, 3, 5, 3)
         perm = rng.permutation(5)
-        relabelled = BipartiteState(
-            3, 5, bs.amplitudes[:, perm], tuple((i,) for i in range(5))
-        )
+        relabelled = BipartiteState(bs.amplitudes[:, perm], tuple((i,) for i in range(5)))
         a = schmidt(bs).coefficients
         b = schmidt(relabelled).coefficients
         assert np.abs(a - b).max() <= 1e-12
@@ -222,21 +220,21 @@ class TestSchmidt:
 class TestAllowedSubspace:
     def test_bell_reaches_everything(self):
         bs = bell_state()
-        pd = allowed_subspace(bs, bs.left_marginal())
+        pd = allowed_subspace(bs)
         assert pd.rank == 2
         assert np.abs(pd.matrix - np.eye(2)).max() <= 1e-12
 
     def test_single_state_purification(self):
         ens = Ensemble.from_pure([np.array([0.6, 0.8])], [1.0])
         bs = purify(ens)
-        pd = allowed_subspace(bs, ens.average)
+        pd = allowed_subspace(bs)
         assert pd.rank == 1
         assert np.abs(pd.matrix - np.array([[1.0]])).max() <= 1e-12
 
     def test_worked_example_orthogonal_complement(self):
         for p, q in ((0.5, 0.5), (0.3, 0.2), (0.7, 0.6), (0.2, 0.9)):
             bs = worked_purification(p, q)
-            pd = allowed_subspace(bs, bs.left_marginal())
+            pd = allowed_subspace(bs)
             perp = worked_perp(p, q)
             expected = np.eye(3) - np.outer(perp, perp.conj())
             assert np.abs(pd.matrix - expected).max() <= 1e-10
@@ -245,7 +243,7 @@ class TestAllowedSubspace:
     def test_trace_formula_matches_schmidt_projectors(self):
         for ens in ensemble_suite(105, 30):
             bs = purify(ens)
-            pd = allowed_subspace(bs, ens.average)
+            pd = allowed_subspace(bs)
             sd = schmidt(bs)
             direct = sd.right_vectors @ sd.right_vectors.conj().T
             assert np.linalg.norm(pd.matrix - direct) <= 1e-10
@@ -254,25 +252,31 @@ class TestAllowedSubspace:
     def test_projector_fixes_right_marginal(self):
         for ens in ensemble_suite(106, 10):
             bs = purify(ens)
-            pd = allowed_subspace(bs, ens.average)
+            pd = allowed_subspace(bs)
             rr = bs.right_marginal()
             assert np.linalg.norm(pd.matrix @ rr - rr) <= 1e-10
 
-    def test_inconsistent_marginal_rejected(self):
-        bs = bell_state()
-        with pytest.raises(ValueError, match="inconsistent"):
-            allowed_subspace(bs, np.diag([0.9, 0.1]).astype(complex))
+    @pytest.mark.parametrize("theta", [3e-6, 1e-5, 1e-4, 1e-3])
+    def test_turned_near_parallel_pairs_give_an_idempotent_projector(self, theta):
+        # Whitening the amplitudes by rho_L^{-1/2} squared the average's
+        # conditioning: on these 100 orientations per angle it failed the
+        # 1e-10 idempotency check 100, 100, 100 and 62 times.
+        for seed in range(100):
+            u = random_unitary(np.random.default_rng(seed), 2)
+            kets = [u @ np.array([1.0, 0.0]), u @ np.array([np.cos(theta), np.sin(theta)])]
+            pd = allowed_subspace(purify(Ensemble.from_pure(kets, [0.5, 0.5]))).matrix
+            assert np.linalg.norm(pd @ pd - pd) <= 1e-14
 
 
 class TestBipartiteStateValidation:
     def test_norm_enforced(self):
         amps = np.eye(2, dtype=complex)  # norm sqrt(2)
         with pytest.raises(ValueError, match="norm"):
-            BipartiteState(2, 2, amps, ((0,), (1,)))
+            BipartiteState(amps, ((0,), (1,)))
 
     def test_index_sets_must_partition(self):
         amps = np.eye(2, dtype=complex) / np.sqrt(2.0)
         with pytest.raises(ValueError, match="partition"):
-            BipartiteState(2, 2, amps, ((0,), (0,)))
+            BipartiteState(amps, ((0,), (0,)))
         with pytest.raises(ValueError, match="partition"):
-            BipartiteState(2, 2, amps, ((0,),))
+            BipartiteState(amps, ((0,),))

@@ -1,9 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from maxconf import (
+    ConfidenceReport,
     Ensemble,
     POM,
     complete_pom,
@@ -230,6 +232,18 @@ class TestConfidenceReport:
         bare = POM(pom.effects, None)
         with pytest.raises(ValueError, match="complete"):
             confidence_report(ens, bare)
+
+    @pytest.mark.parametrize("prob, inconclusive, message", [
+        (1.5, -0.5, "probability for state 0 out of range: 1.5"),
+        (-0.5, 1.5, "probability for state 0 out of range: -0.5"),
+        (0.5, 1.5, "inconclusive probability out of range"),
+        (0.5, -0.5, "inconclusive probability out of range"),
+        (0.5, 0.25, "outcome probabilities sum to 0.75"),
+    ])
+    def test_rejects_probabilities_out_of_range_or_not_summing_to_one(self, prob, inconclusive, message):
+        # Bounds and confidences arrive range-checked and clamped (_unit_interval).
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConfidenceReport(((0, 0.5, 0.5, prob),), inconclusive)
 
 
 def one_shot_sample(ens, pom, trials, seed):

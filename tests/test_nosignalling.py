@@ -36,14 +36,14 @@ class TestConditionalRightState:
     def test_bell_projective_outcome(self):
         bs = bell_state()
         effect = np.diag([1.0, 0.0]).astype(complex)
-        cond = conditional_right_state(bs, effect, 0)
+        cond = conditional_right_state(bs, effect)
         assert abs(cond.probability - 0.5) <= 1e-12
         assert np.abs(cond.state - np.diag([1.0, 0.0])).max() <= 1e-12
 
     def test_identity_effect_recovers_right_marginal(self):
         for ens in ensemble_suite(301, 10):
             bs = purify(ens)
-            cond = conditional_right_state(bs, np.eye(bs.dim_left), None)
+            cond = conditional_right_state(bs, np.eye(ens.dim))
             assert abs(cond.probability - 1.0) <= 1e-10
             assert np.abs(cond.state - bs.right_marginal()).max() <= 1e-10
 
@@ -53,7 +53,7 @@ class TestConditionalRightState:
             for q in (0.2, 0.5, 0.8):
                 ens = worked(p, q)
                 bs = worked_purification(p, q)
-                cond = conditional_right_state(bs, optimal_effect(ens, 0), 0)
+                cond = conditional_right_state(bs, optimal_effect(ens, 0))
                 phi = np.zeros(3)
                 phi[:2] = [np.sqrt(q), -np.sqrt(1.0 - q)]
                 expected = np.outer(phi, phi)
@@ -64,13 +64,13 @@ class TestConditionalRightState:
         # effect steers the far side onto P_D |i><i| P_D (normalized)
         for ens in ensemble_suite(308, 15):
             bs = purify(ens)
-            pd = allowed_subspace(bs, bs.left_marginal()).matrix
+            pd = allowed_subspace(bs).matrix
             for j in range(ens.n_states):
                 if not ens.is_pure(j):
                     continue
                 (i,) = bs.index_sets[j]
-                cond = conditional_right_state(bs, optimal_effect(ens, j), j)
-                basis = np.zeros(bs.dim_right)
+                cond = conditional_right_state(bs, optimal_effect(ens, j))
+                basis = np.zeros(len(pd))
                 basis[i] = 1.0
                 target = pd @ np.outer(basis, basis) @ pd
                 target = target / np.trace(target).real
@@ -80,7 +80,7 @@ class TestConditionalRightState:
         bs = bell_state()
         effect = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ValueError, match="undefined"):
-            conditional_right_state(bs, effect, 0)
+            conditional_right_state(bs, effect)
 
 
 class TestConfidenceBipartite:
@@ -100,7 +100,7 @@ class TestBoundBipartite:
     def test_matches_left_side_bound(self):
         for ens in ensemble_suite(303, 20):
             bs = purify(ens)
-            pd = allowed_subspace(bs, bs.left_marginal())
+            pd = allowed_subspace(bs)
             for j in range(ens.n_states):
                 pair = bound_bipartite(bs, pd, j)
                 assert abs(pair - max_confidence(ens, j)) <= 1e-9
@@ -111,7 +111,7 @@ class TestBoundBipartite:
         kets = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
         ens = Ensemble.from_pure(kets, [0.4, 0.6])
         bs = purify(ens)
-        pd = allowed_subspace(bs, bs.left_marginal())
+        pd = allowed_subspace(bs)
         assert np.abs(pd.matrix - np.eye(2)).max() <= 1e-12
         for j in range(len(bs.index_sets)):
             assert abs(bound_bipartite(bs, pd, j) - 1.0) <= 1e-12
@@ -120,7 +120,7 @@ class TestBoundBipartite:
         for p in (0.3, 0.6):
             for q in (0.4, 0.8):
                 bs = worked_purification(p, q)
-                pd = allowed_subspace(bs, bs.left_marginal())
+                pd = allowed_subspace(bs)
                 mixed = bound_bipartite(bs, pd, 0)
                 pure = bound_bipartite(bs, pd, 1)
                 assert abs(mixed - 1.0) <= 1e-9
@@ -132,17 +132,17 @@ class TestLeakage:
         rng = np.random.default_rng(42)
         for ens in ensemble_suite(304, 15):
             bs = purify(ens)
-            pd = allowed_subspace(bs, bs.left_marginal())
+            pd = allowed_subspace(bs)
             for _ in range(8):
                 e = random_effect(rng, ens.dim)
-                cond = conditional_right_state(bs, e, None)
+                cond = conditional_right_state(bs, e)
                 assert state_leakage(cond.state, pd) <= 1e-10
 
     def test_forbidden_direction_has_full_leakage(self):
         for p in (0.3, 0.7):
             for q in (0.2, 0.6):
                 bs = worked_purification(p, q)
-                pd = allowed_subspace(bs, bs.left_marginal())
+                pd = allowed_subspace(bs)
                 perp = worked_perp(p, q)
                 rho = np.outer(perp, perp.conj())
                 assert abs(state_leakage(rho, pd) - 1.0) <= 1e-9
@@ -152,7 +152,7 @@ class TestLeakage:
         rng = np.random.default_rng(44)
         for ens in ensemble_suite(307, 8):
             bs = purify(ens)
-            pd = allowed_subspace(bs, bs.left_marginal())
+            pd = allowed_subspace(bs)
             e = random_effect(rng, ens.dim)
             via_pair = subspace_leakage(bs, pd, e)
             cond = conditional_right_state(bs, e)
@@ -161,9 +161,9 @@ class TestLeakage:
 
     def test_complement_projector_leaks_entirely(self):
         bs = worked_purification(0.4, 0.3)
-        pd = allowed_subspace(bs, bs.left_marginal())
+        pd = allowed_subspace(bs)
         comp = pd.complement()
-        comp_rank = bs.dim_right - pd.rank
+        comp_rank = len(comp) - pd.rank
         assert abs(state_leakage(comp, pd) - comp_rank) <= 1e-9
 
 

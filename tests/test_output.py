@@ -12,11 +12,12 @@ the BLAS build and so cannot be pinned by hash.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxconf import parse_spec, reports
+from maxconf import read_spec, reports
 from maxconf.cli import main
 from maxconf.specio import load_kraus, matrix_to_json
 
@@ -30,15 +31,18 @@ SPECS = ("worked_example", "trine", "d16")
 # with the diag(1, 0.5) filter, simulate with --trials 70001 --seed 5).
 # All equal the first release's output except worked_example pom, verify and
 # transform, where it printed the confidence 1.0000000000000002 that is now
-# clamped to 1.0, and worked_example verify, whose schmidt_reconstruction is
-# now measured against the kept Schmidt space (see the test below).
+# clamped to 1.0, worked_example verify, whose schmidt_reconstruction is
+# now measured against the kept Schmidt space, and both verify outputs, whose
+# projector_gap, bound_gap and leakage moved in their last digits when the
+# allowed subspace became the support of the right marginal (every number
+# within 1e-14 of verify_before.json, see below).
 TEXT_SHA256 = {
     ("worked_example", "bound"):
         "6681c3abc6b7fdefe59e9a8040dbd7d7b7568c6b070d55b39cd9a83d09d407b0",
     ("worked_example", "pom"):
         "8fb4d1df51a979ace4169a767be97483ee146f786442cd1af8671aefcb9f4de7",
     ("worked_example", "verify"):
-        "2fba6031932494f9e2594c3e8b355bee757d2a25c366ef832fe8c5c2f1744567",
+        "1ce555b2e8d73ea280c01f812d1b00190c05ec4140dcdc5b6271753bddd65b3f",
     ("worked_example", "concentrate"):
         "dd4797865fa09ff208824ade9fccffa405e847db9f62025f2b35b6d9f56a47e3",
     ("worked_example", "transform"):
@@ -48,7 +52,7 @@ TEXT_SHA256 = {
     ("trine", "pom"):
         "325d93fc445cfffd1b5111be029e9ac6671aa5a3147f1162dc60c2e7eca4bae8",
     ("trine", "verify"):
-        "94aa4e93e7b3b1a92b9cafd3bf2be71dfb3b83a3ff2ff6f4dddfcfa751d38ee3",
+        "a1d918c0fe440c1653bc5b8a678b93124664c12d1685eb2386533779af0ff4f4",
     ("trine", "concentrate"):
         "2ccc466ce2ec00239ce0b1c357bd55d8e31ac0eec482b3971be2cdc52e1bacd9",
     ("trine", "transform"):
@@ -103,7 +107,7 @@ def _stdout(capsys, argv):
 
 def _report(inputs, spec, command):
     path, kraus = inputs[spec]
-    ens = parse_spec(path)
+    ens = read_spec(path).ensemble
     tol = reports.DEFAULT_TOLERANCE
     if command == "bound":
         return reports.bound_report(ens)
@@ -147,34 +151,45 @@ def test_text_output_bytes_are_pinned(capsys, inputs, spec, command):
     assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[(spec, command)]
 
 
-# worked_example verify as printed when schmidt_reconstruction compared the
-# Schmidt sum with the untruncated amplitudes; that key read 3.583948318490248e-16.
-WORKED_VERIFY_BEFORE = {
-    "checks": {
-        "fail_leakage": 2.3129646346357432e-17,
-        "marginal_deviation": 0.0,
-        "projector_gap": 5.874748045952207e-16,
-        "purification_residual": 7.850462293418876e-17,
-    },
-    "command": "verify",
-    "dimension": 2,
-    "exceeded": [],
-    "states": [
-        {"achievability_gap": 0.0, "bound": 1.0, "bound_gap": 0.0,
-         "crosspicture_gap": 0.0, "label": 0, "leakage": 9.251858538542981e-18},
-        {"achievability_gap": 0.0, "bound": 0.6666666666666667,
-         "bound_gap": 1.1102230246251565e-16, "crosspicture_gap": 1.1102230246251565e-16,
-         "label": 1, "leakage": 9.25185853854298e-18},
-    ],
-    "status": "pass",
-    "tolerance": 1e-09,
-}
+# verify's machine output as printed while the allowed subspace was whitened
+# through rho_L^{-1/2} (the average state), on the fixtures and the seeded d16
+# spec.  Only roundoff-level gaps may move, so every number stays within 1e-14.
+with open(Path(__file__).with_name("verify_before.json"), encoding="utf-8") as fh:
+    VERIFY_BEFORE = json.load(fh)
 
 
-def test_worked_example_verify_changes_only_the_schmidt_reconstruction(capsys, inputs):
-    doc = json.loads(_stdout(capsys, _argv(inputs, "worked_example", "verify", "machine")))
-    assert abs(doc["checks"].pop("schmidt_reconstruction") - 3.583948318490248e-16) < 1e-14
-    assert doc == WORKED_VERIFY_BEFORE
+def _within(doc, before, path=""):
+    """Paths where doc differs from before: a number by more than 1e-14,
+    anything else at all."""
+    if isinstance(before, dict) and isinstance(doc, dict) and doc.keys() == before.keys():
+        return [p for key in before for p in _within(doc[key], before[key], f"{path}.{key}")]
+    if isinstance(before, list) and isinstance(doc, list) and len(doc) == len(before):
+        return [p for k, (a, b) in enumerate(zip(doc, before)) for p in _within(a, b, f"{path}[{k}]")]
+    if type(before) is float and type(doc) is float:
+        return [] if abs(doc - before) <= 1e-14 else [path]
+    return [] if doc == before else [path]
+
+
+@pytest.mark.parametrize("spec", sorted(VERIFY_BEFORE))
+def test_verify_numbers_stay_within_1e_14_of_the_whitened_subspace(capsys, inputs, spec):
+    path = inputs[spec][0] if spec in inputs else f"fixtures/{spec}.json"
+    doc = json.loads(_stdout(capsys, ["verify", path, "--output", "machine"]))
+    assert _within(doc, VERIFY_BEFORE[spec]) == []
+
+
+# `maxconf verify fixtures/trine.json --tolerance 1e-30` in text: every gap is
+# above the tolerance, so exceeded lists ten names, each on a "-: " line.
+FAILING_VERIFY_SHA256 = "32d0569fe84026f1b39b70cb381ffad90d34c7032010e677d1d733d19712808f"
+
+
+def test_text_output_of_a_failing_verify_is_pinned(capsys):
+    code = main(["verify", "fixtures/trine.json", "--tolerance", "1e-30"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "\nexceeded:\n  -: marginal_deviation\n" in out
+    report, ok = reports.verify_report(read_spec("fixtures/trine.json").ensemble, 1e-30)
+    assert not ok and out == reference_render_text(report)
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_VERIFY_SHA256
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -201,7 +216,7 @@ REPORT_SHA256 = {
 @pytest.mark.parametrize("spec", ("worked_example", "trine"))
 def test_fixture_trees_render_as_their_plain_form(spec, command):
     build, report = ARRAY_TREES[command]
-    ens = parse_spec(f"fixtures/{spec}.json")
+    ens = read_spec(f"fixtures/{spec}.json").ensemble
     tree = build(ens)
     assert array_leaves(tree)
     for fmt in ("machine", "text"):

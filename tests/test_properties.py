@@ -11,14 +11,35 @@ eigenspace is doubly degenerate; and a rank-deficient average.
 Near-parallel angles from 3e-6 to 1e-3 rad and priors of 1e-5 or less are
 left out only because the library's absolute roundoff slacks reject some
 of them; test_roundoff.py pins those rejections.
+
+Besides bound, pom and verify, the paper's own claims run over every
+family: each bound's dual certificate, no signalling for random complete
+measurements, filters that never raise a bound (and move none when
+invertible), concentration at lambda_min * D, and simulated frequencies
+inside their 3-sigma bands.  The filter properties run family by family,
+so the family they fail on is pinned as a strict xfail on its own.
 """
 
 import numpy as np
 import pytest
 
-from maxconf import Ensemble, complete_pom, confidence_of, max_confidence, reports
+from maxconf import (
+    Ensemble,
+    allowed_subspace,
+    apply_kraus,
+    complete_pom,
+    concentrate,
+    confidence_of,
+    marginal_invariance,
+    max_confidence,
+    monotonicity_check,
+    purify,
+    reports,
+    subspace_leakage,
+)
+from maxconf.linalg import PSD_TOL
 
-from randomgen import random_density, random_ket, random_unitary
+from randomgen import random_complete_pom, random_density, random_ket, random_kraus, random_unitary
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -116,11 +137,25 @@ def rank_deficient(draw):
     return Ensemble(dim, states, _priors(rng, len(ranks)))
 
 
-ENSEMBLES = st.one_of(overcomplete(), independent(), near_parallel(), degenerate(), rank_deficient())
+FAMILIES = {
+    "overcomplete": overcomplete(),
+    "independent": independent(),
+    "near-parallel": near_parallel(),
+    "degenerate": degenerate(),
+    "rank-deficient": rank_deficient(),
+}
+ENSEMBLES = st.one_of(*FAMILIES.values())
 
 
 def _bounds(ens):
     return np.array([max_confidence(ens, j) for j in range(ens.n_states)])
+
+
+def _kept_support(rho):
+    """The eigenvalues of rho above 1e-12 of the largest, ascending, and their eigenvectors."""
+    spectrum, vectors = np.linalg.eigh(rho)
+    keep = spectrum > 1e-12 * spectrum[-1]
+    return spectrum[keep], vectors[:, keep]
 
 
 @SETTINGS
@@ -143,8 +178,7 @@ def test_the_completed_measurement_attains_every_bound_at_the_largest_scale(ens)
     for label, e in pom.effects:
         assert abs(confidence_of(ens, e, label) - max_confidence(ens, label)) <= TOL
     # A larger scale than 1/gamma would push the fail effect's zero below zero.
-    spectrum, vectors = np.linalg.eigh(ens.average)
-    on_support = vectors[:, spectrum > 1e-12 * spectrum[-1]]
+    _, on_support = _kept_support(ens.average)
     assert abs(np.linalg.eigvalsh(on_support.conj().T @ pom.fail @ on_support)[0]) <= TOL
 
 
@@ -173,3 +207,110 @@ def test_verify_passes(ens):
 def test_a_degenerate_top_eigenspace_is_taken_whole(ens):
     _, vectors = ens.top(0)
     assert vectors.shape == (ens.dim, 2)
+
+
+@SETTINGS
+@given(ENSEMBLES)
+def test_each_bound_has_its_dual_certificate(ens):
+    # C_j rho - p_j rho_j >= 0 gives p_j Tr(rho_j E) <= C_j Tr(rho E) for
+    # every E >= 0, so no measurement beats C_j (Croke et al., PRL 96,
+    # 070401, 2006).  Bounds are defined on the kept support of rho, where
+    # the fail effect does not reach, so the certificate is read there.  Its
+    # trace C_j - p_j vanishes when the bound is the prior, so the PSD slack
+    # is taken at the trace of C_j rho, the scale of both terms.
+    _, v = _kept_support(ens.average)
+    rho = v.conj().T @ ens.average @ v
+    for j, bound in enumerate(_bounds(ens)):
+        gap = bound * rho - ens.priors[j] * (v.conj().T @ ens.states[j] @ v)
+        assert np.linalg.eigvalsh(gap)[0] >= -PSD_TOL * bound * np.trace(rho).real
+
+
+@SETTINGS
+@given(ENSEMBLES, SEEDS, st.integers(1, 4))
+def test_no_measurement_on_the_left_signals_to_the_right(ens, seed, outcomes):
+    # Croke, Andersson & Barnett, PRA 77, 012113 (2008): any complete
+    # measurement leaves the right marginal as it was, and every outcome
+    # steers the right side inside the span of its Schmidt vectors.
+    bs = purify(ens)
+    pd = allowed_subspace(bs)
+    pom = random_complete_pom(np.random.default_rng(seed), ens.dim, outcomes)
+    assert marginal_invariance(bs, pom) <= 1e-10
+    for _, e in pom.all_effects():
+        assert subspace_leakage(bs, pd, e) <= 1e-10
+
+
+# The rank rule merges near-parallel members whose average has an eigenvalue
+# under 1e-12 of the largest, so each bound is its prior, and a filter
+# re-weights the priors by O(theta): two kets 1e-7 rad apart read 0.5 before
+# and 0.5000000249 after random_kraus(default_rng(0), 2, min_singular=0.2).
+FILTER_FAMILIES = [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="a filter re-weights the priors of members the rank rule merges"))
+    if name == "near-parallel" else name
+    for name in sorted(FAMILIES)
+]
+
+
+@pytest.mark.parametrize("family", FILTER_FAMILIES)
+def test_a_filter_never_raises_a_bound(family):
+    @SETTINGS
+    @given(FAMILIES[family], SEEDS)
+    def check(ens, seed):
+        rng = np.random.default_rng(seed)
+        kraus = random_kraus(rng, ens.dim, rank=int(rng.integers(1, ens.dim + 1)))
+        transformed, _ = apply_kraus(ens, kraus)
+        for record in monotonicity_check(ens, transformed, tol=TOL):
+            assert record.confidence_after <= record.confidence_before + TOL
+
+    check()
+
+
+@pytest.mark.parametrize("family", FILTER_FAMILIES)
+def test_a_filter_invertible_on_the_support_moves_no_bound(family):
+    @SETTINGS
+    @given(FAMILIES[family], SEEDS)
+    def check(ens, seed):
+        kraus = random_kraus(np.random.default_rng(seed), ens.dim, min_singular=0.2)
+        transformed, _ = apply_kraus(ens, kraus)
+        for record in monotonicity_check(ens, transformed, tol=TOL):
+            assert abs(record.confidence_after - record.confidence_before) <= TOL
+
+    check()
+
+
+@SETTINGS
+@given(ENSEMBLES)
+def test_concentration_flattens_the_schmidt_spectrum_at_lambda_min_times_rank(ens):
+    # Bennett et al., PRA 53, 2046 (1996): the Procrustean filter succeeds
+    # with probability lambda_min * D and leaves D equal Schmidt coefficients.
+    bs = purify(ens)
+    spectrum, _ = _kept_support(ens.average)
+    rank = spectrum.size
+    if rank < 2:
+        with pytest.raises(ValueError, match="Schmidt rank 1"):
+            concentrate(bs)
+        return
+    result = concentrate(bs)
+    assert abs(result.success_probability - spectrum[0] * rank) <= TOL
+    flat = np.linalg.svd(result.post_state.amplitudes, compute_uv=False) ** 2
+    assert np.abs(flat[:rank] - 1.0 / rank).max() <= TOL
+    assert np.all(flat[rank:] <= 1e-12)
+
+
+SIMULATION_SEEDS = (0, 1, 2)
+
+
+@SETTINGS
+@given(ENSEMBLES)
+def test_simulated_conditional_frequencies_fall_in_their_3_sigma_band(ens):
+    # A frequency leaves its band by chance on about 0.3% of outcomes, so one
+    # seed may miss; a wrong expected confidence or a biased sampler moves the
+    # frequency on every seed, so each outcome must be inside on most seeds.
+    misses = {}
+    for seed in SIMULATION_SEEDS:
+        for outcome in reports.simulate_report(ens, 20000, seed)["outcomes"]:
+            band = outcome["band_3sigma"]  # None when the outcome never fired
+            if band is not None and abs(outcome["frequency"] - outcome["expected_confidence"]) > band:
+                misses.setdefault(outcome["label"], []).append((seed, outcome))
+    assert all(2 * len(m) < len(SIMULATION_SEEDS) for m in misses.values()), misses
+

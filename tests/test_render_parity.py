@@ -7,7 +7,7 @@ array leaf redrawn; the fixed trees are checked in test_output.py.
 import numpy as np
 import pytest
 
-from maxconf import parse_spec, reports
+from maxconf import read_spec, reports
 
 from helpers import ARRAY_TREES, array_leaves, rendered
 
@@ -32,7 +32,7 @@ def trees(draw):
     1x1, non-square and 1-d shapes included."""
     build, _ = ARRAY_TREES[draw(st.sampled_from(sorted(ARRAY_TREES)))]
     spec = draw(st.sampled_from(["worked_example", "trine"]))
-    tree = build(parse_spec(f"fixtures/{spec}.json"))
+    tree = build(read_spec(f"fixtures/{spec}.json").ensemble)
     for container, key in array_leaves(tree):
         container[key] = _array(draw)
     return tree

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from maxconf import SpecError, load_kraus, parse_spec, read_spec
+from maxconf import SpecError, load_kraus, read_spec
 from maxconf import specio
 from maxconf.specio import matrix_to_json
 
@@ -36,7 +36,7 @@ def qubit_spec(**overrides):
 
 class TestFixtures:
     def test_worked_example_loads(self):
-        ens = parse_spec(f"{FIXTURES}/worked_example.json")
+        ens = read_spec(f"{FIXTURES}/worked_example.json").ensemble
         assert ens.dim == 2
         assert ens.n_states == 2
         assert np.abs(ens.states[0] - 0.5 * np.eye(2)).max() <= 1e-12
@@ -44,7 +44,7 @@ class TestFixtures:
         assert np.abs(ens.states[1] - plus).max() <= 1e-12
 
     def test_trine_loads_and_renormalizes_priors(self):
-        ens = parse_spec(f"{FIXTURES}/trine.json")
+        ens = read_spec(f"{FIXTURES}/trine.json").ensemble
         assert ens.n_states == 3
         assert abs(float(np.sum(ens.priors)) - 1.0) <= 1e-15
         for state, ket in zip(ens.states, trine_kets()):
@@ -57,25 +57,25 @@ class TestValidation:
         doc["states"][0]["prior"] = 0.6
         doc["states"][1]["prior"] = 0.5
         with pytest.raises(SpecError, match="priors sum to 1.1"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_small_prior_drift_is_renormalized(self, tmp_path):
         doc = qubit_spec()
         doc["states"][0]["prior"] = 0.5 + 2e-10
-        ens = parse_spec(write_spec(tmp_path, doc))
+        ens = read_spec(write_spec(tmp_path, doc)).ensemble
         assert abs(float(np.sum(ens.priors)) - 1.0) <= 1e-15
 
     def test_zero_prior_rejected(self, tmp_path):
         doc = qubit_spec()
         doc["states"][0]["prior"] = 0.0
         with pytest.raises(SpecError, match="strictly positive"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_unnormalized_ket_warns(self, tmp_path):
         doc = qubit_spec()
         doc["states"][0]["ket"] = [[1.0, 0.0], [1.0, 0.0]]
         with pytest.warns(UserWarning, match="renormalized"):
-            ens = parse_spec(write_spec(tmp_path, doc))
+            ens = read_spec(write_spec(tmp_path, doc)).ensemble
         assert abs(np.trace(ens.states[0]).real - 1.0) <= 1e-12
 
     def test_tiny_norm_drift_stays_quiet(self, tmp_path):
@@ -83,36 +83,36 @@ class TestValidation:
         doc["states"][0]["ket"] = [[1.0 + 1e-8, 0.0], [0.0, 0.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_zero_ket_rejected(self, tmp_path):
         doc = qubit_spec()
         doc["states"][0]["ket"] = [[0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(SpecError, match="zero vector"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"dimension": 2, "states": [{"prior": NaN, "ket": [[1,0],[0,0]]}]}')
         with pytest.raises(SpecError, match="non-finite"):
-            parse_spec(str(path))
+            read_spec(str(path))
 
     def test_infinity_rejected(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text('{"dimension": 2, "states": [{"prior": Infinity, "ket": [[1,0],[0,0]]}]}')
         with pytest.raises(SpecError, match="non-finite"):
-            parse_spec(str(path))
+            read_spec(str(path))
 
     def test_malformed_complex_entry(self, tmp_path):
         doc = qubit_spec()
         doc["states"][0]["ket"] = [[1.0], [0.0, 0.0]]
         with pytest.raises(SpecError, match=r"\[re, im\] pair"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_dimension_mismatch(self, tmp_path):
         doc = qubit_spec(dimension=3)
         with pytest.raises(SpecError, match="list of 3"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_non_psd_matrix_reports_worst_eigenvalue(self, tmp_path):
         doc = qubit_spec()
@@ -124,7 +124,7 @@ class TestValidation:
             ],
         }
         with pytest.raises(SpecError, match="most negative eigenvalue -0.2"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_wrong_trace_rejected(self, tmp_path):
         doc = qubit_spec()
@@ -136,7 +136,7 @@ class TestValidation:
             ],
         }
         with pytest.raises(SpecError, match="trace"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_non_hermitian_matrix_rejected(self, tmp_path):
         doc = qubit_spec()
@@ -148,7 +148,7 @@ class TestValidation:
             ],
         }
         with pytest.raises(SpecError, match="Hermitian"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_ket_and_matrix_together_rejected(self, tmp_path):
         doc = qubit_spec()
@@ -157,27 +157,27 @@ class TestValidation:
             [[0.0, 0.0], [0.0, 0.0]],
         ]
         with pytest.raises(SpecError, match="exactly one"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_missing_dimension(self, tmp_path):
         doc = qubit_spec()
         del doc["dimension"]
         with pytest.raises(SpecError, match="missing dimension"):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_bool_dimension_rejected(self, tmp_path):
         with pytest.raises(SpecError, match="positive integer"):
-            parse_spec(write_spec(tmp_path, qubit_spec(dimension=True)))
+            read_spec(write_spec(tmp_path, qubit_spec(dimension=True)))
 
     def test_missing_file(self):
         with pytest.raises(SpecError, match="cannot read"):
-            parse_spec("no/such/file.json")
+            read_spec("no/such/file.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(SpecError, match="not valid JSON"):
-            parse_spec(str(path))
+            read_spec(str(path))
 
 
 class TestArrayParsing:
@@ -228,7 +228,7 @@ class TestArrayParsing:
         doc = qubit_spec()
         doc["states"][0] = {"prior": 0.5, key: value}
         with pytest.raises(SpecError, match=message):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["float", "integer"])
     def test_overflowing_entry_is_not_finite(self, tmp_path, literal):
@@ -237,7 +237,7 @@ class TestArrayParsing:
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc).replace("123.25", literal))
         with pytest.raises(SpecError, match=r"states\[1\]\.ket\[1\]\[0\] is not finite"):
-            parse_spec(str(path))
+            read_spec(str(path))
 
     def test_overflowing_entry_in_wrapped_kraus_file_is_not_finite(self, tmp_path):
         path = tmp_path / "k.json"
@@ -267,7 +267,7 @@ class TestArrayParsing:
         doc = qubit_spec()
         doc["states"][1] = {"prior": 0.5, "matrix": matrix}
         with pytest.raises(SpecError, match=message):
-            parse_spec(write_spec(tmp_path, doc))
+            read_spec(write_spec(tmp_path, doc))
 
     def test_array_read_matches_per_entry_read_bit_for_bit(self):
         rng = np.random.default_rng(7)
@@ -353,7 +353,7 @@ class TestSerialization:
             "dimension": 3,
             "states": [{"prior": 1.0, "matrix": matrix_to_json(rho)}],
         }
-        ens = parse_spec(write_spec(tmp_path, doc))
+        ens = read_spec(write_spec(tmp_path, doc)).ensemble
         assert np.abs(ens.states[0] - rho).max() <= 1e-15
 
     def test_vector_serialization_shape(self):

@@ -36,10 +36,6 @@ class TestKrausOperator:
         a = KrausOperator(np.diag([1.0, small]))
         assert a.rank == support(dagger(a.matrix) @ a.matrix).rank == rank
 
-    def test_declared_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="declared rank"):
-            KrausOperator(np.diag([1.0, 0.5, 0.0]), rank=3)
-
     def test_zero_element_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             KrausOperator(np.zeros((2, 2)))
@@ -213,7 +209,7 @@ class TestConcentrate:
     @staticmethod
     def _two_qubit(theta):
         amps = np.diag([np.cos(theta), np.sin(theta)]).astype(complex)
-        return BipartiteState(2, 2, amps, ((0,), (1,)))
+        return BipartiteState(amps, ((0,), (1,)))
 
     def test_partially_entangled_pair_by_hand(self):
         res = concentrate(self._two_qubit(np.pi / 6.0))
@@ -229,7 +225,7 @@ class TestConcentrate:
     def test_product_state_rejected(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = 1.0
-        bs = BipartiteState(2, 2, amps, ((0,), (1,)))
+        bs = BipartiteState(amps, ((0,), (1,)))
         with pytest.raises(ValueError, match="cannot concentrate"):
             concentrate(bs)
 
