@@ -13,32 +13,36 @@ Conditioned on a right-side index in sigma(j), the left system holds rho_j
 with probability p_j, so measurements on the left realize discrimination
 of the ensemble while the right side keeps the record.
 
-An Ensemble holds one validated, read-only copy of each member: a copy of
-the caller's array, or the array itself when a reader that built it for
-the ensemble hands it over.  It decomposes lazily and once: support is
-the average state's factorization, and top(j) member j's bound with its
-top eigenspace, made when member j is first asked for.  The measurement
-route reads both; the bipartite route computes its own.
+An Ensemble holds member j as its factor F_j, rho_j = F_j F_j^dagger: a ket
+is its own factor, a matrix read from a spec is factored by the eigh that
+checks it, and one given to the constructor by pivoted Cholesky at the rank
+its eigvalsh check found.  support (one SVD of the stacked factors) and
+top(j) are made once, on first use, for the measurement route; the
+bipartite route computes its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     HERMITICITY_TOL,
+    RANK_TOL,
     Support,
     _readonly,
     as_matrix,
     fix_phase,
     frobenius,
-    hermitian_eigen,
+    gram,
     hermitian_in_place,
     hermitize,
     kept,
+    pivoted_factor,
+    psd_factor,
     real_trace,
     require_hermitian,
     support,
@@ -48,7 +52,7 @@ from .linalg import (
 _TRACE_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
-# Eigenvalues within this relative distance of the top one share its eigenspace.
+# Squared singular values within this relative distance of the top one share its space.
 _DEGENERACY_TOL = 1e-9
 
 
@@ -66,38 +70,98 @@ class StateError(ValueError):
         self.problem = problem
 
 
+def checked_state(h: np.ndarray, factor: bool = True) -> np.ndarray:
+    """A member's checks on a square complex array the caller owns: finite,
+    Hermitian (made exactly so in place), PSD within the slack at its trace,
+    unit trace.  Returns its factor, from the eigh that checks it, or with
+    factor false its rank, from eigvalsh.  Raises ValueError(StateError's problem).
+    """
+    if not np.all(np.isfinite(h)):
+        raise ValueError("has a non-finite entry")
+    try:
+        hermitian_in_place(h)
+    except ValueError:
+        raise ValueError(f"is not Hermitian within relative tolerance {HERMITICITY_TOL}") from None
+    vals, vecs = np.linalg.eigh(h) if factor else (np.linalg.eigvalsh(h), None)
+    if not within_psd_slack(vals[0], real_trace(h)):
+        raise ValueError(f"is not positive semidefinite (most negative eigenvalue {float(vals[0])!r})")
+    if abs(real_trace(h) - 1.0) > _TRACE_TOL:
+        raise ValueError(f"has trace {real_trace(h)!r}, expected 1")
+    keep = kept(vals)
+    return psd_factor(vals, vecs, keep) if factor else int(np.count_nonzero(keep))
+
+
+class _States(Sequence):
+    """The states, each rebuilt as F_j F_j^dagger when read.  Holds each
+    factor or, until factor(j) is first asked for, the checked matrix, whose
+    rank is pending[j].  It is then factored by pivoted_factor, with no
+    decomposition, or by one eigh, as the reader does, when that leaves
+    more than RANK_TOL of its unit trace out, as eigenvalues in the PSD
+    slack or just below the rank cutoff can make it."""
+
+    def __init__(self, held, pending=None):
+        self._held = list(held)
+        self._pending = dict(pending or {})
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def factor(self, j: int) -> np.ndarray:
+        if j in self._pending:
+            h = self._held[j]
+            f = pivoted_factor(h, self._pending.pop(j))
+            if abs(real_trace(h) - np.vdot(f, f).real) > RANK_TOL:
+                vals, vecs = np.linalg.eigh(h)
+                f = psd_factor(vals, vecs, kept(vals))
+            self._held[j] = f
+        return self._held[j]
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return gram(self.factor(range(len(self._held))[j]))  # IndexError past the end ends iteration
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """States rho_i with priors p_i on a d-dimensional system, validated on construction.
 
-    The constructor validates and keeps a copy of each state, so the
-    caller's arrays stay as they were.  Code that has just built the
-    states for the ensemble (read_spec, apply_kraus, from_pure) hands them over with
-    _adopt instead: the same checks run on them in place, so each state is
-    held once.  Either way the stored states are Hermitian and read-only.
+    The constructor checks a copy of each state (eigvalsh, which gives its
+    rank) and factors it on first use by pivoted Cholesky, so a member's
+    factor costs no decomposition (see _States).  read_spec, apply_kraus
+    and from_pure hand over factors with _of.  states is a read-only
+    sequence rebuilt from the factors, so it can differ from the input by
+    the eigenvalues the rank rule drops.
     """
 
     dim: int
-    states: tuple
+    states: Sequence
     priors: np.ndarray
-    state_ranks: tuple = field(init=False)  # kept eigenvalues of the PSD check
 
     def __post_init__(self):
-        self._settle(np.array(rho, dtype=np.complex128) for rho in self.states)
+        self._settle()
+        held, ranks = [], {}
+        for k, rho in enumerate(self.states):
+            h = as_matrix(np.array(rho, dtype=np.complex128))
+            if h.shape != (self.dim, self.dim):
+                raise StateError(k, f"has shape {h.shape}, expected ({self.dim}, {self.dim})")
+            try:
+                ranks[k] = checked_state(h, factor=False)
+            except ValueError as exc:
+                raise StateError(k, str(exc)) from None
+            held.append(_readonly(h))
+        object.__setattr__(self, "states", _States(held, ranks))
 
     @classmethod
-    def _adopt(cls, dim: int, states: tuple, priors) -> "Ensemble":
-        """The ensemble of complex arrays the caller built for it and keeps
-        no reference to: the constructor's checks run on them, not on copies."""
+    def _of(cls, dim: int, factors: tuple, priors) -> "Ensemble":
+        """The ensemble of finite d x r_j factors whose states have unit trace."""
         ens = object.__new__(cls)
-        for name, value in (("dim", dim), ("states", states), ("priors", priors)):
+        for name, value in (("dim", dim), ("states", factors), ("priors", priors)):
             object.__setattr__(ens, name, value)
-        ens._settle(states)
+        ens._settle()
+        object.__setattr__(ens, "states", _States(_readonly(f) for f in factors))
         return ens
 
-    def _settle(self, owned):
-        """Validate the priors and the arrays of owned, one state per array
-        in order, symmetrizing each in place; store them read-only."""
+    def _settle(self):
+        """Validate the dimension, the member count and the priors; keep the priors read-only."""
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if len(self.states) == 0:
@@ -111,31 +175,7 @@ class Ensemble:
             raise ValueError("priors must be strictly positive")
         if abs(priors.sum() - 1.0) > _PRIOR_SUM_TOL:
             raise ValueError(f"priors sum to {float(priors.sum())!r}, expected 1")
-        checked = []
-        ranks = []
-        for k, h in enumerate(owned):
-            h = as_matrix(h)
-            if h.shape != (self.dim, self.dim):
-                raise StateError(k, f"has shape {h.shape}, expected ({self.dim}, {self.dim})")
-            if not np.all(np.isfinite(h)):
-                raise StateError(k, "has a non-finite entry")
-            try:
-                h = hermitian_in_place(h)
-            except ValueError:
-                raise StateError(k, f"is not Hermitian within relative tolerance {HERMITICITY_TOL}") from None
-            vals = np.linalg.eigvalsh(h)
-            if not within_psd_slack(vals[0], real_trace(h)):
-                raise StateError(
-                    k, f"is not positive semidefinite (most negative eigenvalue {float(vals[0])!r})"
-                )
-            if abs(real_trace(h) - 1.0) > _TRACE_TOL:
-                raise StateError(k, f"has trace {real_trace(h)!r}, expected 1")
-            checked.append(_readonly(h))
-            ranks.append(int(np.count_nonzero(kept(vals))))
-        priors.setflags(write=False)
-        object.__setattr__(self, "states", tuple(checked))
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "state_ranks", tuple(ranks))
+        object.__setattr__(self, "priors", _readonly(priors))
 
     @classmethod
     def from_pure(cls, kets, priors) -> "Ensemble":
@@ -143,58 +183,77 @@ class Ensemble:
         if not kets:
             raise ValueError("ensemble needs at least one state")
         dim = kets[0].size
-        states = []
+        factors = []
         for k in kets:
             if k.size != dim:
                 raise ValueError("kets must share one dimension")
             n = np.linalg.norm(k)
             if n == 0.0:
                 raise ValueError("zero ket")
-            k = k / n
-            states.append(np.outer(k, k.conj()))
-        return cls._adopt(dim, tuple(states), np.asarray(priors, dtype=np.float64))
+            factors.append((k / n)[:, None])
+        return cls._of(dim, tuple(factors), np.asarray(priors, dtype=np.float64))
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
+    def factor(self, j: int) -> np.ndarray:
+        """Member j's d x r_j factor F_j, rho_j = F_j F_j^dagger."""
+        return self.states.factor(j)
+
+    @property
+    def state_ranks(self) -> tuple:
+        return tuple(self.factor(j).shape[1] for j in range(self.n_states))
+
+    def is_pure(self, j: int) -> bool:
+        return self.factor(j).shape[1] == 1
+
+    def stacked(self) -> np.ndarray:
+        """[sqrt(p_1) F_1, ..., sqrt(p_n) F_n], whose Gram matrix is the average."""
+        return np.hstack([np.sqrt(p) * self.factor(j) for j, p in enumerate(self.priors)])
+
     @cached_property
     def average(self) -> np.ndarray:
         """The mixture sum_i p_i rho_i actually handed to the measurement."""
-        return _readonly(sum(p * rho for p, rho in zip(self.priors, self.states)))
+        return gram(self.stacked())
+
+    @cached_property
+    def _stacked_svd(self) -> tuple:
+        """One SVD stacked() = U S V^dagger, kept rows only: the support (s^2, U)
+        and, per member, its columns of V^dagger, which are its whitened block
+        G_j = diag(1/s) U^dagger sqrt(p_j) F_j with no division by s."""
+        u, s, vh = np.linalg.svd(self.stacked(), full_matrices=False)
+        keep = kept(s * s)
+        ends = np.cumsum(self.state_ranks)[:-1]
+        return Support(_readonly(s[keep] ** 2), _readonly(u[:, keep])), np.hsplit(_readonly(vh[keep]), ends)
 
     @cached_property
     def support(self) -> Support:
-        """Support of the average; the bipartite route never reads it."""
-        return support(self.average)
+        """The average's support, the kept (s^2, U) of the stacked SVD."""
+        return self._stacked_svd[0]
 
     @cached_property
     def _tops(self) -> list:
         return [None] * self.n_states
 
     def top(self, j: int) -> tuple:
-        """Member j's maximum-confidence bound C_j, unclamped, with the
-        eigenvectors of the whole top eigenspace of
-        p_j rho^{-1/2} rho_j rho^{-1/2} for a mixed member (None for a pure
-        one, whose bound p_j Tr(rho_j rho^{-1}) needs no decomposition).
+        """Member j's bound C_j = sigma_max(G_j)^2, unclamped, and T_j.
 
-        Eigenvalues within 1e-9 relative of the maximum all enter, so
-        degenerate directions are never split by roundoff.  Decomposed on
-        first use and kept beside support; the bipartite route never reads it.
+        G_j is member j's whitened block from the stacked SVD.  T_j is G_j
+        for a pure member, otherwise the left singular vectors whose squared
+        singular values are within 1e-9 relative of C_j, so a degenerate top
+        space is never split by roundoff.  Made on first use and kept beside
+        support; the bipartite route never reads it.
         """
         if self._tops[j] is None:
-            p, rho = self.priors[j], self.states[j]
-            if self.is_pure(j):
-                self._tops[j] = (float(p * real_trace(rho @ self.support.inv)), None)
+            g = self._stacked_svd[1][j]
+            if g.shape[1] == 1:
+                self._tops[j] = (float(np.vdot(g, g).real), _readonly(g))
             else:
-                s = self.support.inv_sqrt
-                vals, vecs = hermitian_eigen(hermitize(p * (s @ rho @ s)))
-                keep = vals >= vals[0] * (1.0 - _DEGENERACY_TOL)
-                self._tops[j] = (float(vals[0]), _readonly(vecs[:, keep]))
+                u, sv, _ = np.linalg.svd(g, full_matrices=False)
+                top = sv * sv
+                self._tops[j] = (float(top[0]), _readonly(u[:, top >= top[0] * (1.0 - _DEGENERACY_TOL)]))
         return self._tops[j]
-
-    def is_pure(self, j: int) -> bool:
-        return self.state_ranks[j] == 1
 
 
 @dataclass(frozen=True, eq=False)

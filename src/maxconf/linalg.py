@@ -5,12 +5,14 @@ operators use the left-major composite index: basis state |a>_L |i>_R
 sits at row a * R + i, R the right-side dimension.  kept() alone decides
 which eigenvalues count as zero, and within_psd_slack() what counts as
 positive.
-hermitian_eigen() is the one full eigendecomposition: support() and
-Ensemble.top() are its callers.
+A PSD matrix is held as a factor F, F F^dagger rebuilt by gram():
+psd_factor() takes it from an eigendecomposition, pivoted_factor() from
+the matrix's own columns with no decomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,10 +49,6 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
@@ -79,11 +77,19 @@ def hermitian_in_place(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if n != k:
         raise ValueError(f"{name} is not square: shape {arr.shape}")
     scale = frobenius(arr)
-    if frobenius(arr - arr.conj().T) > HERMITICITY_TOL * max(scale, 1e-300):
+    re, im = arr.real, arr.imag  # the anti-Hermitian part, one real half at a time
+    if math.hypot(frobenius(re - re.T), frobenius(im + im.T)) > HERMITICITY_TOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not Hermitian within relative tolerance {HERMITICITY_TOL}")
-    arr += arr.conj().T
-    arr /= 2
-    return arr
+    return _symmetrized(arr)
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """hermitize(m), bit for bit, written over m one real half at a time."""
+    re, im = m.real, m.imag
+    re += re.T
+    im -= im.T
+    m /= 2
+    return m
 
 
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
@@ -93,10 +99,43 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(np.ascontiguousarray(vals[::-1])), _readonly(np.ascontiguousarray(vecs[:, ::-1]))
 
 
+def psd_factor(vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """F = vecs[:, keep] sqrt(vals[keep]): F F^dagger keeps the selected eigenpairs."""
+    return _readonly(vecs[:, keep] * np.sqrt(vals[keep]))
+
+
+def pivoted_factor(h: np.ndarray, rank: int) -> np.ndarray:
+    """F with F F^dagger = h for a PSD h of known rank, by pivoted Cholesky.
+
+    Each of at most `rank` steps takes the column of the largest remaining
+    diagonal entry of h - F F^dagger, so no d x d array is made.  It stops
+    early, with fewer columns, when no remaining diagonal entry is positive.
+    """
+    f = np.zeros((len(h), rank), dtype=np.complex128)
+    remaining = h.diagonal().real.copy()
+    for s in range(rank):
+        k = int(np.argmax(remaining))
+        if remaining[k] <= 0.0:
+            f = f[:, :s]
+            break
+        col = f[:, s]
+        np.subtract(h[:, k], f[:, :s] @ f[k, :s].conj(), out=col)
+        col /= np.sqrt(remaining[k])
+        remaining -= col.real ** 2 + col.imag ** 2
+        remaining[k] = 0.0
+    return _readonly(f)
+
+
+def gram(f: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """hermitize(scale * f f^dagger), read-only, with one d x d temporary."""
+    m = f @ f.conj().T
+    m *= scale
+    return _readonly(_symmetrized(m))
+
+
 @dataclass(frozen=True, eq=False)
 class Support:
-    """Retained eigenpairs of a PSD matrix, eigenvalues descending; the
-    pseudo-inverse, its square root and the projector act on their span."""
+    """Retained eigenpairs of a PSD matrix, eigenvalues descending."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -108,16 +147,6 @@ class Support:
     @cached_property
     def projector(self) -> np.ndarray:
         return _readonly(self.eigenvectors @ self.eigenvectors.conj().T)
-
-    @cached_property
-    def inv_sqrt(self) -> np.ndarray:
-        v = self.eigenvectors
-        return _readonly((v / np.sqrt(self.eigenvalues)) @ v.conj().T)
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        v = self.eigenvectors
-        return _readonly((v / self.eigenvalues) @ v.conj().T)
 
 
 def support(m) -> Support:

@@ -7,26 +7,26 @@ prepared state really was rho_j:
 
 with rho = sum_i p_i rho_i.  Over all effects this is bounded by
 
-    C_j = p_j Tr(rho_j rho^{-1})                      (rho_j pure)
-    C_j = gamma_max(p_j rho^{-1/2} rho_j rho^{-1/2})  (rho_j mixed)
+    C_j = gamma_max(p_j rho^{-1/2} rho_j rho^{-1/2})
 
-with inverses restricted to the support of rho, and the bound is attained
-by Pi_j proportional to rho^{-1} p_j rho_j rho^{-1} (pure) or
-rho^{-1/2} P_max rho^{-1/2} with P_max the projector onto the full top
-eigenspace (mixed).  A mixed member's bound and effect come from one
-decomposition, kept by Ensemble.top.  Scaling an effect changes outcome probabilities but
-never its confidence, so one overall scale completes the collection into
-a measurement with an inconclusive remainder.  Each completed effect is
-then fixed by its member, the average state and that one scale, so the
-completed measurement keeps only the scale and the fail effect and
-rebuilds an effect, bit for bit the same, whenever it is read.
+with inverses restricted to the support of rho (Croke et al., PRL 96,
+070401, 2006).  With rho_j = F_j F_j^dagger and (s^2, U) the support of
+rho, C_j = sigma_max(G_j)^2 for the whitened block
+G_j = diag(1/s) U^dagger sqrt(p_j) F_j, which is member j's columns of the
+stacked SVD's V^dagger (Ensemble.top), and the bound is attained by
+W_j W_j^dagger with W_j = U diag(1/s) T_j, T_j the top left singular space
+of G_j.  Scaling an effect changes outcome probabilities but never its
+confidence, so one overall scale t completes the collection into a
+measurement with an inconclusive remainder.  The completed measurement
+holds effect k as its factor, makes E_k = t W_k W_k^dagger only when it
+is read, takes every trace as t ||W_k^dagger F_i||^2, and keeps the fail
+effect as its only d x d matrix.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -34,9 +34,9 @@ from .ensembles import Ensemble
 from .linalg import (
     _readonly,
     frobenius,
+    gram,
     hermitian_in_place,
-    hermitize,
-    real_trace,
+    psd_factor,
     require_hermitian,
     within_psd_slack,
 )
@@ -50,23 +50,24 @@ _SAMPLE_CHUNK = 1 << 16
 
 
 class _Effects(Sequence):
-    """A measurement's (label, read-only matrix) pairs, in order.
+    """(label, read-only matrix) pairs: entry k is scale W_k W_k^dagger, made
+    from its factor when read, and an entry past the factors is the fail
+    effect, labelled None.  labels are read without making any matrix."""
 
-    matrix(k) gives entry k's matrix each time the entry is read: a stored
-    array, or one rebuilt from the ensemble (complete_pom).  labels are
-    read without making any matrix.
-    """
-
-    def __init__(self, labels: tuple, matrix):
+    def __init__(self, labels: tuple, factors: tuple, scale: float, fail=None):
         self.labels = labels
-        self._matrix = matrix
+        self.factors = factors
+        self.scale = scale
+        self.fail = fail
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __getitem__(self, k: int) -> tuple:
         k = range(len(self.labels))[k]  # IndexError past the end ends iteration
-        return self.labels[k], self._matrix(k)
+        if k == len(self.factors):
+            return None, self.fail
+        return self.labels[k], gram(self.factors[k], self.scale)
 
 
 def _finite_hermitian(m: np.ndarray, name: str) -> np.ndarray:
@@ -75,42 +76,21 @@ def _finite_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     return hermitian_in_place(m, name=name)
 
 
-def _checked(pairs, finish) -> tuple:
-    """POM's validation, over (label, matrix) pairs whose arrays it may overwrite.
-
-    One pass takes the pairs one at a time: each matrix is checked finite,
-    made Hermitian and read-only in place, checked against the first
-    one's shape, and its lowest eigenvalue is kept while it is summed into
-    the total.  finish(total) then gives the scale of every effect and the
-    fail effect (or None).  Each effect's PSD check runs at that scale, in
-    order, and then the fail effect's checks and completeness.  Returns
-    the labels, the scale and the checked fail effect.
-    """
-    labels, lowest, total = [], [], None
-    for label, e in pairs:
-        h = _readonly(_finite_hermitian(e, f"effect {label}"))
-        if total is None:
-            total = np.zeros_like(h)
-        elif h.shape != total.shape:
-            raise ValueError("effects must share one dimension")
-        total += h
-        labels.append(int(label))
-        lowest.append(np.linalg.eigvalsh(h)[0])
-    scale, fail = finish(total)
-    for label, low in zip(labels, lowest):
-        if not within_psd_slack(scale * low, 1.0):
-            raise ValueError(f"effect {label} is not positive semidefinite")
+def _checked_fail(total: np.ndarray, fail) -> np.ndarray | None:
+    """POM's checks against total, the sum of the effects: a fail effect is
+    finite, Hermitian (made so in place) and PSD and completes them to the
+    identity; without one they must not exceed it."""
     if fail is not None:
         fail = _readonly(_finite_hermitian(fail, "fail effect"))
-        if total is None:
-            total = np.zeros_like(fail)
         if not within_psd_slack(np.linalg.eigvalsh(fail)[0], 1.0):
             raise ValueError("fail effect is not positive semidefinite")
-        if frobenius(scale * total + fail - np.eye(len(fail))) > _COMPLETENESS_TOL:
+        residual = total + fail
+        residual.flat[:: len(fail) + 1] -= 1.0
+        if frobenius(residual) > _COMPLETENESS_TOL:
             raise ValueError("effects plus fail do not resolve the identity")
-    elif np.linalg.eigvalsh(scale * total)[-1] > 1.0 + _COMPLETENESS_TOL:
+    elif np.linalg.eigvalsh(total)[-1] > 1.0 + _COMPLETENESS_TOL:
         raise ValueError("effects exceed the identity")
-    return tuple(labels), scale, fail
+    return fail
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,34 +102,44 @@ class POM:
     to at most the identity; when fail is present they must resolve it
     within 1e-9.
 
-    The constructor validates and keeps a copy of each matrix it is given,
-    so the caller's arrays stay as they were.  The POM that complete_pom
-    returns holds no effect arrays: each effect is rebuilt from the
-    ensemble whenever it is read, bit for bit the same each time, after
-    the same checks ran on it once.  Either way effects is a sequence,
-    not a tuple, read one effect at a time, and every matrix read from it
-    is Hermitian and read-only; effects.labels are read without making any.
+    The constructor validates a copy of each matrix it is given, so the
+    caller's arrays stay as they were, and keeps the factor of its
+    positive eigenvalues from the eigh that checks it.  The POM that
+    complete_pom returns holds the factors it built.  Either way effects
+    is a sequence, not a tuple, read one effect at a time, and every
+    matrix read from it is made from its factor, Hermitian and read-only;
+    effects.labels, effects.factors and effects.scale (the W_k and t of
+    E_k = t W_k W_k^dagger) are read without making any.
     """
 
     effects: Sequence
     fail: np.ndarray | None = None
 
     def __post_init__(self):
-        owned = tuple((label, np.array(e, dtype=np.complex128)) for label, e in self.effects)
+        labels, factors, total = [], [], None
+        for label, e in self.effects:
+            h = _finite_hermitian(np.array(e, dtype=np.complex128), f"effect {label}")
+            if total is None:
+                total = np.zeros_like(h)
+            elif h.shape != total.shape:
+                raise ValueError("effects must share one dimension")
+            vals, vecs = np.linalg.eigh(h)
+            if not within_psd_slack(vals[0], 1.0):
+                raise ValueError(f"effect {label} is not positive semidefinite")
+            total += h
+            labels.append(int(label))
+            factors.append(psd_factor(vals, vecs, vals > 0.0))
         fail = None if self.fail is None else np.array(self.fail, dtype=np.complex128)
-        if not owned and fail is None:
-            raise ValueError("a measurement needs at least one effect")
-        labels, _, fail = _checked(owned, lambda total: (1.0, fail))
-        object.__setattr__(self, "effects", _Effects(labels, lambda k: owned[k][1]))
-        object.__setattr__(self, "fail", fail)
+        if total is None:
+            if fail is None:
+                raise ValueError("a measurement needs at least one effect")
+            total = np.zeros_like(fail)
+        self._set(_Effects(tuple(labels), tuple(factors), 1.0), _checked_fail(total, fail))
 
-    @classmethod
-    def _of(cls, effects: _Effects, fail: np.ndarray) -> "POM":
-        """The measurement of effects and a fail effect that _checked has passed."""
-        pom = object.__new__(cls)
-        object.__setattr__(pom, "effects", effects)
-        object.__setattr__(pom, "fail", fail)
-        return pom
+    def _set(self, effects: _Effects, fail) -> "POM":
+        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "fail", fail)
+        return self
 
     @property
     def complete(self) -> bool:
@@ -158,11 +148,28 @@ class POM:
     def all_effects(self) -> Sequence:
         """effects with the fail effect appended last as label None: a
         sequence like effects, whose matrices are made as they are read."""
-        effects, fail = self.effects, self.fail
-        if fail is None:
-            return effects
-        n = len(effects)
-        return _Effects(effects.labels + (None,), lambda k: fail if k == n else effects[k][1])
+        e = self.effects
+        if self.fail is None:
+            return e
+        return _Effects(e.labels + (None,), e.factors, e.scale, self.fail)
+
+
+def outcome_table(ens: Ensemble, pom: POM) -> np.ndarray:
+    """Tr(rho_i E_k), one row per member and one column per entry of
+    pom.all_effects(), taken through the member and effect factors."""
+    members = [ens.factor(i) for i in range(ens.n_states)]
+    f = np.hstack(members)
+    e = pom.effects
+    cols = [e.scale * _column_norms(w.conj().T @ f) for w in e.factors]
+    if pom.fail is not None:
+        g = pom.fail @ f
+        cols.append((f.real * g.real + f.imag * g.imag).sum(axis=0))  # Re f_c^dagger (fail f_c)
+    starts = np.cumsum([0] + [m.shape[1] for m in members[:-1]])
+    return np.add.reduceat(np.reshape(cols, (len(cols), f.shape[1])), starts, axis=1).T
+
+
+def _column_norms(m: np.ndarray) -> np.ndarray:
+    return (m.real ** 2 + m.imag ** 2).sum(axis=0)
 
 
 def _unit_interval(value: float, name: str) -> float:
@@ -172,6 +179,12 @@ def _unit_interval(value: float, name: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _posterior(numer: float, denom: float, j: int) -> float:
+    if denom <= _OUTCOME_PROB_FLOOR:
+        raise ValueError(f"outcome probability {denom!r} too small: conditional undefined")
+    return _unit_interval(float(numer / denom), f"confidence for state {j}")
+
+
 def confidence_of(ens: Ensemble, effect: np.ndarray, j: int) -> float:
     """Posterior probability of state j given the outcome tied to `effect`.
 
@@ -179,11 +192,8 @@ def confidence_of(ens: Ensemble, effect: np.ndarray, j: int) -> float:
     probability Tr(rho effect) is too small for the conditional to exist.
     """
     e = require_hermitian(effect, name="effect")
-    denom = real_trace(ens.average @ e)
-    if denom <= _OUTCOME_PROB_FLOOR:
-        raise ValueError(f"outcome probability {denom!r} too small: conditional undefined")
-    numer = ens.priors[j] * real_trace(ens.states[j] @ e)
-    return _unit_interval(float(numer / denom), f"confidence for state {j}")
+    joint = [p * np.vdot(f, e @ f).real for p, f in zip(ens.priors, map(ens.factor, range(ens.n_states)))]
+    return _posterior(joint[j], sum(joint), j)
 
 
 def max_confidence(ens: Ensemble, j: int) -> float:
@@ -191,46 +201,41 @@ def max_confidence(ens: Ensemble, j: int) -> float:
     return _unit_interval(ens.top(j)[0], f"bound for state {j}")
 
 
+def _whitening(ens: Ensemble) -> np.ndarray:
+    """U diag(1/s), with (s^2, U) the support of the average."""
+    supp = ens.support
+    return supp.eigenvectors / np.sqrt(supp.eigenvalues)
+
+
 def optimal_effect(ens: Ensemble, j: int) -> np.ndarray:
-    """Unnormalized effect attaining max_confidence(ens, j), built from
-    the member's cached top eigenspace (Ensemble.top)."""
-    if ens.is_pure(j):
-        rinv = ens.support.inv
-        return hermitize(rinv @ (ens.priors[j] * ens.states[j]) @ rinv)
-    s = ens.support.inv_sqrt
-    v = ens.top(j)[1]
-    return hermitize(s @ (v @ v.conj().T) @ s)
-
-
-def _scaled_effect(ens: Ensemble, t: float, j: int) -> np.ndarray:
-    """Effect j of complete_pom(ens): the scale t times direction j."""
-    e = optimal_effect(ens, j)
-    e *= t
-    return _readonly(e)
+    """W_j W_j^dagger, W_j = U diag(1/s) T_j: the effect attaining max_confidence(ens, j)."""
+    return gram(_whitening(ens) @ ens.top(j)[1])
 
 
 def complete_pom(ens: Ensemble) -> POM:
     """Scale the optimal effects into a single measurement.
 
-    All effects share the largest scale t keeping I - t sum_j D_j positive
-    semidefinite on the support of rho (t = 1 / gamma_max of the sum); the
-    remainder, including the orthocomplement of the support, becomes the
-    fail effect.  Every conclusive outcome then still attains its
-    maximum-confidence bound.
-
-    One pass builds the directions D_j one at a time: POM's checks
-    (_checked) run on each while it is summed, and on the scaled effects
-    and the fail effect once t is known.  The returned POM keeps only t
-    and the fail effect: effect j is t D_j rebuilt whenever it is read,
-    from the cached decompositions, with the same float operations.
+    All effects share the largest scale t keeping I - t sum_j W_j W_j^dagger
+    PSD, t = 1 / sigma_max([W_1 ... W_n])^2; the remainder, including the
+    orthocomplement of the support of rho, becomes the fail effect, so every
+    conclusive outcome still attains its bound.  The measurement keeps the
+    column blocks W_j of U diag(1/s) [T_1 ... T_n], t and the checked fail effect.
     """
-    def finish(total):
-        # A sum of exactly Hermitian arrays (each is, once checked) is exactly Hermitian.
-        t = 1.0 / float(np.linalg.eigvalsh(total)[-1])
-        return t, hermitize(np.eye(ens.dim) - t * total)
-
-    labels, t, fail = _checked(((j, optimal_effect(ens, j)) for j in range(ens.n_states)), finish)
-    return POM._of(_Effects(labels, partial(_scaled_effect, ens, t)), fail)
+    tops = [ens.top(j)[1] for j in range(ens.n_states)]
+    whitening = _whitening(ens)
+    w = np.empty((ens.dim, sum(v.shape[1] for v in tops)), dtype=np.complex128)
+    factors = np.hsplit(w, np.cumsum([v.shape[1] for v in tops[:-1]]))
+    for j, (f, v) in enumerate(zip(factors, tops)):
+        np.matmul(whitening, v, out=f)
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"effect {j} has a non-finite entry")
+    del whitening
+    t = 1.0 / float(np.linalg.svd(_readonly(w), compute_uv=False)[0]) ** 2
+    total = gram(w, t)  # exactly Hermitian, so a fail effect of roundoff size is too
+    fail = np.eye(ens.dim, dtype=np.complex128)
+    fail -= total
+    effects = _Effects(tuple(range(ens.n_states)), tuple(factors), t)
+    return object.__new__(POM)._set(effects, _checked_fail(total, fail))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,20 +258,17 @@ class ConfidenceReport:
 
 
 def confidence_report(ens: Ensemble, pom: POM) -> ConfidenceReport:
+    """Bounds, achieved confidences and outcome probabilities, from one outcome_table."""
     if not pom.complete:
         raise ValueError("report requires a complete measurement")
-    rho = ens.average
+    joint = outcome_table(ens, pom) * ens.priors[:, None]  # p_i Tr(rho_i E_k)
+    prob = joint.sum(axis=0)
     records = []
-    for label, e in pom.effects:
+    for k, label in enumerate(pom.effects.labels):
         records.append(
-            (
-                label,
-                max_confidence(ens, label),
-                confidence_of(ens, e, label),
-                real_trace(rho @ e),
-            )
+            (label, max_confidence(ens, label), _posterior(joint[label, k], prob[k], label), float(prob[k]))
         )
-    return ConfidenceReport(tuple(records), real_trace(rho @ pom.fail))
+    return ConfidenceReport(tuple(records), float(prob[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,8 +302,8 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
 
     Sampling is inverse-CDF over cumulative probabilities: first the
     prepared label from the priors, then the outcome from Tr(rho_i Pi_k)
-    in effect order with fail last, one uniform pair per trial from
-    numpy's seeded generator.  Deterministic for fixed (seed, trials).
+    in effect order with fail last (outcome_table), one uniform pair per
+    trial from numpy's seeded generator.  Deterministic for fixed (seed, trials).
     Trials run in blocks of _SAMPLE_CHUNK; within a block they are grouped
     by prepared label and each group finds its outcomes by binary search in
     that label's cumulative row, so working memory is O(block), independent
@@ -311,11 +313,8 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
         raise ValueError("simulation requires a complete measurement")
     if trials < 1:
         raise ValueError("trials must be positive")
-    # prob[i, k] = Tr(rho_i Pi_k)
-    effects = np.array([e for _, e in pom.all_effects()])
-    n_out = len(effects)
-    prob = np.einsum("iab,kba->ik", np.array(ens.states), effects).real
-    prob = np.clip(prob, 0.0, None)
+    prob = np.clip(outcome_table(ens, pom), 0.0, None)  # prob[i, k] = Tr(rho_i Pi_k)
+    n_out = prob.shape[1]
     prob /= prob.sum(axis=1, keepdims=True)
 
     cum_priors = np.cumsum(ens.priors)

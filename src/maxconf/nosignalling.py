@@ -32,14 +32,24 @@ class ConditionalRightState:
     probability: float
 
 
-def _unnormalized_conditional(bs: BipartiteState, effect: np.ndarray) -> np.ndarray:
-    # Tr_L[|Psi><Psi| (Pi tensor I)] in terms of the amplitude matrix.
+def _unnormalized_conditional(bs: BipartiteState, effect) -> np.ndarray:
+    # Tr_L[|Psi><Psi| (Pi tensor I)] in terms of the amplitude matrix A:
+    # A^T Pi^* A^*, or t X^T X^* with X = W^dagger A for the pair (W, t),
+    # which never forms Pi.
+    if isinstance(effect, tuple):
+        w, t = effect
+        x = w.conj().T @ bs.amplitudes
+        return t * (x.T @ x.conj())
     return bs.amplitudes.T @ effect.conj() @ bs.amplitudes.conj()
 
 
 def conditional_right_state(bs: BipartiteState, effect) -> ConditionalRightState:
-    e = require_hermitian(effect, name="effect")
-    if len(e) != len(bs.amplitudes):
+    """Right-side state given the outcome of effect Pi: a d x d matrix, or
+    the factor pair (W, t) of Pi = t W W^dagger, the form in which a
+    measurement holds its effects (POM.effects.factors and .scale)."""
+    pair = isinstance(effect, tuple)
+    e = effect if pair else require_hermitian(effect, name="effect")
+    if len(e[0] if pair else e) != len(bs.amplitudes):
         raise ValueError("effect must act on the left system")
     m = _unnormalized_conditional(bs, e)
     p = real_trace(m)
@@ -91,8 +101,10 @@ def marginal_invariance(bs: BipartiteState, pom) -> float:
     carries (fail included when present), so zero-probability outcomes are
     harmless.  Complete measurements must come out at most 1e-10; a
     measurement missing its fail element reports the weight it dropped.
+    Each effect enters through its factor pair and the fail effect through
+    its matrix.
     """
-    total = sum(
-        _unnormalized_conditional(bs, np.asarray(e, dtype=np.complex128)) for _, e in pom.all_effects()
-    )
+    e = pom.effects
+    outcomes = [(w, e.scale) for w in e.factors] + ([] if pom.fail is None else [pom.fail])
+    total = sum(_unnormalized_conditional(bs, o) for o in outcomes)
     return frobenius(hermitize(total) - bs.right_marginal())

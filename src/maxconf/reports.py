@@ -126,7 +126,9 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
 
     rep = confidence_report(ens, pom)
     per_state = []
-    for (label, e), (_, bound, achieved, _) in zip(pom.effects, rep.records):
+    effects = pom.effects  # each through its factor pair: no effect matrix is made
+    for w, (label, bound, achieved, _) in zip(effects.factors, rep.records):
+        e = (w, effects.scale)
         entry = {
             "label": label,
             "bound": bound,

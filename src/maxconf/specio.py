@@ -17,21 +17,24 @@ Complex numbers are [re, im] pairs, matrices row-major nested lists.
 A file is streamed: it is read in chunks of _READ_CHUNK characters, and
 each member of the states array is decoded on its own as soon as its text
 is in, so neither the file's bytes nor its whole text is ever held, and
-at most one member's text and nested lists are alive at a time.  A valid
-file is decoded once; a file that is not JSON is read again whole only to
-give json.loads's own message.  Each member's ket or matrix is decoded to
-an array as its object closes; an entry that does not convert stays a
-list, and the per-entry readers name its first bad value.  Kets are
-normalized on load (a warning fires when the correction exceeds 1e-6);
-priors are checked to sum to 1 within 1e-9 and then renormalized exactly.
-Matrices are checked (Hermitian, positive semidefinite, unit trace) by
-Ensemble alone, in place on the decoded arrays, which it adopts, and its
-errors are reported under the member's field path.  The optional tolerance field overrides the verification default
-unless the command line sets one.  NaN and infinities are rejected.
+at most one member's text, nested lists and d x d array are alive at a
+time.  A valid file is decoded once; a file that is not JSON is read again
+whole only to give json.loads's own message.  Each member's ket or matrix
+is decoded to an array as its object closes; an entry that does not
+convert stays a list, and the per-entry readers name its first bad value.
+Kets are normalized on load (a warning fires when the correction exceeds
+1e-6) and are their own factors; priors are checked to sum to 1 within
+1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
+positive semidefinite, unit trace) with the constructor's checks
+(ensembles.checked_state) as their objects close and replaced by their
+factors, and a failed check is reported under the member's field path.
+The optional tolerance field overrides the verification default unless
+the command line sets one.  NaN and infinities are rejected.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, StateError
+from .ensembles import Ensemble, checked_state
 from .transforms import KrausOperator
 
 _KET_NORM_WARN = 1e-6
@@ -172,7 +175,7 @@ class _Stream:
             self.pos += 1
             return out
         while True:
-            out.append(self.value(stop="}"))
+            out.append(_factored(self.value(stop="}")))
             if self.expect(",]") == "]":
                 return out
 
@@ -238,6 +241,16 @@ def _arrays_as_they_close(obj: dict) -> dict:
     return obj
 
 
+def _factored(member):
+    """The member with its decoded matrix replaced by its factor, dropping the
+    d x d array; one that fails its checks stays for read_spec to name."""
+    m = member.get("matrix") if isinstance(member, dict) else None
+    with contextlib.suppress(ValueError):
+        if isinstance(m, np.ndarray):
+            member["matrix"] = checked_state(m.view(np.complex128)[..., 0])
+    return member
+
+
 def _real(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{field} must be a number, got {value!r}")
@@ -297,8 +310,9 @@ class ParsedSpec:
 
 
 def read_spec(path) -> ParsedSpec:
-    """Load an ensemble spec; the matrices are validated by Ensemble alone,
-    in place on the arrays just decoded, so each member is held once."""
+    """Load an ensemble spec; each matrix is checked and factored as it is
+    read, so each member is held once, as its factor, and a failed check
+    is reported after every member is read."""
     doc, literals = _load_json(path)
     if not isinstance(doc, dict):
         raise SpecError("spec root must be an object")
@@ -312,8 +326,8 @@ def read_spec(path) -> ParsedSpec:
         raise SpecError("states must be a non-empty list")
 
     priors = []
-    states = []
-    fields = []
+    factors = []
+    problem = None
     for k, entry in enumerate(raw_states):
         field = f"states[{k}]"
         if not isinstance(entry, dict):
@@ -336,12 +350,20 @@ def read_spec(path) -> ParsedSpec:
                 raise SpecError(f"{field} is the zero vector")
             if abs(norm - 1.0) > _KET_NORM_WARN:
                 warnings.warn(f"{field} renormalized (norm was {norm!r})", stacklevel=2)
-            v = v / norm
-            states.append(np.outer(v, v.conj()))
+            factors.append((v / norm)[:, None])
+            continue
+        field += ".matrix"
+        m = entry["matrix"]
+        if isinstance(m, np.ndarray) and m.dtype == np.complex128:  # factored as it closed
+            if len(m) != dim:
+                raise SpecError(f"{field} must be a {dim} x {dim} matrix")
         else:
-            field += ".matrix"
-            states.append(_complex_array(entry["matrix"], dim, 2, field, literals))
-        fields.append(field)
+            m = _complex_array(m, dim, 2, field, literals)
+            try:
+                m = checked_state(m)
+            except ValueError as exc:
+                problem = problem or f"{field} {exc}"
+        factors.append(m)
 
     total = sum(priors)
     if abs(total - 1.0) > _PRIOR_SUM_TOL:
@@ -354,10 +376,10 @@ def read_spec(path) -> ParsedSpec:
         if tolerance <= 0.0:
             raise SpecError("tolerance must be positive")
 
+    if problem is not None:
+        raise SpecError(problem)
     try:
-        ens = Ensemble._adopt(dim, tuple(states), priors)
-    except StateError as exc:
-        raise SpecError(f"{fields[exc.index]} {exc.problem}") from exc
+        ens = Ensemble._of(dim, tuple(factors), priors)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     return ParsedSpec(ens, tolerance)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import BipartiteState, Ensemble
-from .linalg import Support, as_matrix, hermitize, kept, real_trace, support
+from .linalg import Support, as_matrix, hermitize, kept
 from .measurement import max_confidence
 
 _WEIGHT_TOL = 1e-10
@@ -51,29 +51,30 @@ class KrausOperator:
 def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
     """Transformed ensemble plus the overall success probability.
 
-    The transformed members are this function's own arrays, so the
-    ensemble adopts them (Ensemble._adopt) rather than copying each.
-    Raises when the element overweights the ensemble
-    (Tr(rho A^dagger A) > 1 beyond slack) or annihilates a member.
+    Member i's factor is A F_i / sqrt(t_i), t_i = ||A F_i||^2, reduced to its
+    kept directions by a thin SVD when it has several columns.  Raises when
+    the element overweights the ensemble (Tr(rho A^dagger A) > 1 beyond
+    slack) or annihilates a member.
     """
     a = kraus.matrix
     if a.shape != (ens.dim, ens.dim):
         raise ValueError("operation element dimension mismatch")
-    gram = a.conj().T @ a
-    weight = real_trace(ens.average @ gram)
-    if weight > 1.0 + _WEIGHT_TOL:
-        raise ValueError(f"operation element overweights the ensemble: Tr(rho A^+A) = {weight!r}")
-    new_states = []
-    new_weights = []
-    for i, rho_i in enumerate(ens.states):
-        t_i = real_trace(rho_i @ gram)
+    images = [a @ ens.factor(i) for i in range(ens.n_states)]
+    t = np.array([np.vdot(af, af).real for af in images])  # Tr(rho_i A^dagger A)
+    weights = ens.priors * t
+    success = float(weights.sum())
+    if success > 1.0 + _WEIGHT_TOL:
+        raise ValueError(f"operation element overweights the ensemble: Tr(rho A^+A) = {success!r}")
+    factors = []
+    for i, (af, t_i) in enumerate(zip(images, t)):
         if t_i <= _ANNIHILATION_FLOOR:
             raise ValueError(f"operation element annihilates state {i}")
-        new_states.append(hermitize(a @ rho_i @ a.conj().T) / t_i)
-        new_weights.append(ens.priors[i] * t_i)
-    success = float(sum(new_weights))
-    priors = np.asarray(new_weights) / success
-    return Ensemble._adopt(ens.dim, tuple(new_states), priors), success
+        if af.shape[1] > 1:
+            u, sv, _ = np.linalg.svd(af, full_matrices=False)
+            keep = kept(sv * sv)
+            af = u[:, keep] * sv[keep]
+        factors.append(af / np.sqrt(t_i))
+    return Ensemble._of(ens.dim, tuple(factors), weights / success), success
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +120,11 @@ def monotonicity_check(ens: Ensemble, transformed: Ensemble, tol: float = _EQUAL
 
 def _flattening(supp: Support) -> tuple[KrausOperator, float, np.ndarray]:
     """sqrt(lambda_min) rho^{-1/2}, its success probability lambda_min * D, the fail effect."""
-    lam_min = float(supp.eigenvalues[-1])
-    a = KrausOperator(np.sqrt(lam_min) * supp.inv_sqrt)
-    fail = hermitize(np.eye(supp.eigenvectors.shape[0]) - lam_min * supp.inv)
-    return a, lam_min * supp.rank, fail
+    v, lam = supp.eigenvectors, supp.eigenvalues
+    lam_min = float(lam[-1])
+    a = KrausOperator(np.sqrt(lam_min) * ((v / np.sqrt(lam)) @ v.conj().T))
+    fail = hermitize(np.eye(v.shape[0]) - lam_min * ((v / lam) @ v.conj().T))
+    return a, min(lam_min * supp.rank, 1.0), fail  # lambda_min <= 1 / D
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,16 +165,17 @@ def concentrate(bs: BipartiteState) -> ConcentrationResult:
     """Flatten the Schmidt spectrum by filtering the left system.
 
     On success (probability lambda_min * D) the state becomes maximally
-    entangled across its original Schmidt rank D.  Product states cannot
-    be concentrated.
+    entangled across its original Schmidt rank D.  The amplitude matrix is
+    the left marginal's factor, so one SVD A = U S V^dagger gives the
+    support (S^2, U) and the post-state U V^dagger / sqrt(D), exactly flat.
+    Product states cannot be concentrated.
     """
-    supp = support(bs.left_marginal())
-    if supp.rank < 2:
+    u, s, vh = np.linalg.svd(bs.amplitudes, full_matrices=False)
+    rank = int(np.count_nonzero(kept(s * s)))
+    if rank < 2:
         raise ValueError("cannot concentrate: Schmidt rank 1 (product state)")
-    a, p_succ, fail = _flattening(supp)
-    amps = a.matrix @ bs.amplitudes
-    amps = amps / np.linalg.norm(amps)
-    post = BipartiteState(amps, bs.index_sets)
+    a, p_succ, fail = _flattening(Support(s[:rank] ** 2, u[:, :rank]))
+    post = BipartiteState(u[:, :rank] @ vh[:rank] / np.sqrt(rank), bs.index_sets)
     return ConcentrationResult(a, p_succ, fail, post)
 
 
@@ -198,10 +201,7 @@ def projective_resolution(ens: Ensemble, tol: float = 1e-9) -> ResolutionCheck:
     if not all(ens.is_pure(j) for j in range(ens.n_states)):
         raise ValueError("projective resolution is defined for pure-state ensembles")
     target = ens.support.projector
-    cols = []
-    for rho_j in ens.states:
-        cols.append(np.concatenate([rho_j.real.reshape(-1), rho_j.imag.reshape(-1)]))
-    a = np.column_stack(cols)
+    a = np.column_stack([np.concatenate([rho.real.reshape(-1), rho.imag.reshape(-1)]) for rho in ens.states])
     b = np.concatenate([target.real.reshape(-1), target.imag.reshape(-1)])
     w, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ w - b))

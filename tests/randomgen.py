@@ -33,8 +33,8 @@ def random_density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     return hermitize(rho / np.trace(rho).real)
 
 
-def random_ensemble(rng: np.random.Generator, dim: int, ranks) -> Ensemble:
-    """Ensemble with one member per entry of `ranks` (1 = pure)."""
+def random_members(rng: np.random.Generator, dim: int, ranks) -> tuple:
+    """(states, priors): one exactly Hermitian state per entry of `ranks` (1 = pure)."""
     states = []
     for r in ranks:
         if r == 1:
@@ -44,7 +44,13 @@ def random_ensemble(rng: np.random.Generator, dim: int, ranks) -> Ensemble:
             states.append(random_density(rng, dim, r))
     priors = 0.1 + rng.random(len(states))
     priors /= priors.sum()
-    return Ensemble(dim, tuple(states), priors)
+    return tuple(states), priors
+
+
+def random_ensemble(rng: np.random.Generator, dim: int, ranks) -> Ensemble:
+    """Ensemble with one member per entry of `ranks` (1 = pure)."""
+    states, priors = random_members(rng, dim, ranks)
+    return Ensemble(dim, states, priors)
 
 
 def ensemble_suite(seed: int, count: int) -> list:
@@ -81,7 +87,9 @@ def random_complete_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> 
     """Complete measurement: Wishart pieces whitened by their sum, last piece the fail."""
     pieces = [random_density(rng, dim, dim) for _ in range(n_outcomes + 1)]
     total = hermitize(sum(pieces))
-    w = support(total).inv_sqrt
+    supp = support(total)
+    v = supp.eigenvectors
+    w = (v / np.sqrt(supp.eigenvalues)) @ v.conj().T
     effects = tuple((k, hermitize(w @ p @ w)) for k, p in enumerate(pieces[:-1]))
     fail = hermitize(w @ pieces[-1] @ w)
     return POM(effects, fail)

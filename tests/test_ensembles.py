@@ -8,9 +8,9 @@ from maxconf import (
     purify,
     schmidt,
 )
-from maxconf.ensembles import StateError
+from maxconf.ensembles import StateError, checked_state
 
-from randomgen import ensemble_suite, random_bipartite, random_ensemble, random_unitary
+from randomgen import ensemble_suite, random_bipartite, random_members, random_unitary
 from helpers import (
     bell_state,
     trine,
@@ -89,29 +89,46 @@ BAD_STATES = [
 ]
 
 
-class TestAdoptedStates:
-    """Ensemble._adopt runs the constructor's checks in place on arrays it is handed."""
+class TestFactoredStates:
+    """Each member is held as its factor: the reader's check factors by one
+    eigh, the public constructor by pivoted Cholesky on first use."""
 
-    def test_adopts_the_arrays_and_matches_the_constructor_bit_for_bit(self):
+    def test_reader_and_constructor_factors_give_the_same_states(self):
         rng = np.random.default_rng(61)
-        built = random_ensemble(rng, 6, [1, 3, 2])
-        owned = tuple(rho + 1e-13j * (rho - rho.T) for rho in built.states)  # Hermitian up to roundoff
-        public = Ensemble(6, owned, built.priors)
-        handed = tuple(rho.copy() for rho in owned)
-        adopted = Ensemble._adopt(6, handed, built.priors)
-        for a, b, mine in zip(public.states, adopted.states, handed):
-            assert b is mine and not b.flags.writeable
-            assert a.tobytes() == b.tobytes()
-        assert adopted.state_ranks == public.state_ranks == (1, 3, 2)
+        states, priors = random_members(rng, 6, [1, 3, 2])
+        owned = tuple(rho + 1e-13j * (rho - rho.T) for rho in states)  # Hermitian up to roundoff
+        public = Ensemble(6, owned, priors)
+        factors = tuple(checked_state(rho.copy()) for rho in owned)
+        handed = Ensemble._of(6, factors, priors)
+        for j, (rho, mine) in enumerate(zip(states, factors)):
+            assert handed.factor(j) is mine and not mine.flags.writeable
+            assert not public.factor(j).flags.writeable
+            rebuilt = public.states[j]
+            assert not rebuilt.flags.writeable and np.array_equal(rebuilt, rebuilt.conj().T)
+            assert np.abs(rebuilt - rho).max() <= 1e-15
+            assert np.abs(rebuilt - handed.states[j]).max() <= 1e-15
+        assert handed.state_ranks == public.state_ranks == (1, 3, 2)
+
+    def test_a_member_with_an_admitted_negative_eigenvalue_is_factored_by_eigh(self):
+        # Pivoted Cholesky would leave the -5e-11 direction's Schur complement,
+        # larger than RANK_TOL, out of the trace; eigh drops exactly it.
+        u = random_unitary(np.random.default_rng(62), 3)
+        rho = u @ np.diag([0.5, 0.5 + 5e-11, -5e-11]) @ u.conj().T
+        public = Ensemble(3, (rho, np.eye(3) / 3), np.array([0.5, 0.5]))
+        assert public.factor(0).tobytes() == checked_state(rho.copy()).tobytes()
+        assert public.state_ranks == (2, 3)
 
     @pytest.mark.parametrize("bad, message", BAD_STATES,
                              ids=["psd", "trace", "hermitian", "finite", "shape"])
     def test_raises_the_constructors_error(self, bad, message):
         states = (np.eye(2, dtype=complex) / 2, bad.astype(complex))
-        for build in (Ensemble, Ensemble._adopt):
-            with pytest.raises(StateError) as info:
-                build(2, states, np.array([0.5, 0.5]))
-            assert str(info.value) == message and info.value.index == 1
+        with pytest.raises(StateError) as info:
+            Ensemble(2, states, np.array([0.5, 0.5]))
+        assert str(info.value) == message and info.value.index == 1
+        if bad.shape == (2, 2):  # the reader's walker rejects another shape first
+            with pytest.raises(ValueError) as problem:
+                checked_state(bad.astype(complex))
+            assert f"state 1 {problem.value}" == message
 
 
 class TestPurify:

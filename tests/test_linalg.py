@@ -4,6 +4,9 @@ import pytest
 from maxconf.linalg import (
     hermitian_eigen,
     hermitize,
+    kept,
+    pivoted_factor,
+    psd_factor,
     support,
 )
 
@@ -65,36 +68,65 @@ class TestHermitianEigen:
         assert np.allclose(vals, [2.0, 1.0], atol=1e-12)
 
 
-class TestSupportInvSqrt:
+def inverse_root(supp, power):
+    """rho^{-power} on the support, from its kept eigenpairs."""
+    v = supp.eigenvectors
+    return (v / supp.eigenvalues ** power) @ v.conj().T
+
+
+class TestSupport:
     def test_identity(self):
-        assert np.allclose(support(np.eye(3)).inv_sqrt, np.eye(3), atol=1e-14)
+        supp = support(np.eye(3))
+        assert np.allclose(supp.eigenvalues, 1.0, atol=1e-14)
+        assert np.allclose(supp.projector, np.eye(3), atol=1e-14)
 
     def test_rank_deficient_diagonal(self):
-        r = support(np.diag([4.0, 0.0])).inv_sqrt
-        assert np.allclose(r, np.diag([0.5, 0.0]), atol=1e-14)
+        supp = support(np.diag([4.0, 0.0]))
+        assert np.allclose(supp.eigenvalues, [4.0], atol=1e-14)
+        assert np.allclose(inverse_root(supp, 0.5), np.diag([0.5, 0.0]), atol=1e-14)
+        assert np.allclose(supp.projector, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_sandwich_gives_support_projector(self):
         rng = np.random.default_rng(11)
         for dim, rank in ((3, 2), (4, 2), (5, 4)):
             m = random_psd(rng, dim, rank)
-            r = support(m).inv_sqrt
-            proj = support(m).projector
-            assert np.linalg.norm(r @ m @ r - proj) <= 1e-9
-            assert np.linalg.norm(hermitize(r) - r) <= 1e-12
-            assert support(m).rank == rank
+            supp = support(m)
+            r = inverse_root(supp, 0.5)
+            assert np.linalg.norm(r @ m @ r - supp.projector) <= 1e-9
+            assert supp.rank == rank
 
     def test_inverse_on_support(self):
         rng = np.random.default_rng(12)
         m = random_psd(rng, 4, 4)
-        assert np.linalg.norm(support(m).inv @ m - np.eye(4)) <= 1e-8
+        assert np.linalg.norm(inverse_root(support(m), 1.0) @ m - np.eye(4)) <= 1e-8
+
+    def test_factor_rebuilds_the_kept_part(self):
+        rng = np.random.default_rng(13)
+        m = random_psd(rng, 5, 3)
+        vals, vecs = np.linalg.eigh(m)
+        f = psd_factor(vals, vecs, kept(vals))
+        assert f.shape == (5, 3) and not f.flags.writeable
+        assert np.linalg.norm(f @ f.conj().T - m) <= 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("dim, rank", [(5, 1), (5, 3), (8, 8)])
+    def test_pivoted_factor_rebuilds_a_psd_matrix_of_known_rank(self, dim, rank):
+        m = random_psd(np.random.default_rng(14), dim, rank)
+        f = pivoted_factor(m, rank)
+        assert f.shape == (dim, rank) and not f.flags.writeable
+        assert np.linalg.norm(f @ f.conj().T - m) <= 1e-12 * np.linalg.norm(m)
+
+    def test_pivoted_factor_stops_without_a_positive_pivot(self):
+        f = pivoted_factor(np.diag([0.5, 0.0, 0.5]).astype(complex), 3)
+        assert f.shape == (3, 2)
+        assert np.abs(f @ f.conj().T - np.diag([0.5, 0.0, 0.5])).max() <= 1e-15
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="support"):
-            support(np.zeros((2, 2))).inv_sqrt
+            support(np.zeros((2, 2)))
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            support(np.diag([1.0, -0.1])).inv_sqrt
+            support(np.diag([1.0, -0.1]))
 
     def test_rank_tolerance_is_relative(self):
         # 1e-9 relative to a top eigenvalue of 1e6 stays in the support

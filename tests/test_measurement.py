@@ -15,12 +15,11 @@ from maxconf import (
     optimal_effect,
     simulate_measurement,
 )
-from maxconf import measurement
 from maxconf.linalg import hermitize, real_trace, support
-from maxconf.measurement import _SAMPLE_CHUNK
+from maxconf.measurement import _SAMPLE_CHUNK, outcome_table
 from maxconf.specio import read_spec
 
-from randomgen import ensemble_suite, random_effect, random_ensemble
+from randomgen import ensemble_suite, random_complete_pom, random_effect, random_ensemble, random_unitary
 from helpers import trine, trine_kets, worked, worked_bound
 
 
@@ -86,9 +85,10 @@ class TestMaxConfidence:
     def test_pure_and_mixed_formulas_agree_on_rank_one(self):
         # evaluate both branch formulas directly on pure members
         for ens in ensemble_suite(203, 20):
-            rho = ens.average
-            rinv = support(rho).inv
-            s = support(rho).inv_sqrt
+            supp = support(ens.average)
+            v, lam = supp.eigenvectors, supp.eigenvalues
+            rinv = (v / lam) @ v.conj().T
+            s = (v / np.sqrt(lam)) @ v.conj().T
             for j in range(ens.n_states):
                 if not ens.is_pure(j):
                     continue
@@ -246,6 +246,21 @@ class TestConfidenceReport:
             ConfidenceReport(((0, 0.5, 0.5, prob),), inconclusive)
 
 
+class TestOutcomeTable:
+    def test_matches_traces_against_the_formed_effects(self):
+        # Tr(rho_i E_k) through the factors, for complete_pom's effects and for
+        # a POM the public constructor factored, fail column last.
+        rng = np.random.default_rng(36)
+        for ens in ensemble_suite(210, 12):
+            poms = (complete_pom(ens), random_complete_pom(rng, ens.dim, 3),
+                    POM(((0, random_effect(rng, ens.dim)),)))
+            for pom in poms:
+                expected = [[real_trace(rho @ e) for _, e in pom.all_effects()] for rho in ens.states]
+                table = outcome_table(ens, pom)
+                assert table.shape == (ens.n_states, len(pom.all_effects()))
+                assert np.abs(table - np.array(expected)).max() <= 1e-12
+
+
 def one_shot_sample(ens, pom, trials, seed):
     """(outcome counts, correct counts) from a single (trials, 2) draw."""
     labelled = pom.all_effects()
@@ -276,12 +291,13 @@ def sampler_case(name):
     if name == "fail-only":
         return trine([0.2, 0.3, 0.5]), POM((), np.eye(2))
     # "overshoot": orthogonal members and diagonal effects that give member 0
-    # the outcome probabilities 0.3, 0.6, 0.1 and 0, whose running sum rounds
-    # above 1.0 before the last (fail) outcome
+    # the outcome probabilities 0.25, 0.45, 0.3 and 0 (each through its factor
+    # sqrt(0.25) and so on), whose running sum rounds above 1.0 before the
+    # last (fail) outcome
     ens = Ensemble(3, tuple(np.diag(row) for row in np.eye(3)), np.full(3, 1.0 / 3.0))
-    effects = [np.diag([0.3, 0.5, 0.2]), np.diag([0.6, 0.25, 0.3]), np.diag([0.1, 0.25, 0.5])]
+    effects = [np.diag([0.25, 0.5, 0.2]), np.diag([0.45, 0.25, 0.3]), np.diag([0.3, 0.25, 0.5])]
     pom = POM(tuple(enumerate(effects)), np.eye(3) - effects[0] - effects[1] - effects[2])
-    prob = np.clip([real_trace(ens.states[0] @ e) for _, e in pom.all_effects()], 0.0, None)
+    prob = np.clip(outcome_table(ens, pom)[0], 0.0, None)
     assert np.cumsum(prob / prob.sum())[-2] > 1.0
     return ens, pom
 
@@ -413,11 +429,14 @@ class TestPomValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_effect_before_decomposing(self, monkeypatch, bad):
         # every comparison with NaN is false, so only an explicit check stops it
+        eigh = np.linalg.eigh
+
         def finite_only(m):
             assert np.all(np.isfinite(m)), "decomposed a non-finite matrix"
-            return np.linalg.eigh(m)[0]
+            return eigh(m)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+        monkeypatch.setattr(np.linalg, "eigh", finite_only)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: finite_only(m)[0])
         with pytest.raises(ValueError, match="^effect 0 has a non-finite entry$"):
             POM(((0, [[bad, 0.0], [0.0, 1.0]]),), None)
         with pytest.raises(ValueError, match="^effect 1 has a non-finite entry$"):
@@ -427,30 +446,39 @@ class TestPomValidation:
 
 
 class TestCompletePomKeepsEveryCheck:
-    """complete_pom hands the arrays it built to POM without a copy; the
-    checks of the public constructor still run on them."""
+    """complete_pom hands the factors it built to POM; an effect
+    t W_j W_j^dagger is Hermitian and PSD by construction, and the checks
+    that remain (finite factors, the fail effect's) still run."""
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            (np.array([[0.5, 0.5], [0.0, 0.5]]), "effect 0 is not Hermitian within relative tolerance 1e-09"),
-            (np.diag([1.0, -0.2]), "effect 0 is not positive semidefinite"),
-        ],
-        ids=["non-hermitian", "negative-eigenvalue"],
-    )
-    def test_bad_direction_raises_the_constructors_error(self, monkeypatch, bad, message):
-        original = measurement.optimal_effect
-
-        def direction(ens, j):
-            return bad.astype(np.complex128) if j == 0 else original(ens, j)
-
-        monkeypatch.setattr(measurement, "optimal_effect", direction)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_factor_raises_the_constructors_error(self, bad):
+        ens = trine()
+        bound, vectors = ens.top(1)
+        ens.__dict__["_tops"][1] = (bound, np.full_like(vectors, bad))
         with pytest.raises(ValueError) as public:
-            POM(((0, bad),), None)
-        with pytest.raises(ValueError) as owned:
-            complete_pom(trine())
-        assert str(public.value) == message
-        assert str(owned.value) == message
+            POM(((0, 0.25 * np.eye(2)), (1, np.diag([0.25, bad]))), None)
+        with pytest.raises(ValueError) as owned, np.errstate(invalid="ignore"):
+            complete_pom(ens)
+        assert str(public.value) == str(owned.value) == "effect 1 has a non-finite entry"
+
+    def test_a_turned_trine_completes_with_a_fail_effect_of_roundoff_size(self):
+        # no inconclusive outcome: the fail effect is roundoff, and the sum it
+        # completes is made exactly Hermitian so that it passes the relative check
+        u = random_unitary(np.random.default_rng(3), 2)
+        ens = Ensemble.from_pure([u @ k for k in trine_kets()], [1 / 3] * 3)
+        pom = complete_pom(ens)
+        assert np.abs(pom.fail).max() <= 1e-15
+        assert [r[2] for r in confidence_report(ens, pom).records] == pytest.approx([2 / 3] * 3, abs=1e-12)
+
+    def test_every_effect_is_hermitian_and_psd_and_the_fail_effect_completes_them(self):
+        for ens in ensemble_suite(214, 10):
+            pom = complete_pom(ens)
+            total = pom.fail.copy()
+            for _, e in pom.effects:
+                assert np.array_equal(e, e.conj().T) and not np.any(np.diag(e).imag)
+                assert np.linalg.eigvalsh(e)[0] >= -1e-12
+                total += e
+            assert np.linalg.norm(total - np.eye(ens.dim)) <= 1e-12
 
     @pytest.mark.parametrize(
         "make",
@@ -466,10 +494,10 @@ class TestCompletePomKeepsEveryCheck:
         pom = complete_pom(make())
         for _, e in pom.all_effects():
             assert not e.flags.writeable
-        again = POM(pom.effects, pom.fail)
+        again = POM(pom.effects, pom.fail)  # refactored by eigh: equal up to roundoff
         for (label, e), (label_again, e_again) in zip(pom.all_effects(), again.all_effects()):
             assert label == label_again
-            assert np.array_equal(e, e_again)
+            assert np.abs(e - e_again).max() <= 1e-14 * max(1.0, np.abs(e).max())
 
     def test_public_constructor_leaves_the_callers_arrays_alone(self):
         effect = np.array([[0.5, 1e-12], [0.0, 0.5]], dtype=np.complex128)
@@ -483,18 +511,24 @@ class TestCompletePomKeepsEveryCheck:
 
 
 def eager_complete_pom(ens):
-    """complete_pom as computed when the measurement kept every effect: all
-    directions built and summed, then scaled in place and symmetrized again."""
-    dirs = [optimal_effect(ens, j) for j in range(ens.n_states)]
+    """complete_pom as computed on d x d matrices: each direction
+    rho^{-1} p_j rho_j rho^{-1} (pure) or rho^{-1/2} P_max rho^{-1/2}
+    (mixed, P_max onto the top eigenspace of p_j rho^{-1/2} rho_j rho^{-1/2}),
+    scaled by 1 / gamma_max of their sum."""
+    supp = support(ens.average)
+    v, lam = supp.eigenvectors, supp.eigenvalues
+    rinv, s = (v / lam) @ v.conj().T, (v / np.sqrt(lam)) @ v.conj().T
+    dirs = []
+    for j, rho in enumerate(ens.states):
+        if ens.is_pure(j):
+            dirs.append(rinv @ (ens.priors[j] * rho) @ rinv)
+        else:
+            vals, vecs = np.linalg.eigh(hermitize(ens.priors[j] * (s @ rho @ s)))
+            top = vecs[:, vals >= vals[-1] * (1.0 - 1e-9)]
+            dirs.append(s @ top @ top.conj().T @ s)
     total = hermitize(sum(dirs))
     t = 1.0 / float(np.linalg.eigvalsh(total)[-1])
-    fail = hermitize(np.eye(ens.dim) - t * total)
-    for m in dirs + [fail]:
-        if m is not fail:
-            m *= t
-        m += m.conj().T
-        m /= 2
-    return dirs, fail
+    return [hermitize(t * m) for m in dirs], hermitize(np.eye(ens.dim) - t * total)
 
 
 REBUILT_CASES = pytest.mark.parametrize("make", [
@@ -520,13 +554,13 @@ class TestEffectsRebuiltOnRead:
             assert not e.flags.writeable and not again.flags.writeable
 
     @REBUILT_CASES
-    def test_effects_are_bit_identical_to_an_eager_completion(self, make):
+    def test_effects_match_an_eager_completion_on_matrices(self, make):
         effects, fail = eager_complete_pom(make())
         pom = complete_pom(make())
         labels = list(range(len(effects))) + [None]
         assert [label for label, _ in pom.all_effects()] == labels
         for (label, e), expected in zip(pom.all_effects(), effects + [fail]):
-            assert e.tobytes() == expected.tobytes(), label
+            assert np.abs(e - expected).max() <= 1e-12, label
 
     def test_all_effects_appends_fail_without_building_a_list(self):
         pom = complete_pom(trine())

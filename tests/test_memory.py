@@ -7,16 +7,20 @@ neither step holds the whole document as Python lists.  Both peaks stay
 within a small multiple of the file size, where holding the lists once
 costs more than 4x.  The spec is streamed in and the report streamed out,
 so neither the file's text nor the printed report is ever held whole:
-what remains is the ensemble, one member's text and a few d x d arrays,
-about 0.7x the file for the read and for the whole command, where holding
-the text cost 2x.
+what remains is the ensemble's factors, one member's text and a few d x d
+arrays, about 0.4x the file for the read and for the whole command, where
+holding the text cost 2x and holding every member 0.7x.
 
-Ensemble adopts the arrays read_spec decodes and validates them in place,
-so the read holds each member once: about 1.7x the states' bytes, where a
-validated copy of each member cost 2.1x.  complete_pom keeps no effect:
-each is rebuilt whenever it is read, so completing the measurement and
-reading every effect once peaks at about 7 effects' bytes whatever the
-number of members, where holding them all cost n + 7.
+The reader checks and factors each matrix member as it closes and drops
+the decoded array, so the ensemble holds only the factors F_j
+(rho_j = F_j F_j^dagger): after the read at most one member's bytes and
+the factors are held, and the peak is one member's text, nested lists
+and arrays, under the states' bytes, where adopting every decoded member
+cost 1.7x to 2x.  complete_pom keeps each effect as its factor and the
+fail effect, so completing the measurement and reading every effect once
+peaks at under 7 effects' bytes for up to 2d members, where holding them
+all cost n + 7.  simulate builds its outcome table from the factors,
+with no stacked copy of the states or the effects.
 """
 
 import contextlib
@@ -28,33 +32,43 @@ import numpy as np
 import pytest
 
 from maxconf import cli
-from maxconf.measurement import complete_pom
+from maxconf.measurement import complete_pom, simulate_measurement
 from maxconf.specio import matrix_to_json, read_spec
 
-from randomgen import random_ensemble
+from randomgen import random_ensemble, random_members
 
 PEAK_PER_FILE_BYTE = 3.0
 # Streamed: the read and the whole command hold less than the file.
-READ_PEAK_PER_FILE_BYTE = 0.8
-COMMAND_PEAK_PER_FILE_BYTE = 0.8
-# Adopted: the states once, plus one member's text and a few temporaries.
-READ_PEAK_PER_STATE_BYTE = 1.9
-# complete_pom against all its effects' bytes: a few d x d arrays, no effect.
-COMPLETE_POM_PEAK_PER_EFFECT_BYTE = 0.3
+READ_PEAK_PER_FILE_BYTE = 0.5
+COMMAND_PEAK_PER_FILE_BYTE = 0.5
+# Factored as read: one member's text, lists and arrays, and the factors.
+READ_PEAK_PER_STATE_BYTE = 1.0
+# The same peak at d=128 in units of one member's d x d bytes, whatever the
+# number of members: its text and nested lists take about 18.
+READ_PEAK_IN_MEMBERS = 20.0
+# complete_pom against all its effects' bytes: the factors and a few d x d arrays.
+COMPLETE_POM_PEAK_PER_EFFECT_BYTE = 0.2
 # complete_pom and one pass over its effects, in units of one effect's bytes.
-COMPLETE_POM_PEAK_IN_EFFECTS = 8.0
+COMPLETE_POM_PEAK_IN_EFFECTS = 7.0
+# A one-trial simulate against the states' bytes: the factors and the table.
+SIMULATE_PEAK_PER_STATE_BYTE = 0.25
 
 
 def _spec_file(ens, path):
+    return _members_file(ens.states, ens.priors, path)
+
+
+def _members_file(states, priors, path):
     doc = {
-        "dimension": ens.dim,
-        "states": [
-            {"prior": float(p), "matrix": matrix_to_json(rho)}
-            for p, rho in zip(ens.priors, ens.states)
-        ],
+        "dimension": len(states[0]),
+        "states": [{"prior": float(p), "matrix": matrix_to_json(rho)} for p, rho in zip(priors, states)],
     }
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _state_bytes(ens):
+    return ens.n_states * ens.dim * ens.dim * np.dtype(np.complex128).itemsize
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +129,45 @@ def test_read_spec_holds_each_member_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sum(rho.nbytes for rho in spec.ensemble.states)
+    size = _state_bytes(spec.ensemble)
     assert peak <= READ_PEAK_PER_STATE_BYTE * size, f"read_spec: {peak / size:.2f}x the states"
+
+
+def test_read_spec_holds_the_factors_and_at_most_one_member(tmp_path):
+    states, priors = random_members(np.random.default_rng(4), 128, [4] * 16)
+    path = _members_file(states, priors, tmp_path / "d128-n16-rank4.json")
+    del states
+    tracemalloc.start()
+    try:
+        spec = read_spec(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ens = spec.ensemble
+    factors = sum(ens.factor(j).nbytes for j in range(ens.n_states))
+    assert ens.state_ranks == (4,) * 16 and factors == _state_bytes(ens) // 32
+    one = _state_bytes(ens) // ens.n_states
+    assert held <= one + factors, f"read_spec holds {held} bytes"
+    assert peak <= READ_PEAK_IN_MEMBERS * one, f"read_spec peaks at {peak / one:.1f} members' bytes"
+
+
+def test_a_one_trial_simulate_holds_no_stacked_states_or_effects():
+    ens = random_ensemble(np.random.default_rng(5), 64, [1, 4] * 16)
+    pom = complete_pom(ens)
+    tracemalloc.start()
+    try:
+        simulate_measurement(ens, pom, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = _state_bytes(ens)
+    assert peak <= SIMULATE_PEAK_PER_STATE_BYTE * size, f"simulate: {peak / size:.2f}x the states"
 
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_complete_pom_and_a_pass_over_its_effects_hold_no_effect(n):
     ens = random_ensemble(np.random.default_rng(2), 32, [1, 4] * (n // 2))
-    # warm the cached support and bounds, which outlive the call
-    ens.support.inv, ens.support.inv_sqrt
+    # warm the cached factors, support and bounds, which outlive the call
     for j in range(ens.n_states):
         ens.top(j)
     tracemalloc.start()
@@ -141,13 +185,13 @@ def test_complete_pom_and_a_pass_over_its_effects_hold_no_effect(n):
 def test_complete_pom_holds_one_copy_of_each_effect():
     # at most: it now holds none, and its peak is a few d x d arrays
     ens = random_ensemble(np.random.default_rng(2), 32, [1, 4] * 16)
-    # warm the cached support, which outlives the call
-    ens.support.inv, ens.support.inv_sqrt
+    # warm the cached factors and support, which outlive the call
+    ens.support
     tracemalloc.start()
     try:
         pom = complete_pom(ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sum(e.nbytes for _, e in pom.all_effects())
+    size = (ens.n_states + 1) * ens.dim * ens.dim * np.dtype(np.complex128).itemsize
     assert peak <= COMPLETE_POM_PEAK_PER_EFFECT_BYTE * size, f"complete_pom: {peak / size:.2f}x"

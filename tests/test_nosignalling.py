@@ -159,6 +159,23 @@ class TestLeakage:
             assert abs(via_pair - state_leakage(cond.state, pd)) <= 1e-14
             assert via_pair <= 1e-10
 
+    def test_a_factor_pair_gives_the_conditional_of_its_matrix(self):
+        # A measurement's effects enter as (W, t), t W W^dagger never formed.
+        for ens in ensemble_suite(308, 8):
+            bs = purify(ens)
+            pd = allowed_subspace(bs)
+            effects = complete_pom(ens).effects
+            for label, w in zip(effects.labels, effects.factors):
+                pair, matrix = (w, effects.scale), effects.scale * (w @ w.conj().T)
+                via_pair = conditional_right_state(bs, pair)
+                cond = conditional_right_state(bs, matrix)
+                assert abs(via_pair.probability - cond.probability) <= 1e-12
+                assert np.abs(via_pair.state - cond.state).max() <= 1e-10
+                assert abs(confidence_bipartite(bs, pair, label) - confidence_bipartite(bs, matrix, label)) <= 1e-10
+                assert subspace_leakage(bs, pd, pair) <= 1e-10
+        with pytest.raises(ValueError, match="left system"):
+            conditional_right_state(purify(trine([0.5, 0.3, 0.2])), (np.ones((3, 1)), 1.0))
+
     def test_complement_projector_leaks_entirely(self):
         bs = worked_purification(0.4, 0.3)
         pd = allowed_subspace(bs)

@@ -29,36 +29,40 @@ SPECS = ("worked_example", "trine", "d16")
 
 # sha256 of `maxconf <command> fixtures/<spec>.json` text output (transform
 # with the diag(1, 0.5) filter, simulate with --trials 70001 --seed 5).
-# All equal the first release's output except worked_example pom, verify and
-# transform, where it printed the confidence 1.0000000000000002 that is now
-# clamped to 1.0, worked_example verify, whose schmidt_reconstruction is
-# now measured against the kept Schmidt space, and both verify outputs, whose
-# projector_gap, bound_gap and leakage moved in their last digits when the
-# allowed subspace became the support of the right marginal (every number
-# within 1e-14 of verify_before.json, see below).
+# Every hash moved in its last digits when the numbers came to be taken from
+# square-root factors: bounds, effects and traces from the member factors in
+# place of rho^{-1} and rho^{-1/2}, verify's conditional states through the
+# effect factors, and concentrate's filter from the SVD of the amplitude
+# matrix; every number is within 1e-14 of the values printed before
+# (test_parity.py, against outputs_before.json).  Earlier moves: worked_example
+# pom, verify and transform printed a confidence of 1.0000000000000002 that
+# is now clamped to 1.0, worked_example verify's schmidt_reconstruction is
+# measured against the kept Schmidt space, and both verify outputs moved when
+# the allowed subspace became the support of the right marginal (within 1e-14
+# of verify_before.json, see below).
 TEXT_SHA256 = {
     ("worked_example", "bound"):
-        "6681c3abc6b7fdefe59e9a8040dbd7d7b7568c6b070d55b39cd9a83d09d407b0",
+        "983adc65ae734a5afd8245842966be8efca4df61b320f90cbea7078e1da7c13d",
     ("worked_example", "pom"):
-        "8fb4d1df51a979ace4169a767be97483ee146f786442cd1af8671aefcb9f4de7",
+        "29110933f25d12c40f72a9e71c52d67ee6c6df0f55d0667839b7597548c158c9",
     ("worked_example", "verify"):
-        "1ce555b2e8d73ea280c01f812d1b00190c05ec4140dcdc5b6271753bddd65b3f",
+        "918b90baed82870a86639c98e3accdceaa55d45fac26438222a260f89cf8654f",
     ("worked_example", "concentrate"):
-        "dd4797865fa09ff208824ade9fccffa405e847db9f62025f2b35b6d9f56a47e3",
+        "81c286891cd6390e95342e8596ff1fba7103fe80714d2d8e6adb34ed3588fe2b",
     ("worked_example", "transform"):
-        "5dd01e6bea821f81bc035bd3af7057d677b0dcda9c5ab68e4fc62ad7eb307ea7",
+        "6dd5740c8b5cc5ff1123ac4ae4cd09881ed0a8a6629a8e8d3ef56cbfc8391022",
     ("trine", "bound"):
-        "e35a53358a9fa5350a5b5e5f792e4498b54455c2b67fdd7f38e2ad12e0807254",
+        "38eb15e395bf1feee6f223f877fa92e15a3d5de4114b3cb7486355e7805e5399",
     ("trine", "pom"):
-        "325d93fc445cfffd1b5111be029e9ac6671aa5a3147f1162dc60c2e7eca4bae8",
+        "a0f72109c89b255be28cdd0567dc0707d06f60dfd0a2681ef3dab3b703a633b3",
     ("trine", "verify"):
-        "a1d918c0fe440c1653bc5b8a678b93124664c12d1685eb2386533779af0ff4f4",
+        "645728b795096262fa1c3b041a5af4ceed59d5ad03395fce554aa5269de7dde9",
     ("trine", "concentrate"):
-        "2ccc466ce2ec00239ce0b1c357bd55d8e31ac0eec482b3971be2cdc52e1bacd9",
+        "a741bdb1973327cc78b6c03928197845843501616247dbfbec117a991fdf0f34",
     ("trine", "transform"):
-        "1eab758512e667577509cd106d842899c6b11dd9bdc32f509e780c44b8526b78",
+        "5b470386b48e596c3d1e4c884c6f0d709e7bb281021eac555b9c9df400cc78a6",
     ("trine", "simulate"):
-        "3716628ab6b86e0bec23a8e31244f53eb7295aa8f5dd1097330d1bdd8bd7fdaa",
+        "24acc6871b8f600df322e135453f25252b499862493c7da9e76ed28b0ed8eeb3",
 }
 
 
@@ -177,9 +181,10 @@ def test_verify_numbers_stay_within_1e_14_of_the_whitened_subspace(capsys, input
     assert _within(doc, VERIFY_BEFORE[spec]) == []
 
 
-# `maxconf verify fixtures/trine.json --tolerance 1e-30` in text: every gap is
-# above the tolerance, so exceeded lists ten names, each on a "-: " line.
-FAILING_VERIFY_SHA256 = "32d0569fe84026f1b39b70cb381ffad90d34c7032010e677d1d733d19712808f"
+# `maxconf verify fixtures/trine.json --tolerance 1e-30` in text: exceeded
+# lists every gap above the tolerance (all but the leakages that are exactly
+# 0.0), each on a "-: " line.
+FAILING_VERIFY_SHA256 = "4fab9450d69e079b9d7242e91fd2acbe5de70ac71b280c442d5cf1450bf5c8e9"
 
 
 def test_text_output_of_a_failing_verify_is_pinned(capsys):
@@ -199,16 +204,16 @@ def test_text_output_matches_the_reference_renderer(capsys, inputs, command):
 
 
 # sha256 of json.dumps(<command>_report(fixture), sort_keys=True), as built
-# before the trees held arrays.
+# from the factors.
 REPORT_SHA256 = {
     ("worked_example", "pom"):
-        "3e34bba63b422f1623e87e7a9a97cf5795c781c2632f9cfc898b97b6a1196c70",
+        "42a569830ab827e1a180a6cffe97c28445910bf1c553387f42cfb85a627dd988",
     ("worked_example", "concentrate"):
-        "3dd59aff6ae8c982e8b417d927929b3efee4ddde6bc23ad475d9eaf230eb3363",
+        "202ba491bc68218a459a112feeba809856d31e6d6c2d1dbfe83f28a5b87cf97e",
     ("trine", "pom"):
-        "494762906f2da3618d30ed83b9a3ba9e8422990a3233ec038fc8c3008c8214b6",
+        "2e6adf9a036d9492068759f8d60148c49e66eed6da04c13b075c73cbe02a1755",
     ("trine", "concentrate"):
-        "93484447a0ad5994fc84251288ab5f84ce7214326efdd7ff176fef0769e80750",
+        "d2b5f09d5dee4977961ac86d38af2f2ba8f0a51974e73a9e02d6f9f24908f61d",
 }
 
 

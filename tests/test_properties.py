@@ -5,12 +5,12 @@ The oracle is the top generalized eigenvalue of the pencil (p_j rho_j, rho)
 imports.  Examples are derandomized, so every run draws the same ensembles.
 
 The families are: overcomplete pure and mixed members, one prior possibly
-scaled down to 1e-4; linearly independent pure members; near-parallel
-pairs at a random orientation; a rank-2 member whose whitened top
-eigenspace is doubly degenerate; and a rank-deficient average.
-Near-parallel angles from 3e-6 to 1e-3 rad and priors of 1e-5 or less are
-left out only because the library's absolute roundoff slacks reject some
-of them; test_roundoff.py pins those rejections.
+scaled down to anywhere from 1e-4 to 1e-12; linearly independent pure
+members; near-parallel pairs at a random orientation, at any angle from
+1e-7 to 1e-1 rad; a member whose whitened top eigenspace is degenerate of
+multiplicity 2 or 3; a rank-deficient average; and a qutrit member with an
+eigenvalue as negative as the PSD slack admits beside a pure member on
+its null space.
 
 Besides bound, pom and verify, the paper's own claims run over every
 family: each bound's dual certificate, no signalling for random complete
@@ -29,7 +29,7 @@ from maxconf import (
     apply_kraus,
     complete_pom,
     concentrate,
-    confidence_of,
+    confidence_report,
     marginal_invariance,
     max_confidence,
     monotonicity_check,
@@ -47,7 +47,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
 TOL = 1e-9
-NEAR_PARALLEL_ANGLES = (1e-7, 3e-7, 1e-6, 1e-2, 1e-1)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +80,9 @@ def overcomplete(draw):
     priors = _priors(rng, len(ranks))
     small = draw(st.none() | st.integers(0, len(ranks) - 1))
     if small is not None:
-        priors *= (1.0 - 1e-4) / (priors.sum() - priors[small])
-        priors[small] = 1e-4
+        tiny = 10.0 ** draw(st.floats(-12.0, -4.0))
+        priors *= (1.0 - tiny) / (priors.sum() - priors[small])
+        priors[small] = tiny
     return Ensemble(dim, tuple(_state(rng, dim, r) for r in ranks), priors)
 
 
@@ -98,7 +98,7 @@ def independent(draw):
 @st.composite
 def near_parallel(draw):
     """Two equiprobable qubit kets theta rad apart, turned by a random unitary."""
-    theta = draw(st.sampled_from(NEAR_PARALLEL_ANGLES))
+    theta = 10.0 ** draw(st.floats(-7.0, -1.0))
     u = random_unitary(np.random.default_rng(draw(SEEDS)), 2)
     kets = [u @ np.array([1.0, 0.0]), u @ np.array([np.cos(theta), np.sin(theta)])]
     return Ensemble.from_pure(kets, [0.5, 0.5])
@@ -106,22 +106,24 @@ def near_parallel(draw):
 
 @st.composite
 def degenerate(draw):
-    """Member 0 is half the projector onto a random plane P.  Member 1 is
-    the same plus a random state on P's complement, and any further pure
-    members live on that complement, so the average is a multiple of the
-    identity on P and member 0's whitened top eigenspace is all of P."""
-    dim = draw(st.integers(3, 6))
+    """Member 0 is the maximally mixed state on a random m-plane P, m = 2
+    or 3.  Member 1 is the same plus a random state on P's complement, and
+    any further pure members live on that complement, so the average is a
+    multiple of the identity on P and member 0's whitened top eigenspace is
+    all of P."""
+    m = draw(st.integers(2, 3))
+    dim = draw(st.integers(m + 1, 6))
     rng = np.random.default_rng(draw(SEEDS))
     u = random_unitary(rng, dim)
-    plane, rest = u[:, :2], u[:, 2:]
+    plane, rest = u[:, :m], u[:, m:]
     w = 0.1 + 0.8 * rng.random()
-    tau = random_density(rng, dim - 2, int(rng.integers(1, dim - 1)))
+    tau = random_density(rng, dim - m, int(rng.integers(1, dim - m + 1)))
     states = [
-        _embedded(plane, np.eye(2) / 2),
-        _embedded(plane, w * np.eye(2) / 2) + (1 - w) * _embedded(rest, tau),
+        _embedded(plane, np.eye(m) / m),
+        _embedded(plane, w * np.eye(m) / m) + (1 - w) * _embedded(rest, tau),
     ]
     for _ in range(draw(st.integers(0, 2))):
-        states.append(_embedded(rest, _state(rng, dim - 2, 1)))
+        states.append(_embedded(rest, _state(rng, dim - m, 1)))
     return Ensemble(dim, tuple(states), _priors(rng, len(states)))
 
 
@@ -137,12 +139,26 @@ def rank_deficient(draw):
     return Ensemble(dim, states, _priors(rng, len(ranks)))
 
 
+@st.composite
+def negative_roundoff(draw):
+    """diag(1/2, 1/2 + eps, -eps) with eps up to the PSD slack of 1e-10, and a
+    pure member on its -eps direction, in a random basis: the factor drops
+    the negative eigenvalue, so both bounds are 1."""
+    eps = 10.0 ** draw(st.floats(-13.0, -10.0))
+    rng = np.random.default_rng(draw(SEEDS))
+    u = random_unitary(rng, 3)
+    states = (_embedded(u, np.diag([0.5, 0.5 + eps, -eps])), _embedded(u, np.diag([0.0, 0.0, 1.0])))
+    p = draw(st.floats(0.05, 0.95))
+    return Ensemble(3, states, np.array([p, 1.0 - p]))
+
+
 FAMILIES = {
     "overcomplete": overcomplete(),
     "independent": independent(),
     "near-parallel": near_parallel(),
     "degenerate": degenerate(),
     "rank-deficient": rank_deficient(),
+    "negative-roundoff": negative_roundoff(),
 }
 ENSEMBLES = st.one_of(*FAMILIES.values())
 
@@ -174,9 +190,12 @@ def test_bounds_lie_between_the_prior_and_one_and_match_the_oracle(scipy_linalg,
 @SETTINGS
 @given(ENSEMBLES)
 def test_the_completed_measurement_attains_every_bound_at_the_largest_scale(ens):
+    # Confidences are traces through the effect factors: a formed effect's
+    # entries grow like 1/theta^2 for kets theta apart, and a trace against
+    # it loses digits to match (confidence_of takes such a matrix).
     pom = complete_pom(ens)
-    for label, e in pom.effects:
-        assert abs(confidence_of(ens, e, label) - max_confidence(ens, label)) <= TOL
+    for label, _, achieved, _ in confidence_report(ens, pom).records:
+        assert abs(achieved - max_confidence(ens, label)) <= TOL
     # A larger scale than 1/gamma would push the fail effect's zero below zero.
     _, on_support = _kept_support(ens.average)
     assert abs(np.linalg.eigvalsh(on_support.conj().T @ pom.fail @ on_support)[0]) <= TOL
@@ -205,8 +224,8 @@ def test_verify_passes(ens):
 @SETTINGS
 @given(degenerate())
 def test_a_degenerate_top_eigenspace_is_taken_whole(ens):
-    _, vectors = ens.top(0)
-    assert vectors.shape == (ens.dim, 2)
+    _, vectors = ens.top(0)  # in the whitened coordinates of the support
+    assert vectors.shape == (ens.support.rank, ens.state_ranks[0])
 
 
 @SETTINGS

@@ -1,31 +1,40 @@
-"""One support factorization per matrix and one decomposition per member:
+"""One factorization per matrix and one decomposition per member:
 decomposition counts and independence.
 
-The measurement route reads the average state's support from the cached
-Ensemble.support and each member's bound and top eigenspace from
-Ensemble.top; the bipartite route behind verify computes its own.
+Each member is held as its factor, made by one eigh as the reader closes
+it (or, for the public constructor, by pivoted Cholesky on first use).
+The measurement route reads the average state's support, from one SVD of
+the stacked factors, from the cached Ensemble.support and each member's
+bound and top singular space from Ensemble.top; the bipartite route
+behind verify computes its own.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from maxconf import Ensemble, KrausOperator, max_confidence, optimal_effect, read_spec, reports, support
+from maxconf import Ensemble, KrausOperator, max_confidence, measurement, optimal_effect, read_spec, reports
+from maxconf.linalg import Support
+from maxconf.specio import matrix_to_json
 
-from randomgen import random_ensemble, random_kraus, random_unitary
+from randomgen import random_ensemble, random_kraus, random_members, random_unitary
 from helpers import trine, worked
 
 DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
 
-# Ceilings on eigh + eigvalsh + svd calls per report, for n members of which
-# m are mixed, all linear in n.  Later changes may only lower them.
+# Ceilings on eigh + eigvalsh + svd calls per report after construction, by
+# the public constructor or by read_spec, for n members of which m are
+# mixed, all linear in n.  Later changes may only lower them.  The
+# measurement route takes one SVD of the stacked factors, one small SVD per
+# mixed member, one SVD for the scale and one eigvalsh of the fail effect.
 CEILINGS = {
     "bound": lambda n, m: 1 + m,
-    "pom": lambda n, m: n + m + 3,
-    "verify": lambda n, m: 2 * n + 2 * m + 5,
-    "simulate": lambda n, m: n + m + 3,
-    "transform": lambda n, m: n + 2 * m + 2,
+    "pom": lambda n, m: m + 3,
+    "verify": lambda n, m: n + 2 * m + 5,
+    "simulate": lambda n, m: m + 3,
+    "transform": lambda n, m: 3 * m + 2,
     "concentrate": lambda n, m: n + 4,
 }
 
@@ -51,17 +60,68 @@ def decompositions(monkeypatch):
     return calls
 
 
+def read_members(tmp_path, dim, states, priors) -> Ensemble:
+    """The ensemble read_spec builds from the members written as matrices."""
+    doc = {"dimension": dim, "states": [
+        {"prior": float(p), "matrix": matrix_to_json(rho)} for p, rho in zip(priors, states)]}
+    path = tmp_path / "members.json"
+    path.write_text(json.dumps(doc))
+    return read_spec(str(path)).ensemble
+
+
+@pytest.mark.parametrize("built_by", ["constructor", "read_spec"])
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("command", sorted(REPORTS))
-def test_decompositions_per_report_are_linear_in_members(command, n, decompositions):
+def test_decompositions_per_report_are_linear_in_members(command, n, built_by, decompositions, tmp_path):
     rng = np.random.default_rng(n)
     ranks = [1 if j % 2 == 0 else 2 for j in range(n)]
-    ens = random_ensemble(rng, 16, ranks)
+    if built_by == "constructor":
+        ens = random_ensemble(rng, 16, ranks)
+    else:
+        ens = read_members(tmp_path, 16, *random_members(rng, 16, ranks))
     kraus = random_kraus(rng, 16, min_singular=0.3)
     decompositions.clear()
     REPORTS[command](ens, kraus)
     total = sum(decompositions.values())
     assert total <= CEILINGS[command](n, ranks.count(2)), dict(decompositions)
+
+
+@pytest.fixture
+def decomposed_shapes(monkeypatch):
+    """Shapes of the matrices numpy.linalg decomposes from now on."""
+    shapes = []
+    for name in DECOMPOSITIONS:
+        def recorded(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+def test_pom_decomposes_three_d_sized_matrices_and_one_small_block_per_mixed_member(
+        decomposed_shapes, tmp_path):
+    ranks = [1, 4] * 8
+    ens = read_members(tmp_path, 32, *random_members(np.random.default_rng(3), 32, ranks))
+    decomposed_shapes.clear()
+    reports.pom_report(ens)
+    blocks = [shape for shape in decomposed_shapes if shape == (ens.support.rank, 4)]
+    d_sized = [shape for shape in decomposed_shapes if shape not in blocks]
+    # the stacked factors (d x R), the scale's [W_1 ... W_n] and the fail effect
+    assert d_sized == [(32, sum(ranks)), (32, len(ranks)), (32, 32)]
+    # the whitened block G_j of each mixed member: support rank x r_j
+    assert blocks == [(ens.support.rank, 4)] * ranks.count(4)
+
+
+def test_the_public_constructor_checks_by_eigvalsh_and_factors_with_no_decomposition(decompositions):
+    states, priors = random_members(np.random.default_rng(4), 8, [1, 3, 2])
+    ens = Ensemble(8, states, priors)
+    assert dict(decompositions) == {"eigvalsh": 3}
+    decompositions.clear()
+    ens.factor(1), ens.factor(1), ens.states[1]
+    assert dict(decompositions) == {}
+    assert ens.state_ranks == (1, 3, 2)
+    ens.support
+    assert dict(decompositions) == {"svd": 1}
 
 
 def test_bound_and_effect_share_one_decomposition_per_member(decompositions):
@@ -72,6 +132,25 @@ def test_bound_and_effect_share_one_decomposition_per_member(decompositions):
         max_confidence(ens, j)
         optimal_effect(ens, j)
         assert sum(decompositions.values()) <= 1 + (rank > 1), dict(decompositions)
+
+
+def test_verify_forms_no_effect(monkeypatch):
+    # The marginal, the cross-picture gaps and the leakages take each
+    # conclusive outcome's conditional through its factor pair, and the
+    # confidence report its traces through the factors: verify reads no
+    # effect matrix.
+    reads = Counter()
+    getitem = measurement._Effects.__getitem__
+
+    def counted(self, k):
+        reads["effect"] += 1
+        return getitem(self, k)
+
+    monkeypatch.setattr(measurement._Effects, "__getitem__", counted)
+    ens = random_ensemble(np.random.default_rng(6), 8, [1, 2, 1, 3])
+    report, ok = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
+    assert ok and report["checks"]["fail_leakage"] is not None
+    assert reads == Counter()
 
 
 def near_parallel(theta):
@@ -90,9 +169,9 @@ VERIFY_CASES = pytest.mark.parametrize("build", [
 ], ids=["trine", "worked", "random-d8", "near-parallel-1e-6", "near-parallel-1e-7"])
 
 
-def _verify_fails_every_bound_gap(build, corrupt):
-    """verify passes on build(), then fails every bound_gap once corrupt has
-    changed a cache of the measurement route on a fresh build()."""
+def _verify_fails(build, corrupt, gap):
+    """verify passes on build(), then fails `gap` of every member once
+    corrupt has changed a cache of the measurement route on a fresh build()."""
     report, ok = reports.verify_report(build(), reports.DEFAULT_TOLERANCE)
     assert ok and report["status"] == "pass"
 
@@ -101,15 +180,34 @@ def _verify_fails_every_bound_gap(build, corrupt):
     report, ok = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
     assert not ok and report["status"] == "fail"
     for j in range(ens.n_states):
-        assert f"states[{j}].bound_gap" in report["exceeded"]
+        assert f"states[{j}].{gap}" in report["exceeded"]
 
 
 @VERIFY_CASES
 def test_verify_does_not_read_the_cached_support(build):
+    # The effects read U: turned by a fixed unitary, no effect attains its bound.
     def corrupt(ens):
-        ens.__dict__["support"] = support(1.01 * ens.average)
+        supp = ens.support
+        u = random_unitary(np.random.default_rng(9), ens.dim)
+        ens.__dict__["support"] = Support(supp.eigenvalues, u @ supp.eigenvectors)
 
-    _verify_fails_every_bound_gap(build, corrupt)
+    _verify_fails(build, corrupt, "achievability_gap")
+
+
+@VERIFY_CASES
+@pytest.mark.parametrize("part", ["U", "V"])
+def test_verify_does_not_read_the_stacked_svd(build, part):
+    # U is turned as above; the whitened blocks, the rows of V^dagger that the
+    # bounds read, are scaled by 0.99, which lowers every bound by 2%.
+    def corrupt(ens):
+        supp, blocks = ens._stacked_svd
+        if part == "U":
+            u = random_unitary(np.random.default_rng(9), ens.dim)
+            ens.__dict__["_stacked_svd"] = (Support(supp.eigenvalues, u @ supp.eigenvectors), blocks)
+        else:
+            ens.__dict__["_stacked_svd"] = (supp, [0.99 * g for g in blocks])
+
+    _verify_fails(build, corrupt, "achievability_gap" if part == "U" else "bound_gap")
 
 
 @VERIFY_CASES
@@ -118,7 +216,7 @@ def test_verify_does_not_read_the_cached_bounds(build):
         tops = [ens.top(j) for j in range(ens.n_states)]
         ens.__dict__["_tops"] = [(0.99 * bound, vectors) for bound, vectors in tops]
 
-    _verify_fails_every_bound_gap(build, corrupt)
+    _verify_fails(build, corrupt, "bound_gap")
 
 
 def _bounds_by_report(build, kraus):

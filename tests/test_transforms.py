@@ -14,7 +14,7 @@ from maxconf import (
     schmidt,
     two_step_filter,
 )
-from maxconf.linalg import dagger, hermitize, real_trace, support
+from maxconf.linalg import hermitize, real_trace, support
 from maxconf.measurement import confidence_of
 
 from randomgen import (
@@ -34,7 +34,7 @@ class TestKrausOperator:
     @pytest.mark.parametrize("small, rank", [(1e-8, 1), (1e-5, 2)])
     def test_rank_is_the_support_rank_of_the_gram_matrix(self, small, rank):
         a = KrausOperator(np.diag([1.0, small]))
-        assert a.rank == support(dagger(a.matrix) @ a.matrix).rank == rank
+        assert a.rank == support(a.matrix.conj().T @ a.matrix).rank == rank
 
     def test_zero_element_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -55,17 +55,20 @@ class TestKrausOperator:
 
 
 class TestApplyKraus:
-    def test_states_match_the_public_constructor_bit_for_bit(self):
+    def test_states_match_the_matrix_route(self):
+        # factors A F_i / sqrt(t_i), reduced by a thin SVD, against
+        # A rho_i A^dagger / Tr(rho_i A^dagger A) formed as matrices
         rng = np.random.default_rng(52)
         ens = random_ensemble(rng, 5, [1, 2, 3])
-        kraus = random_kraus(rng, 5, min_singular=0.3)
+        kraus = random_kraus(rng, 5, rank=4, min_singular=0.3)
         a = kraus.matrix
         gram = a.conj().T @ a
         out, _ = apply_kraus(ens, kraus)
         states = tuple(hermitize(a @ rho @ a.conj().T) / real_trace(rho @ gram) for rho in ens.states)
         public = Ensemble(ens.dim, states, out.priors)
-        for adopted, copied in zip(out.states, public.states):
-            assert adopted.tobytes() == copied.tobytes() and not adopted.flags.writeable
+        for factored, formed in zip(out.states, public.states):
+            assert np.abs(factored - formed).max() <= 1e-14 and not factored.flags.writeable
+        assert out.state_ranks == public.state_ranks == (1, 2, 3)
 
     def test_unitary_preserves_priors_and_rotates_states(self):
         rng = np.random.default_rng(51)
@@ -75,7 +78,7 @@ class TestApplyKraus:
             assert abs(p_succ - 1.0) <= 1e-10
             for j in range(ens.n_states):
                 assert abs(out.priors[j] - ens.priors[j]) <= 1e-10
-                rotated = u @ ens.states[j] @ dagger(u)
+                rotated = u @ ens.states[j] @ u.conj().T
                 assert np.abs(out.states[j] - rotated).max() <= 1e-10
 
     def test_projective_filter_by_hand(self):
@@ -98,7 +101,7 @@ class TestApplyKraus:
             a = random_kraus(rng, ens.dim, min_singular=0.2)
             out, p_succ = apply_kraus(ens, a)
             expected = sum(
-                p * np.trace(a.matrix @ rho @ dagger(a.matrix)).real
+                p * np.trace(a.matrix @ rho @ a.matrix.conj().T).real
                 for p, rho in zip(ens.priors, ens.states)
             )
             assert abs(p_succ - expected) <= 1e-10
@@ -163,7 +166,7 @@ class TestTwoStepFilter:
         flt = two_step_filter(ens)
         assert abs(flt.success_probability - 0.5) <= 1e-12
         assert np.abs(flt.fail_effect - np.diag([2.0 / 3.0, 0.0])).max() <= 1e-12
-        total = dagger(flt.kraus.matrix) @ flt.kraus.matrix + flt.fail_effect
+        total = flt.kraus.matrix.conj().T @ flt.kraus.matrix + flt.fail_effect
         assert np.abs(total - np.eye(2)).max() <= 1e-12
         assert np.abs(flt.ensemble.average - 0.5 * np.eye(2)).max() <= 1e-12
 
@@ -188,7 +191,7 @@ class TestTwoStepFilter:
             d = round(np.trace(supp).real)
             target = supp / d
             assert np.abs(flt.ensemble.average - target).max() <= 1e-10
-            total = dagger(flt.kraus.matrix) @ flt.kraus.matrix + flt.fail_effect
+            total = flt.kraus.matrix.conj().T @ flt.kraus.matrix + flt.fail_effect
             assert np.abs(total - np.eye(ens.dim)).max() <= 1e-10
             assert np.linalg.eigvalsh(flt.fail_effect)[0] >= -1e-12
 
