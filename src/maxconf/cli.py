@@ -2,14 +2,17 @@
 
 Reports go to standard output, diagnostics to standard error as one
 "warning: ..." or "error: ..." line each; an error raised after the
-inputs were read names its subcommand ("error: simulate: ...").  Exit codes:
-0 success, 1 verification failure, 2 input error.
+inputs were read names its subcommand ("error: simulate: ..."), and so does
+a standard output closed by its reader ("error: pom: [Errno 32] Broken
+pipe").  Exit codes: 0 success, 1 verification failure, 2 input error or
+failed output.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 
@@ -91,9 +94,17 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return run(args)
+            code = run(args)
+            sys.stdout.flush()
+            return code
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # The reader closed stdout: what is still buffered goes nowhere, so
+        # the flush at interpreter exit prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)

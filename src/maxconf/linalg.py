@@ -7,7 +7,8 @@ which eigenvalues count as zero, and within_psd_slack() what counts as
 positive.
 A PSD matrix is held as a factor F, F F^dagger rebuilt by gram():
 psd_factor() takes it from an eigendecomposition, pivoted_factor() from
-the matrix's own columns with no decomposition.
+the matrix's own columns with no decomposition.  An effect is read, as a
+matrix or as such a factor, only by sandwich().
 """
 
 from __future__ import annotations
@@ -131,6 +132,34 @@ def gram(f: np.ndarray, scale: float = 1.0) -> np.ndarray:
     m = f @ f.conj().T
     m *= scale
     return _readonly(_symmetrized(m))
+
+
+def sandwich(effect, a: np.ndarray, diagonal: bool = False, checked: bool = False) -> np.ndarray:
+    """a^T E^* a^*, the conjugate of a^dagger E a, for an effect E on the
+    left system that a's rows index; with diagonal, the real part of its
+    diagonal, one entry per column of a.
+
+    E comes as a d x d matrix or as the factor pair (W, t) of E = t W W^dagger,
+    read as t X^T X^* with X = W^dagger a, so that E is never formed.  This is
+    the one place where the two forms differ.  checked marks a caller's
+    effect: a matrix is validated by require_hermitian, and either form must
+    act on the left system.
+    """
+    pair = isinstance(effect, tuple)
+    if checked and not pair:
+        effect = require_hermitian(effect, name="effect")
+    if checked and len(effect[0] if pair else effect) != len(a):
+        raise ValueError("effect must act on the left system")
+    if not pair:
+        if diagonal:
+            g = effect @ a
+            return (a.real * g.real + a.imag * g.imag).sum(axis=0)  # Re a_c^dagger (E a_c)
+        return a.T @ effect.conj() @ a.conj()
+    w, t = effect
+    x = w.conj().T @ a
+    if diagonal:
+        return t * (x.real ** 2 + x.imag ** 2).sum(axis=0)
+    return t * (x.T @ x.conj())
 
 
 @dataclass(frozen=True, eq=False)

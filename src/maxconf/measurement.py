@@ -18,14 +18,13 @@ W_j W_j^dagger with W_j = U diag(1/s) T_j, T_j the top left singular space
 of G_j.  Scaling an effect changes outcome probabilities but never its
 confidence, so one overall scale t completes the collection into a
 measurement with an inconclusive remainder.  The completed measurement
-holds effect k as its factor, makes E_k = t W_k W_k^dagger only when it
-is read, takes every trace as t ||W_k^dagger F_i||^2, and keeps the fail
-effect as its only d x d matrix.
+hands out effect k as its factor pair (W_k, t), takes every trace as
+t ||W_k^dagger F_i||^2 (linalg.sandwich), and keeps the fail effect as its
+only d x d matrix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .linalg import (
     gram,
     hermitian_in_place,
     psd_factor,
-    require_hermitian,
+    sandwich,
     within_psd_slack,
 )
 
@@ -47,27 +46,6 @@ _OUTCOME_PROB_FLOOR = 1e-14
 _UNIT_SLACK = 1e-10
 # Trials sampled per block, so memory stays flat in the number of trials.
 _SAMPLE_CHUNK = 1 << 16
-
-
-class _Effects(Sequence):
-    """(label, read-only matrix) pairs: entry k is scale W_k W_k^dagger, made
-    from its factor when read, and an entry past the factors is the fail
-    effect, labelled None.  labels are read without making any matrix."""
-
-    def __init__(self, labels: tuple, factors: tuple, scale: float, fail=None):
-        self.labels = labels
-        self.factors = factors
-        self.scale = scale
-        self.fail = fail
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, k: int) -> tuple:
-        k = range(len(self.labels))[k]  # IndexError past the end ends iteration
-        if k == len(self.factors):
-            return None, self.fail
-        return self.labels[k], gram(self.factors[k], self.scale)
 
 
 def _finite_hermitian(m: np.ndarray, name: str) -> np.ndarray:
@@ -103,20 +81,19 @@ class POM:
     within 1e-9.
 
     The constructor validates a copy of each matrix it is given, so the
-    caller's arrays stay as they were, and keeps the factor of its
-    positive eigenvalues from the eigh that checks it.  The POM that
-    complete_pom returns holds the factors it built.  Either way effects
-    is a sequence, not a tuple, read one effect at a time, and every
-    matrix read from it is made from its factor, Hermitian and read-only;
-    effects.labels, effects.factors and effects.scale (the W_k and t of
-    E_k = t W_k W_k^dagger) are read without making any.
+    caller's arrays stay as they were.  It keeps effect k as the factor
+    pair (W_k, t) of E_k = t W_k W_k^dagger: W_k the factor of the positive
+    eigenvalues from the eigh that checks it, and t = 1.  The POM that
+    complete_pom returns holds the factors it built.  Either way effects is
+    a tuple of (label, (W_k, t)) and fail a read-only d x d matrix or None;
+    linalg.gram(W_k, t) makes an effect matrix.
     """
 
-    effects: Sequence
+    effects: tuple
     fail: np.ndarray | None = None
 
     def __post_init__(self):
-        labels, factors, total = [], [], None
+        effects, total = [], None
         for label, e in self.effects:
             h = _finite_hermitian(np.array(e, dtype=np.complex128), f"effect {label}")
             if total is None:
@@ -127,16 +104,15 @@ class POM:
             if not within_psd_slack(vals[0], 1.0):
                 raise ValueError(f"effect {label} is not positive semidefinite")
             total += h
-            labels.append(int(label))
-            factors.append(psd_factor(vals, vecs, vals > 0.0))
+            effects.append((int(label), (psd_factor(vals, vecs, vals > 0.0), 1.0)))
         fail = None if self.fail is None else np.array(self.fail, dtype=np.complex128)
         if total is None:
             if fail is None:
                 raise ValueError("a measurement needs at least one effect")
             total = np.zeros_like(fail)
-        self._set(_Effects(tuple(labels), tuple(factors), 1.0), _checked_fail(total, fail))
+        self._set(tuple(effects), _checked_fail(total, fail))
 
-    def _set(self, effects: _Effects, fail) -> "POM":
+    def _set(self, effects: tuple, fail) -> "POM":
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "fail", fail)
         return self
@@ -145,31 +121,20 @@ class POM:
     def complete(self) -> bool:
         return self.fail is not None
 
-    def all_effects(self) -> Sequence:
-        """effects with the fail effect appended last as label None: a
-        sequence like effects, whose matrices are made as they are read."""
-        e = self.effects
-        if self.fail is None:
-            return e
-        return _Effects(e.labels + (None,), e.factors, e.scale, self.fail)
+
+def _stacked_factors(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """[F_1 ... F_n] and the column where each member's block starts."""
+    members = [ens.factor(i) for i in range(ens.n_states)]
+    return np.hstack(members), np.cumsum([0] + [m.shape[1] for m in members[:-1]])
 
 
 def outcome_table(ens: Ensemble, pom: POM) -> np.ndarray:
-    """Tr(rho_i E_k), one row per member and one column per entry of
-    pom.all_effects(), taken through the member and effect factors."""
-    members = [ens.factor(i) for i in range(ens.n_states)]
-    f = np.hstack(members)
-    e = pom.effects
-    cols = [e.scale * _column_norms(w.conj().T @ f) for w in e.factors]
-    if pom.fail is not None:
-        g = pom.fail @ f
-        cols.append((f.real * g.real + f.imag * g.imag).sum(axis=0))  # Re f_c^dagger (fail f_c)
-    starts = np.cumsum([0] + [m.shape[1] for m in members[:-1]])
+    """Tr(rho_i E_k), one row per member and one column per effect, the
+    fail effect last when there is one, taken through the member factors."""
+    f, starts = _stacked_factors(ens)
+    outcomes = [e for _, e in pom.effects] + ([] if pom.fail is None else [pom.fail])
+    cols = [sandwich(e, f, diagonal=True) for e in outcomes]
     return np.add.reduceat(np.reshape(cols, (len(cols), f.shape[1])), starts, axis=1).T
-
-
-def _column_norms(m: np.ndarray) -> np.ndarray:
-    return (m.real ** 2 + m.imag ** 2).sum(axis=0)
 
 
 def _unit_interval(value: float, name: str) -> float:
@@ -185,15 +150,17 @@ def _posterior(numer: float, denom: float, j: int) -> float:
     return _unit_interval(float(numer / denom), f"confidence for state {j}")
 
 
-def confidence_of(ens: Ensemble, effect: np.ndarray, j: int) -> float:
-    """Posterior probability of state j given the outcome tied to `effect`.
+def confidence_of(ens: Ensemble, effect, j: int) -> float:
+    """Posterior probability of state j given the outcome tied to `effect`:
+    a d x d matrix, or the factor pair (W, t) of t W W^dagger in which
+    POM.effects and optimal_effect hand out an effect.
 
     Invariant under rescaling of the effect.  Raises when the outcome
     probability Tr(rho effect) is too small for the conditional to exist.
     """
-    e = require_hermitian(effect, name="effect")
-    joint = [p * np.vdot(f, e @ f).real for p, f in zip(ens.priors, map(ens.factor, range(ens.n_states)))]
-    return _posterior(joint[j], sum(joint), j)
+    f, starts = _stacked_factors(ens)
+    joint = ens.priors * np.add.reduceat(sandwich(effect, f, diagonal=True, checked=True), starts)
+    return _posterior(joint[j], joint.sum(), j)
 
 
 def max_confidence(ens: Ensemble, j: int) -> float:
@@ -207,9 +174,10 @@ def _whitening(ens: Ensemble) -> np.ndarray:
     return supp.eigenvectors / np.sqrt(supp.eigenvalues)
 
 
-def optimal_effect(ens: Ensemble, j: int) -> np.ndarray:
-    """W_j W_j^dagger, W_j = U diag(1/s) T_j: the effect attaining max_confidence(ens, j)."""
-    return gram(_whitening(ens) @ ens.top(j)[1])
+def optimal_effect(ens: Ensemble, j: int) -> tuple:
+    """(W_j, 1.0), W_j = U diag(1/s) T_j: the factor pair of the effect
+    W_j W_j^dagger attaining max_confidence(ens, j)."""
+    return _readonly(_whitening(ens) @ ens.top(j)[1]), 1.0
 
 
 def complete_pom(ens: Ensemble) -> POM:
@@ -229,12 +197,13 @@ def complete_pom(ens: Ensemble) -> POM:
         np.matmul(whitening, v, out=f)
         if not np.all(np.isfinite(f)):
             raise ValueError(f"effect {j} has a non-finite entry")
+        _readonly(f)
     del whitening
     t = 1.0 / float(np.linalg.svd(_readonly(w), compute_uv=False)[0]) ** 2
     total = gram(w, t)  # exactly Hermitian, so a fail effect of roundoff size is too
     fail = np.eye(ens.dim, dtype=np.complex128)
     fail -= total
-    effects = _Effects(tuple(range(ens.n_states)), tuple(factors), t)
+    effects = tuple((j, (f, t)) for j, f in enumerate(factors))
     return object.__new__(POM)._set(effects, _checked_fail(total, fail))
 
 
@@ -264,7 +233,7 @@ def confidence_report(ens: Ensemble, pom: POM) -> ConfidenceReport:
     joint = outcome_table(ens, pom) * ens.priors[:, None]  # p_i Tr(rho_i E_k)
     prob = joint.sum(axis=0)
     records = []
-    for k, label in enumerate(pom.effects.labels):
+    for k, (label, _) in enumerate(pom.effects):
         records.append(
             (label, max_confidence(ens, label), _posterior(joint[label, k], prob[k], label), float(prob[k]))
         )
@@ -341,7 +310,7 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
             joint[i] += np.bincount(outcome, minlength=n_out)
 
     outcome_counts = joint.sum(axis=0)
-    labels = pom.effects.labels
+    labels = tuple(label for label, _ in pom.effects)
     correct = [int(joint[label, k]) for k, label in enumerate(labels)]
     freqs = [
         hits / int(outcome_counts[k]) if outcome_counts[k] > 0 else None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import BipartiteState, SubspaceProjector
-from .linalg import frobenius, hermitize, real_trace, require_hermitian
+from .linalg import frobenius, hermitize, real_trace, sandwich
 
 _PROB_FLOOR = 1e-14
 
@@ -32,26 +32,15 @@ class ConditionalRightState:
     probability: float
 
 
-def _unnormalized_conditional(bs: BipartiteState, effect) -> np.ndarray:
-    # Tr_L[|Psi><Psi| (Pi tensor I)] in terms of the amplitude matrix A:
-    # A^T Pi^* A^*, or t X^T X^* with X = W^dagger A for the pair (W, t),
-    # which never forms Pi.
-    if isinstance(effect, tuple):
-        w, t = effect
-        x = w.conj().T @ bs.amplitudes
-        return t * (x.T @ x.conj())
-    return bs.amplitudes.T @ effect.conj() @ bs.amplitudes.conj()
-
-
 def conditional_right_state(bs: BipartiteState, effect) -> ConditionalRightState:
     """Right-side state given the outcome of effect Pi: a d x d matrix, or
     the factor pair (W, t) of Pi = t W W^dagger, the form in which a
-    measurement holds its effects (POM.effects.factors and .scale)."""
-    pair = isinstance(effect, tuple)
-    e = effect if pair else require_hermitian(effect, name="effect")
-    if len(e[0] if pair else e) != len(bs.amplitudes):
-        raise ValueError("effect must act on the left system")
-    m = _unnormalized_conditional(bs, e)
+    measurement hands out its effects (POM.effects).
+
+    Tr_L[|Psi><Psi| (Pi tensor I)] is A^T Pi^* A^* in terms of the amplitude
+    matrix A (linalg.sandwich), which never forms Pi from a pair.
+    """
+    m = sandwich(effect, bs.amplitudes, checked=True)
     p = real_trace(m)
     if p <= _PROB_FLOOR:
         raise ValueError(f"outcome probability {p!r} too small: conditional undefined")
@@ -104,7 +93,6 @@ def marginal_invariance(bs: BipartiteState, pom) -> float:
     Each effect enters through its factor pair and the fail effect through
     its matrix.
     """
-    e = pom.effects
-    outcomes = [(w, e.scale) for w in e.factors] + ([] if pom.fail is None else [pom.fail])
-    total = sum(_unnormalized_conditional(bs, o) for o in outcomes)
+    outcomes = [e for _, e in pom.effects] + ([] if pom.fail is None else [pom.fail])
+    total = sum(sandwich(e, bs.amplitudes) for e in outcomes)
     return frobenius(hermitize(total) - bs.right_marginal())

@@ -30,7 +30,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .ensembles import purify, allowed_subspace, schmidt
-from .linalg import frobenius
+from .linalg import frobenius, gram
 from .measurement import (
     complete_pom,
     confidence_report,
@@ -85,7 +85,7 @@ def pom_tree(ens) -> dict:
     pom = complete_pom(ens)
     rep = confidence_report(ens, pom)
     states = []
-    for k, (label, bound, achieved, prob) in enumerate(rep.records):
+    for (label, bound, achieved, prob), (_, e) in zip(rep.records, pom.effects):
         states.append(
             {
                 "label": label,
@@ -94,7 +94,7 @@ def pom_tree(ens) -> dict:
                 "bound": bound,
                 "confidence": achieved,
                 "outcome_probability": prob,
-                "effect": lambda k=k: pom.effects[k][1],
+                "effect": lambda e=e: gram(*e),
             }
         )
     return {
@@ -126,9 +126,8 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
 
     rep = confidence_report(ens, pom)
     per_state = []
-    effects = pom.effects  # each through its factor pair: no effect matrix is made
-    for w, (label, bound, achieved, _) in zip(effects.factors, rep.records):
-        e = (w, effects.scale)
+    # each effect through its factor pair: no effect matrix is made
+    for (_, e), (label, bound, achieved, _) in zip(pom.effects, rep.records):
         entry = {
             "label": label,
             "bound": bound,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from maxconf import BipartiteState, Ensemble, SpecError, reports, specio
+from maxconf.linalg import gram
 
 
 def worked(p: float, q: float) -> Ensemble:
@@ -57,6 +58,17 @@ def trine(priors=None) -> Ensemble:
     if priors is None:
         priors = [1.0 / 3.0] * 3
     return Ensemble.from_pure(trine_kets(), priors)
+
+
+def effect_matrices(pom) -> list:
+    """(label, E_k) for each effect of pom, the matrix made from its factor
+    pair as the pom report prints it."""
+    return [(label, gram(*e)) for label, e in pom.effects]
+
+
+def outcome_matrices(pom) -> list:
+    """The matrices of pom's effects, then its fail effect when it has one."""
+    return [e for _, e in effect_matrices(pom)] + ([] if pom.fail is None else [pom.fail])
 
 
 def bell_state() -> BipartiteState:

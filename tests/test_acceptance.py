@@ -23,6 +23,7 @@ from maxconf import (
     schmidt,
     simulate_measurement,
 )
+from maxconf.linalg import gram
 from maxconf.nosignalling import (
     bound_bipartite,
     marginal_invariance,
@@ -74,9 +75,9 @@ def test_acceptance_2_optimal_effect_geometry():
         for p in GRID:
             for q in GRID:
                 ens = worked(p, q)
-                e0 = optimal_effect(ens, 0)
+                e0 = gram(*optimal_effect(ens, 0))
                 assert abs(psi.conj() @ e0 @ psi) <= 1e-12
-                e1 = optimal_effect(ens, 1)
+                e1 = gram(*optimal_effect(ens, 1))
                 vals, vecs = np.linalg.eigh(e1)
                 assert vals[0] <= 1e-12 * vals[-1]
                 u = np.array([1.0 - q, q])

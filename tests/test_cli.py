@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from maxconf import max_confidence, read_spec, reports
 from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
+from randomgen import random_ensemble
 
 WORKED = "fixtures/worked_example.json"
 TRINE = "fixtures/trine.json"
@@ -194,6 +199,42 @@ class TestErrors:
         code, _, err = run(capsys, "bound", str(bad))
         assert code == 2
         assert "priors sum to 1.1" in err
+
+    def test_a_spec_that_is_not_json_exits_two_with_the_parsers_message(self, capsys, tmp_path):
+        bad = tmp_path / "keys.json"
+        bad.write_text("{1: 2}")
+        code, out, err = run(capsys, "bound", str(bad))
+        assert code == 2 and out == ""
+        assert err == (f"error: {bad} is not valid JSON: Expecting property name enclosed "
+                       "in double quotes: line 1 column 2 (char 1)\n")
+
+    def test_a_kraus_element_of_another_dimension_exits_two(self, capsys, tmp_path):
+        kraus = tmp_path / "identity3.json"
+        kraus.write_text(json.dumps(matrix_to_json(np.eye(3))))
+        code, out, err = run(capsys, "transform", TRINE, "--kraus", str(kraus))
+        assert code == 2 and out == ""
+        assert err == "error: transform: operation element dimension mismatch\n"
+
+    def test_a_closed_stdout_pipe_exits_two_with_one_line(self, tmp_path):
+        # pom's machine output on this spec is far past the 64 KB pipe buffer,
+        # so the write is still going when the reader closes its end
+        ens = random_ensemble(np.random.default_rng(8), 32, [1] * 8)
+        spec = tmp_path / "d32.json"
+        spec.write_text(json.dumps({
+            "dimension": ens.dim,
+            "states": [{"prior": float(p), "matrix": matrix_to_json(rho)}
+                       for p, rho in zip(ens.priors, ens.states)],
+        }))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.Popen([sys.executable, "-m", "maxconf.cli", "pom", str(spec), "--output", "machine"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 2
+        assert err == "error: pom: [Errno 32] Broken pipe\n"
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from maxconf import (
     BipartiteState,
     Ensemble,
+    SchmidtDecomposition,
+    SubspaceProjector,
     allowed_subspace,
     purify,
     schmidt,
@@ -78,6 +82,17 @@ class TestEnsembleValidation:
     def test_from_pure_needs_a_state(self):
         with pytest.raises(ValueError, match="at least one state"):
             Ensemble.from_pure([], [])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Ensemble(0, (np.eye(2) / 2,), [1.0]), "dimension must be positive"),
+        (lambda: Ensemble(2, (), []), "ensemble needs at least one state"),
+        (lambda: Ensemble(2, (np.eye(2) / 2,), [0.5, 0.5]), "one prior per state required"),
+        (lambda: Ensemble.from_pure([np.ones(2), np.ones(3)], [0.5, 0.5]), "kets must share one dimension"),
+        (lambda: Ensemble.from_pure([np.ones(2), np.zeros(2)], [0.5, 0.5]), "zero ket"),
+    ], ids=["dimension", "no-state", "prior-count", "ket-dimensions", "zero-ket"])
+    def test_rejections_name_their_problem(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 BAD_STATES = [
@@ -283,6 +298,27 @@ class TestAllowedSubspace:
             kets = [u @ np.array([1.0, 0.0]), u @ np.array([np.cos(theta), np.sin(theta)])]
             pd = allowed_subspace(purify(Ensemble.from_pure(kets, [0.5, 0.5]))).matrix
             assert np.linalg.norm(pd @ pd - pd) <= 1e-14
+
+
+class TestSchmidtAndProjectorValidation:
+    # the Schmidt form of the Bell state, one entry spoilt at a time
+    @pytest.mark.parametrize("coefficients, left, right, message", [
+        ([1.0, 0.0], np.eye(2), np.eye(2), "Schmidt coefficients must be positive"),
+        ([0.5, 0.6], np.eye(2), np.eye(2), "Schmidt coefficients sum to 1.1"),
+        ([0.5, 0.5], np.diag([1.0, 2.0]), np.eye(2), "left Schmidt vectors are not orthonormal"),
+        ([0.5, 0.5], np.eye(2), np.ones((2, 2)), "right Schmidt vectors are not orthonormal"),
+    ], ids=["zero-coefficient", "sum", "left", "right"])
+    def test_schmidt_rejections(self, coefficients, left, right, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SchmidtDecomposition(np.array(coefficients), left.astype(complex), right.astype(complex))
+
+    @pytest.mark.parametrize("matrix, rank, message", [
+        (np.diag([1.0, 0.5]), 2, "projector is not idempotent within 1e-10"),
+        (np.diag([1.0, 0.0]), 2, "projector trace 1.0 does not match rank 2"),
+    ], ids=["idempotent", "trace"])
+    def test_projector_rejections(self, matrix, rank, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SubspaceProjector(matrix.astype(complex), rank)
 
 
 class TestBipartiteStateValidation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maxconf.linalg import (
+    as_matrix,
     hermitian_eigen,
     hermitize,
     kept,
@@ -19,6 +20,11 @@ def random_hermitian(rng, dim):
 def random_psd(rng, dim, rank):
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     return g @ g.conj().T
+
+
+def test_as_matrix_rejects_an_array_of_three_dimensions():
+    with pytest.raises(ValueError, match="^expected a matrix, got array of dimension 3$"):
+        as_matrix(np.zeros((2, 2, 2)))
 
 
 class TestHermitianEigen:

@@ -15,12 +15,12 @@ from maxconf import (
     optimal_effect,
     simulate_measurement,
 )
-from maxconf.linalg import hermitize, real_trace, support
+from maxconf.linalg import gram, hermitize, real_trace, support
 from maxconf.measurement import _SAMPLE_CHUNK, outcome_table
 from maxconf.specio import read_spec
 
 from randomgen import ensemble_suite, random_complete_pom, random_effect, random_ensemble, random_unitary
-from helpers import trine, trine_kets, worked, worked_bound
+from helpers import effect_matrices, outcome_matrices, trine, trine_kets, worked, worked_bound
 
 
 class TestConfidenceOf:
@@ -40,12 +40,14 @@ class TestConfidenceOf:
                 assert abs(a - b) <= 1e-12
 
     def test_optimal_effect_scale_freedom(self):
+        # as its factor pair (W, c) and as the matrix c W W^dagger
         for ens in ensemble_suite(212, 10):
             for j in range(ens.n_states):
-                e = optimal_effect(ens, j)
-                reference = confidence_of(ens, e, j)
+                w, t = optimal_effect(ens, j)
+                reference = confidence_of(ens, (w, t), j)
                 for c in (1e-3, 1.0, 1e3):
-                    assert abs(confidence_of(ens, c * e, j) - reference) <= 1e-12
+                    assert abs(confidence_of(ens, (w, c), j) - reference) <= 1e-12
+                    assert abs(confidence_of(ens, gram(w, c), j) - reference) <= 1e-12
 
     def test_confidence_beyond_roundoff_still_raises(self):
         # an indefinite "effect" gives a genuine 2.0, which is not clamped
@@ -132,16 +134,16 @@ class TestOptimalEffect:
     def test_effects_are_psd(self):
         for ens in ensemble_suite(207, 10):
             for j in range(ens.n_states):
-                vals = np.linalg.eigvalsh(optimal_effect(ens, j))
+                vals = np.linalg.eigvalsh(gram(*optimal_effect(ens, j)))
                 assert vals[0] >= -1e-10 * max(vals[-1], 1.0)
 
     def test_worked_example_directions(self):
         p, q = 0.4, 0.7
         ens = worked(p, q)
         psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        e0 = optimal_effect(ens, 0)
+        e0 = gram(*optimal_effect(ens, 0))
         assert abs(psi.conj() @ e0 @ psi) <= 1e-12
-        e1 = optimal_effect(ens, 1)
+        e1 = gram(*optimal_effect(ens, 1))
         u = np.array([1.0 - q, q])
         u = u / np.linalg.norm(u)
         vals, vecs = np.linalg.eigh(e1)
@@ -156,7 +158,7 @@ class TestCompletePom:
         # directions rho^{-1} p rho_j rho^{-1} = (4/3) |psi_j><psi_j| sum to
         # 2I, so t = 1/2 and each effect is (2/3) of a projector
         pom = complete_pom(trine())
-        for (label, e), ket in zip(pom.effects, trine_kets()):
+        for (label, e), ket in zip(effect_matrices(pom), trine_kets()):
             expected = (2.0 / 3.0) * np.outer(ket, ket.conj())
             assert np.abs(e - expected).max() <= 1e-12
         assert np.linalg.norm(pom.fail) <= 1e-10
@@ -164,7 +166,7 @@ class TestCompletePom:
     def test_resolves_identity(self):
         for ens in ensemble_suite(208, 25):
             pom = complete_pom(ens)
-            total = sum(e for _, e in pom.effects) + pom.fail
+            total = sum(outcome_matrices(pom))
             assert np.linalg.norm(total - np.eye(ens.dim)) <= 1e-9
             assert np.linalg.eigvalsh(pom.fail)[0] >= -1e-12
 
@@ -178,7 +180,7 @@ class TestCompletePom:
     def test_scale_is_maximal(self):
         # pushing the common scale any higher drives the fail effect negative
         for ens in ensemble_suite(210, 10):
-            dirs = [optimal_effect(ens, j) for j in range(ens.n_states)]
+            dirs = [gram(*optimal_effect(ens, j)) for j in range(ens.n_states)]
             total = sum(dirs)
             t = 1.0 / np.linalg.eigvalsh((total + total.conj().T) / 2)[-1]
             grown = np.eye(ens.dim) - (t * 1.001) * total
@@ -198,7 +200,7 @@ class TestCompletePom:
             inconclusive = np.trace(rho @ pom.fail).real
             assert abs(inconclusive - np.cos(2.0 * theta)) <= 1e-9
 
-            dirs = [optimal_effect(ens, j) for j in range(2)]
+            dirs = [gram(*optimal_effect(ens, j)) for j in range(2)]
             total = sum(dirs)
             best = None
             for t in np.linspace(0.0, 2.0, 4001):
@@ -229,7 +231,7 @@ class TestConfidenceReport:
     def test_requires_complete_pom(self):
         ens = trine()
         pom = complete_pom(ens)
-        bare = POM(pom.effects, None)
+        bare = POM(effect_matrices(pom), None)
         with pytest.raises(ValueError, match="complete"):
             confidence_report(ens, bare)
 
@@ -255,16 +257,16 @@ class TestOutcomeTable:
             poms = (complete_pom(ens), random_complete_pom(rng, ens.dim, 3),
                     POM(((0, random_effect(rng, ens.dim)),)))
             for pom in poms:
-                expected = [[real_trace(rho @ e) for _, e in pom.all_effects()] for rho in ens.states]
+                expected = [[real_trace(rho @ e) for e in outcome_matrices(pom)] for rho in ens.states]
                 table = outcome_table(ens, pom)
-                assert table.shape == (ens.n_states, len(pom.all_effects()))
+                assert table.shape == (ens.n_states, len(outcome_matrices(pom)))
                 assert np.abs(table - np.array(expected)).max() <= 1e-12
 
 
 def one_shot_sample(ens, pom, trials, seed):
     """(outcome counts, correct counts) from a single (trials, 2) draw."""
-    labelled = pom.all_effects()
-    prob = np.array([[real_trace(rho @ e) for _, e in labelled] for rho in ens.states])
+    matrices = outcome_matrices(pom)
+    prob = np.array([[real_trace(rho @ e) for e in matrices] for rho in ens.states])
     prob = np.clip(prob, 0.0, None)
     prob /= prob.sum(axis=1, keepdims=True)
     u = np.random.default_rng(seed).random((trials, 2))
@@ -273,7 +275,7 @@ def one_shot_sample(ens, pom, trials, seed):
     cum = np.cumsum(prob, axis=1)
     cum[:, -1] = 1.0
     outcome = (u[:, 1:] >= cum[prepared]).sum(axis=1)
-    counts = np.bincount(outcome, minlength=len(labelled))
+    counts = np.bincount(outcome, minlength=len(matrices))
     correct = [
         int(np.count_nonzero((outcome == k) & (prepared == label)))
         for k, (label, _) in enumerate(pom.effects)
@@ -381,7 +383,7 @@ class TestSimulate:
         ens = trine()
         pom = complete_pom(ens)
         with pytest.raises(ValueError, match="complete"):
-            simulate_measurement(ens, POM(pom.effects, None), 100, 0)
+            simulate_measurement(ens, POM(effect_matrices(pom), None), 100, 0)
 
     def test_trials_must_be_positive(self):
         ens = trine()
@@ -425,6 +427,14 @@ class TestPomValidation:
     def test_needs_some_effect(self):
         with pytest.raises(ValueError, match="at least one"):
             POM((), None)
+
+    def test_rejects_effects_of_different_dimensions(self):
+        with pytest.raises(ValueError, match="^effects must share one dimension$"):
+            POM(((0, 0.5 * np.eye(2)), (1, 0.5 * np.eye(3))), None)
+
+    def test_rejects_a_fail_effect_that_is_not_psd(self):
+        with pytest.raises(ValueError, match="^fail effect is not positive semidefinite$"):
+            POM(((0, np.diag([1.2, 0.5])),), np.diag([-0.2, 0.5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_effect_before_decomposing(self, monkeypatch, bad):
@@ -474,7 +484,7 @@ class TestCompletePomKeepsEveryCheck:
         for ens in ensemble_suite(214, 10):
             pom = complete_pom(ens)
             total = pom.fail.copy()
-            for _, e in pom.effects:
+            for _, e in effect_matrices(pom):
                 assert np.array_equal(e, e.conj().T) and not np.any(np.diag(e).imag)
                 assert np.linalg.eigvalsh(e)[0] >= -1e-12
                 total += e
@@ -492,11 +502,12 @@ class TestCompletePomKeepsEveryCheck:
     )
     def test_public_constructor_accepts_the_result(self, make):
         pom = complete_pom(make())
-        for _, e in pom.all_effects():
-            assert not e.flags.writeable
-        again = POM(pom.effects, pom.fail)  # refactored by eigh: equal up to roundoff
-        for (label, e), (label_again, e_again) in zip(pom.all_effects(), again.all_effects()):
-            assert label == label_again
+        assert not pom.fail.flags.writeable
+        for _, (w, _) in pom.effects:
+            assert not w.flags.writeable
+        again = POM(effect_matrices(pom), pom.fail)  # refactored by eigh: equal up to roundoff
+        assert [label for label, _ in again.effects] == [label for label, _ in pom.effects]
+        for e, e_again in zip(outcome_matrices(pom), outcome_matrices(again)):
             assert np.abs(e - e_again).max() <= 1e-14 * max(1.0, np.abs(e).max())
 
     def test_public_constructor_leaves_the_callers_arrays_alone(self):
@@ -506,8 +517,9 @@ class TestCompletePomKeepsEveryCheck:
         pom = POM(((0, effect),), fail)
         assert effect.flags.writeable and fail.flags.writeable
         assert np.array_equal(effect, before[0]) and np.array_equal(fail, before[1])
-        stored = pom.effects[0][1]
-        assert stored is not effect and np.array_equal(stored, stored.conj().T)
+        stored = gram(*pom.effects[0][1])
+        assert np.array_equal(stored, stored.conj().T)
+        assert np.abs(stored - hermitize(effect)).max() <= 1e-15
 
 
 def eager_complete_pom(ens):
@@ -540,33 +552,26 @@ REBUILT_CASES = pytest.mark.parametrize("make", [
 ], ids=["trine", "worked_example", "near_parallel", "seeded-mixed-d5", "seeded-mixed-d16"])
 
 
-class TestEffectsRebuiltOnRead:
-    """complete_pom keeps no effect arrays: each read rebuilds one."""
+class TestEffectPairs:
+    """complete_pom keeps no effect arrays: it hands out effect k as the
+    pair (W_k, t), and the pom report forms the matrix as gram(W_k, t)."""
 
     @REBUILT_CASES
-    def test_each_read_gives_the_same_read_only_array(self, make):
+    def test_each_effect_is_a_read_only_factor_pair_forming_the_same_matrix_twice(self, make):
         pom = complete_pom(make())
-        assert pom.effects.labels == tuple(range(len(pom.effects)))
-        for j, (label, e) in enumerate(pom.effects):
-            again = pom.effects[j][1]
-            assert label == j and again is not e
-            assert np.array_equal(e, again) and e.tobytes() == again.tobytes()
-            assert not e.flags.writeable and not again.flags.writeable
+        assert [label for label, _ in pom.effects] == list(range(len(pom.effects)))
+        scales = {t for _, (_, t) in pom.effects}
+        assert len(scales) == 1
+        for _, (w, t) in pom.effects:
+            assert not w.flags.writeable
+            e, again = gram(w, t), gram(w, t)
+            assert again is not e and e.tobytes() == again.tobytes()
+            assert not e.flags.writeable
 
     @REBUILT_CASES
     def test_effects_match_an_eager_completion_on_matrices(self, make):
         effects, fail = eager_complete_pom(make())
         pom = complete_pom(make())
-        labels = list(range(len(effects))) + [None]
-        assert [label for label, _ in pom.all_effects()] == labels
-        for (label, e), expected in zip(pom.all_effects(), effects + [fail]):
-            assert np.abs(e - expected).max() <= 1e-12, label
-
-    def test_all_effects_appends_fail_without_building_a_list(self):
-        pom = complete_pom(trine())
-        labelled = pom.all_effects()
-        assert not isinstance(labelled, (list, tuple))
-        assert len(labelled) == 4 and [label for label, _ in labelled] == [0, 1, 2, None]
-        assert labelled[-1][1] is pom.fail
-        with pytest.raises(IndexError):
-            labelled[4]
+        assert [label for label, _ in pom.effects] == list(range(len(effects)))
+        for e, expected in zip(outcome_matrices(pom), effects + [fail], strict=True):
+            assert np.abs(e - expected).max() <= 1e-12

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from maxconf import cli
+from maxconf.linalg import gram
 from maxconf.measurement import complete_pom, simulate_measurement
 from maxconf.specio import matrix_to_json, read_spec
 
@@ -174,7 +175,7 @@ def test_complete_pom_and_a_pass_over_its_effects_hold_no_effect(n):
     try:
         pom = complete_pom(ens)
         for _, e in pom.effects:
-            assert e.shape == (ens.dim, ens.dim)
+            assert gram(*e).shape == (ens.dim, ens.dim)  # each formed as pom prints it
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from maxconf import (
     optimal_effect,
     purify,
 )
-from maxconf.linalg import hermitize
+from maxconf.linalg import gram, hermitize
 from maxconf.nosignalling import (
     bound_bipartite,
     conditional_right_state,
@@ -24,6 +26,7 @@ from maxconf.nosignalling import (
 from randomgen import ensemble_suite, random_effect
 from helpers import (
     bell_state,
+    effect_matrices,
     trine,
     worked,
     worked_bound,
@@ -164,9 +167,9 @@ class TestLeakage:
         for ens in ensemble_suite(308, 8):
             bs = purify(ens)
             pd = allowed_subspace(bs)
-            effects = complete_pom(ens).effects
-            for label, w in zip(effects.labels, effects.factors):
-                pair, matrix = (w, effects.scale), effects.scale * (w @ w.conj().T)
+            for label, pair in complete_pom(ens).effects:
+                w, t = pair
+                matrix = t * (w @ w.conj().T)
                 via_pair = conditional_right_state(bs, pair)
                 cond = conditional_right_state(bs, matrix)
                 assert abs(via_pair.probability - cond.probability) <= 1e-12
@@ -175,6 +178,18 @@ class TestLeakage:
                 assert subspace_leakage(bs, pd, pair) <= 1e-10
         with pytest.raises(ValueError, match="left system"):
             conditional_right_state(purify(trine([0.5, 0.3, 0.2])), (np.ones((3, 1)), 1.0))
+
+    @pytest.mark.parametrize("effect, message", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "effect is not Hermitian within relative tolerance 1e-09"),
+        (np.eye(3), "effect must act on the left system"),
+        ((np.ones((3, 1)), 1.0), "effect must act on the left system"),
+    ], ids=["not-hermitian", "matrix-dimension", "pair-dimension"])
+    def test_a_callers_effect_is_checked_on_both_routes(self, effect, message):
+        ens = trine()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            confidence_of(ens, effect, 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            conditional_right_state(purify(ens), effect)
 
     def test_complement_projector_leaks_entirely(self):
         bs = worked_purification(0.4, 0.3)
@@ -206,7 +221,7 @@ class TestMarginalInvariance:
         pom = complete_pom(ens)
         assert np.linalg.norm(pom.fail) > 0.1
         assert marginal_invariance(bs, pom) <= 1e-10
-        bare = POM(pom.effects, None)
+        bare = POM(effect_matrices(pom), None)
         deviation = marginal_invariance(bs, bare)
         assert abs(deviation - 0.264575131106459) <= 1e-9
 

@@ -254,7 +254,7 @@ def test_no_measurement_on_the_left_signals_to_the_right(ens, seed, outcomes):
     pd = allowed_subspace(bs)
     pom = random_complete_pom(np.random.default_rng(seed), ens.dim, outcomes)
     assert marginal_invariance(bs, pom) <= 1e-10
-    for _, e in pom.all_effects():
+    for e in [e for _, e in pom.effects] + [pom.fail]:
         assert subspace_leakage(bs, pd, e) <= 1e-10
 
 

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from maxconf import Ensemble, read_spec, reports
+from maxconf import Ensemble, complete_pom, confidence_of, optimal_effect, read_spec, reports
 from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
@@ -48,6 +48,20 @@ def test_verify_of_a_turned_pair_1e_3_rad_apart():
     report, ok = reports.verify_report(turned_pair(1e-3, 1), reports.DEFAULT_TOLERANCE)
     assert ok, report["exceeded"]
     assert max(state["achievability_gap"] for state in report["states"]) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [3e-6, 1e-5, 1e-4])
+def test_confidence_of_a_handed_out_effect_keeps_its_digits(theta):
+    # A formed effect's entries grow like 1/theta^2; confidence_of on
+    # complete_pom's effects as matrices raised "confidence for state 0 out
+    # of range" on 106, 88 and 78 of 200 reads at these angles.  It now reads
+    # the factor pairs that POM.effects and optimal_effect hand out.
+    for seed in range(100):
+        ens = turned_pair(theta, seed)
+        for label, e in complete_pom(ens).effects:
+            assert abs(confidence_of(ens, e, label) - 1.0) <= 1e-12
+        for j in range(ens.n_states):
+            assert abs(confidence_of(ens, optimal_effect(ens, j), j) - 1.0) <= 1e-12
 
 
 def test_pom_with_a_prior_of_1e_6():

@@ -165,6 +165,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="missing dimension"):
             read_spec(write_spec(tmp_path, doc))
 
+    @pytest.mark.parametrize("text", ["{}", "{ }"])
+    def test_an_empty_object_misses_its_dimension(self, tmp_path, text):
+        path = tmp_path / "empty.json"
+        path.write_text(text)
+        with pytest.raises(SpecError, match="^missing dimension$"):
+            read_spec(str(path))
+
     def test_bool_dimension_rejected(self, tmp_path):
         with pytest.raises(SpecError, match="positive integer"):
             read_spec(write_spec(tmp_path, qubit_spec(dimension=True)))

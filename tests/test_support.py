@@ -137,20 +137,23 @@ def test_bound_and_effect_share_one_decomposition_per_member(decompositions):
 def test_verify_forms_no_effect(monkeypatch):
     # The marginal, the cross-picture gaps and the leakages take each
     # conclusive outcome's conditional through its factor pair, and the
-    # confidence report its traces through the factors: verify reads no
-    # effect matrix.
-    reads = Counter()
-    getitem = measurement._Effects.__getitem__
+    # confidence report its traces through the factors: verify forms no
+    # effect matrix.  gram, the one way a factor pair becomes a matrix, runs
+    # once, on complete_pom's [W_1 ... W_n] for the fail effect.
+    formed = []
+    real_gram = measurement.gram
 
-    def counted(self, k):
-        reads["effect"] += 1
-        return getitem(self, k)
+    def counted(f, scale=1.0):
+        formed.append(f.shape)
+        return real_gram(f, scale)
 
-    monkeypatch.setattr(measurement._Effects, "__getitem__", counted)
+    for module in (measurement, reports):
+        monkeypatch.setattr(module, "gram", counted)
     ens = random_ensemble(np.random.default_rng(6), 8, [1, 2, 1, 3])
     report, ok = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
     assert ok and report["checks"]["fail_leakage"] is not None
-    assert reads == Counter()
+    columns = sum(ens.top(j)[1].shape[1] for j in range(ens.n_states))
+    assert formed == [(ens.dim, columns)]
 
 
 def near_parallel(theta):
