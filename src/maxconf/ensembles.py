@@ -30,10 +30,10 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    HERMITICITY_TOL,
     RANK_TOL,
     Support,
     _readonly,
+    _require_finite,
     as_matrix,
     fix_phase,
     frobenius,
@@ -41,6 +41,7 @@ from .linalg import (
     hermitian_in_place,
     hermitize,
     kept,
+    kept_svd,
     pivoted_factor,
     psd_factor,
     real_trace,
@@ -76,12 +77,10 @@ def checked_state(h: np.ndarray, factor: bool = True) -> np.ndarray:
     unit trace.  Returns its factor, from the eigh that checks it, or with
     factor false its rank, from eigvalsh.  Raises ValueError(StateError's problem).
     """
-    if not np.all(np.isfinite(h)):
-        raise ValueError("has a non-finite entry")
     try:
         hermitian_in_place(h)
-    except ValueError:
-        raise ValueError(f"is not Hermitian within relative tolerance {HERMITICITY_TOL}") from None
+    except ValueError as exc:
+        raise ValueError(str(exc).removeprefix("matrix ")) from None
     vals, vecs = np.linalg.eigh(h) if factor else (np.linalg.eigvalsh(h), None)
     if not within_psd_slack(vals[0], real_trace(h)):
         raise ValueError(f"is not positive semidefinite (most negative eigenvalue {float(vals[0])!r})")
@@ -184,10 +183,10 @@ class Ensemble:
             raise ValueError("ensemble needs at least one state")
         dim = kets[0].size
         factors = []
-        for k in kets:
+        for j, k in enumerate(kets):
             if k.size != dim:
                 raise ValueError("kets must share one dimension")
-            n = np.linalg.norm(k)
+            n = np.linalg.norm(_require_finite(k, f"ket {j}"))
             if n == 0.0:
                 raise ValueError("zero ket")
             factors.append((k / n)[:, None])
@@ -222,10 +221,9 @@ class Ensemble:
         """One SVD stacked() = U S V^dagger, kept rows only: the support (s^2, U)
         and, per member, its columns of V^dagger, which are its whitened block
         G_j = diag(1/s) U^dagger sqrt(p_j) F_j with no division by s."""
-        u, s, vh = np.linalg.svd(self.stacked(), full_matrices=False)
-        keep = kept(s * s)
+        u, s, vh = kept_svd(self.stacked())
         ends = np.cumsum(self.state_ranks)[:-1]
-        return Support(_readonly(s[keep] ** 2), _readonly(u[:, keep])), np.hsplit(_readonly(vh[keep]), ends)
+        return Support(_readonly(s ** 2), _readonly(u)), np.hsplit(_readonly(vh), ends)
 
     @cached_property
     def support(self) -> Support:
@@ -269,7 +267,7 @@ class BipartiteState:
     index_sets: tuple
 
     def __post_init__(self):
-        amps = as_matrix(np.array(self.amplitudes, dtype=np.complex128))
+        amps = as_matrix(_require_finite(np.array(self.amplitudes, dtype=np.complex128), "amplitude matrix"))
         n = np.linalg.norm(amps)
         if abs(n - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {float(n)!r} deviates from 1 beyond {_NORM_TOL}")
@@ -372,10 +370,8 @@ def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
     Only the kept squared singular values (linalg.kept) are Schmidt
     coefficients, so the rank is the support rank of the left marginal.
     """
-    u, s, vh = np.linalg.svd(bs.amplitudes, full_matrices=False)
-    lam = s * s
-    keep = kept(lam)
-    return SchmidtDecomposition(lam[keep], u[:, keep], vh[keep, :].T)
+    u, s, vh = kept_svd(bs.amplitudes)
+    return SchmidtDecomposition(s * s, u, vh.T)
 
 
 def allowed_subspace(bs: BipartiteState) -> SubspaceProjector:

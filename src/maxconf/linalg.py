@@ -3,8 +3,9 @@
 Operators are plain numpy arrays (complex128, row major).  Bipartite
 operators use the left-major composite index: basis state |a>_L |i>_R
 sits at row a * R + i, R the right-side dimension.  kept() alone decides
-which eigenvalues count as zero, and within_psd_slack() what counts as
-positive.
+which eigenvalues count as zero, kept_svd() cuts every SVD by it, and
+within_psd_slack() decides what counts as positive.  hermitian_in_place()
+is the one check of a caller's operator: finite, square, Hermitian.
 A PSD matrix is held as a factor F, F F^dagger rebuilt by gram():
 psd_factor() takes it from an eigendecomposition, pivoted_factor() from
 the matrix's own columns with no decomposition.  An effect is read, as a
@@ -34,8 +35,22 @@ def kept(spectrum: np.ndarray) -> np.ndarray:
     return spectrum > RANK_TOL * spectrum.max()
 
 
+def kept_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD m = U S V^dagger cut to the kept singular values, kept(s * s):
+    (U, s, V^dagger) with s descending."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = kept(s * s)
+    return u[:, keep], s[keep], vh[keep]
+
+
 def within_psd_slack(lowest: float, scale: float) -> bool:
     return lowest >= -PSD_TOL * scale
+
+
+def _require_finite(a, name: str):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return a
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -60,7 +75,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Validate that m is square and Hermitian, return its Hermitian part.
+    """Validate that m is finite, square and Hermitian, return its Hermitian part.
 
     The symmetrized matrix is returned so that downstream eigensolvers see
     an exactly Hermitian operand regardless of roundoff in the input.  It
@@ -71,9 +86,9 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
 
 def hermitian_in_place(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """require_hermitian for an array the caller owns: the same checks and
-    messages, then the Hermitian part, with hermitize's float operations,
-    is written over m and returned."""
-    arr = as_matrix(m)
+    messages, a non-finite entry first, then the Hermitian part, with
+    hermitize's float operations, is written over m and returned."""
+    arr = as_matrix(_require_finite(m, name))
     n, k = arr.shape
     if n != k:
         raise ValueError(f"{name} is not square: shape {arr.shape}")
@@ -142,11 +157,13 @@ def sandwich(effect, a: np.ndarray, diagonal: bool = False, checked: bool = Fals
     E comes as a d x d matrix or as the factor pair (W, t) of E = t W W^dagger,
     read as t X^T X^* with X = W^dagger a, so that E is never formed.  This is
     the one place where the two forms differ.  checked marks a caller's
-    effect: a matrix is validated by require_hermitian, and either form must
-    act on the left system.
+    effect: a matrix is validated by require_hermitian, a pair's W and t
+    must be finite, and either form must act on the left system.
     """
     pair = isinstance(effect, tuple)
-    if checked and not pair:
+    if checked and pair:
+        effect = tuple(_require_finite(x, "effect") for x in effect)
+    elif checked:
         effect = require_hermitian(effect, name="effect")
     if checked and len(effect[0] if pair else effect) != len(a):
         raise ValueError("effect must act on the left system")

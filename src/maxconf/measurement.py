@@ -32,6 +32,7 @@ import numpy as np
 from .ensembles import Ensemble
 from .linalg import (
     _readonly,
+    _require_finite,
     frobenius,
     gram,
     hermitian_in_place,
@@ -48,18 +49,12 @@ _UNIT_SLACK = 1e-10
 _SAMPLE_CHUNK = 1 << 16
 
 
-def _finite_hermitian(m: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has a non-finite entry")
-    return hermitian_in_place(m, name=name)
-
-
 def _checked_fail(total: np.ndarray, fail) -> np.ndarray | None:
     """POM's checks against total, the sum of the effects: a fail effect is
     finite, Hermitian (made so in place) and PSD and completes them to the
     identity; without one they must not exceed it."""
     if fail is not None:
-        fail = _readonly(_finite_hermitian(fail, "fail effect"))
+        fail = _readonly(hermitian_in_place(fail, "fail effect"))
         if not within_psd_slack(np.linalg.eigvalsh(fail)[0], 1.0):
             raise ValueError("fail effect is not positive semidefinite")
         residual = total + fail
@@ -95,7 +90,7 @@ class POM:
     def __post_init__(self):
         effects, total = [], None
         for label, e in self.effects:
-            h = _finite_hermitian(np.array(e, dtype=np.complex128), f"effect {label}")
+            h = hermitian_in_place(np.array(e, dtype=np.complex128), f"effect {label}")
             if total is None:
                 total = np.zeros_like(h)
             elif h.shape != total.shape:
@@ -146,7 +141,7 @@ def _unit_interval(value: float, name: str) -> float:
 
 def _posterior(numer: float, denom: float, j: int) -> float:
     if denom <= _OUTCOME_PROB_FLOOR:
-        raise ValueError(f"outcome probability {denom!r} too small: conditional undefined")
+        raise ValueError(f"outcome probability {float(denom)!r} too small: conditional undefined")
     return _unit_interval(float(numer / denom), f"confidence for state {j}")
 
 
@@ -195,9 +190,7 @@ def complete_pom(ens: Ensemble) -> POM:
     factors = np.hsplit(w, np.cumsum([v.shape[1] for v in tops[:-1]]))
     for j, (f, v) in enumerate(zip(factors, tops)):
         np.matmul(whitening, v, out=f)
-        if not np.all(np.isfinite(f)):
-            raise ValueError(f"effect {j} has a non-finite entry")
-        _readonly(f)
+        _readonly(_require_finite(f, f"effect {j}"))
     del whitening
     t = 1.0 / float(np.linalg.svd(_readonly(w), compute_uv=False)[0]) ** 2
     total = gram(w, t)  # exactly Hermitian, so a fail effect of roundoff size is too

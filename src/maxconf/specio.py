@@ -20,8 +20,12 @@ is in, so neither the file's bytes nor its whole text is ever held, and
 at most one member's text, nested lists and d x d array are alive at a
 time.  A valid file is decoded once; a file that is not JSON is read again
 whole only to give json.loads's own message.  Each member's ket or matrix
-is decoded to an array as its object closes; an entry that does not
-convert stays a list, and the per-entry readers name its first bad value.
+is decoded to an array as its object closes, as are a root ket or matrix
+and a bare Kraus matrix; an entry that does not convert stays a list, and
+the per-entry readers name its first bad value.  numpy reads true as 1.0,
+so the rule is per value, not per file: a member or root field whose own
+text holds a true or false literal stays a list for the per-entry readers,
+which reject the literal by name, and a literal elsewhere changes nothing.
 Kets are normalized on load (a warning fires when the correction exceeds
 1e-6) and are their own factors; priors are checked to sum to 1 within
 1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
@@ -72,8 +76,7 @@ class _NotJSON(Exception):
 class _Stream:
     """A JSON text read _READ_CHUNK characters at a time.
 
-    buf[pos:] is the text read but not yet consumed.  literals records
-    whether the text of a decoded value held a true or false literal.
+    buf[pos:] is the text read but not yet consumed.
     """
 
     def __init__(self, fh):
@@ -81,7 +84,6 @@ class _Stream:
         self.buf = ""
         self.pos = 0
         self.eof = False
-        self.literals = False
 
     def _read(self, want=1, stop=None):
         """Read chunks until the unconsumed text has at least `want`
@@ -113,14 +115,16 @@ class _Stream:
         self.pos += 1
         return c
 
-    def value(self, stop=None):
+    def value(self, stop=None, ndim=None):
         """The JSON value at the next character, read on until `stop` first.
 
-        A value without a true or false literal in its text that is an
-        object has its well-formed ket or matrix decoded to an array, as the
-        object closes.  A decode that fails, or a number that the text read
-        so far may continue ("1" of "1e-9"), reads on to twice the text and
-        starts again; at the end of the file the text is not JSON.
+        A value without a true or false literal in its text is decoded to an
+        array where it can be: an object has its well-formed ket or matrix
+        decoded as the object closes, and a list given the ndim of a ket or
+        matrix is decoded itself (_pair_array).  A decode that fails, or a
+        number that the text read so far may continue ("1" of "1e-9"), reads
+        on to twice the text and starts again; at the end of the file the
+        text is not JSON.
         """
         self.peek()
         if stop is not None and self.buf.find(stop, self.pos) < 0:
@@ -136,10 +140,11 @@ class _Stream:
                     raise _NotJSON from None
             self._read(want=2 * (len(self.buf) - self.pos) + 1)
         start, self.pos = self.pos, end
-        if self.buf.find("true", start, end) >= 0 or self.buf.find("false", start, end) >= 0:
-            self.literals = True
-        elif isinstance(value, dict):
-            _arrays_as_they_close(value)
+        if self.buf.find("true", start, end) < 0 and self.buf.find("false", start, end) < 0:
+            if isinstance(value, dict):
+                _arrays_as_they_close(value)
+            elif ndim is not None and isinstance(value, list):
+                value = _pair_array(value, ndim)
         return value
 
     def document(self):
@@ -147,7 +152,7 @@ class _Stream:
         tokenized here: each member, and every other value, is one value()."""
         if self.peek() != "{":
             self._read(want=math.inf)  # a bare Kraus matrix is one value
-            doc = self.value()
+            doc = self.value(ndim=2)
         else:
             self.pos += 1
             doc = {}
@@ -159,11 +164,10 @@ class _Stream:
                         raise _NotJSON
                     key = self.value()
                     self.expect(":")
-                    doc[key] = self.members() if key == "states" and self.peek() == "[" else self.value()
+                    doc[key] = (self.members() if key == "states" and self.peek() == "["
+                                else self.value(ndim=_ARRAY_FIELDS.get(key)))
                     if self.expect(",}") == "}":
                         break
-            if not self.literals:
-                _arrays_as_they_close(doc)
         if self.peek():
             raise _NotJSON  # json.loads: extra data
         return doc
@@ -194,17 +198,16 @@ def _not_json(path):
 
 
 def _load_json(path):
-    """The parsed document, and whether its text holds a true or false literal.
+    """The parsed document.
 
     The file is streamed (see _Stream), so its text is never held whole.
-    Every well-formed ket or matrix in an object whose text holds no such
-    literal arrives as a float array of [re, im] pairs (see _pair_array).
+    Every well-formed ket or matrix whose value's text holds no true or
+    false literal arrives as a float array of [re, im] pairs (see _pair_array).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            stream = _Stream(fh)
             try:
-                return stream.document(), stream.literals
+                return _Stream(fh).document()
             except (_NotJSON, UnicodeDecodeError):
                 pass
         _not_json(path)
@@ -214,30 +217,27 @@ def _load_json(path):
 
 def _pair_array(entry, ndim: int):
     """A ket (ndim 1) or square matrix (ndim 2) of [re, im] pairs as a float
-    array of shape (k,) * ndim + (2,), or None when the entry is anything else:
-    not numbers, not finite, ragged, or of another shape."""
+    array of shape (k,) * ndim + (2,), or the entry itself when it is anything
+    else: not numbers, not finite, ragged, or of another shape."""
     try:
         arr = np.asarray(entry)
     except ValueError:  # ragged nesting
-        return None
+        return entry
     if (arr.ndim != ndim + 1 or arr.shape[-1] != 2 or len(set(arr.shape[:-1])) != 1
             or arr.dtype.kind not in "fiu"):
-        return None
+        return entry
     arr = np.asarray(arr, dtype=np.float64)
-    return arr if np.isfinite(arr).all() else None
+    return arr if np.isfinite(arr).all() else entry
 
 
-_ARRAY_FIELDS = (("ket", 1), ("matrix", 2))
+_ARRAY_FIELDS = {"ket": 1, "matrix": 2}
 
 
 def _arrays_as_they_close(obj: dict) -> dict:
     """json object_hook: replace a well-formed ket or matrix by its array."""
-    for key, ndim in _ARRAY_FIELDS:
-        value = obj.get(key)
-        if isinstance(value, list):
-            arr = _pair_array(value, ndim)
-            if arr is not None:
-                obj[key] = arr
+    for key, ndim in _ARRAY_FIELDS.items():
+        if isinstance(obj.get(key), list):
+            obj[key] = _pair_array(obj[key], ndim)
     return obj
 
 
@@ -281,24 +281,20 @@ def _matrix(entry, dim: int, field: str) -> np.ndarray:
     return np.vstack([_vector(row, dim, f"{field}[{k}]") for k, row in enumerate(entry)])
 
 
-def _complex_array(entry, dim: int, ndim: int, field: str, literals: bool) -> np.ndarray:
+def _complex_array(entry, dim: int, ndim: int, field: str) -> np.ndarray:
     """A ket (ndim 1) or matrix (ndim 2) of [re, im] pairs as a complex array.
 
-    The entry is the float array _load_json decoded, or a list: one numpy
-    conversion reads a well-formed list.  numpy reads a true among numbers
-    as 1.0, so a file holding a true/false literal goes through the
-    per-entry walkers, as does any entry that does not convert to finite
-    numbers of the right shape (a string, null, ragged or wrong-length
-    list); the walkers raise the message naming the first bad entry.
+    The entry is the float array _load_json decoded, or a list, which goes
+    through the per-entry walkers: one whose value's text holds a true or
+    false literal, which numpy would read as 1.0, or one that does not
+    convert to finite numbers of the right shape (a string, null, ragged or
+    wrong-length list).  The walkers raise the message naming the first bad
+    entry, and read a valid list to the bytes of the array.
     """
     if isinstance(entry, np.ndarray):
-        arr = entry
-    else:
-        arr = None if literals else _pair_array(entry, ndim)
-    if arr is not None and arr.shape[0] == dim:
-        return arr.view(np.complex128)[..., 0]
-    if isinstance(entry, np.ndarray):  # of another dimension
-        entry = entry.tolist()
+        if len(entry) == dim:
+            return entry.view(np.complex128)[..., 0]
+        entry = entry.tolist()  # of another dimension
     walk = _vector if ndim == 1 else _matrix
     return walk(entry, dim, field)
 
@@ -313,7 +309,7 @@ def read_spec(path) -> ParsedSpec:
     """Load an ensemble spec; each matrix is checked and factored as it is
     read, so each member is held once, as its factor, and a failed check
     is reported after every member is read."""
-    doc, literals = _load_json(path)
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise SpecError("spec root must be an object")
     if "dimension" not in doc:
@@ -344,7 +340,7 @@ def read_spec(path) -> ParsedSpec:
             raise SpecError(f"{field} needs exactly one of ket or matrix")
         if has_ket:
             field += ".ket"
-            v = _complex_array(entry["ket"], dim, 1, field, literals)
+            v = _complex_array(entry["ket"], dim, 1, field)
             norm = float(np.linalg.norm(v))
             if norm == 0.0:
                 raise SpecError(f"{field} is the zero vector")
@@ -358,7 +354,7 @@ def read_spec(path) -> ParsedSpec:
             if len(m) != dim:
                 raise SpecError(f"{field} must be a {dim} x {dim} matrix")
         else:
-            m = _complex_array(m, dim, 2, field, literals)
+            m = _complex_array(m, dim, 2, field)
             try:
                 m = checked_state(m)
             except ValueError as exc:
@@ -387,12 +383,12 @@ def read_spec(path) -> ParsedSpec:
 
 def load_kraus(path) -> KrausOperator:
     """Operation element from a JSON file holding one nested [re, im] matrix."""
-    doc, literals = _load_json(path)
+    doc = _load_json(path)
     if isinstance(doc, dict) and "matrix" in doc:
         doc = doc["matrix"]
     if not isinstance(doc, (list, np.ndarray)) or not len(doc):
         raise SpecError("kraus file must hold a square matrix of [re, im] pairs")
-    m = _complex_array(doc, len(doc), 2, "matrix", literals)
+    m = _complex_array(doc, len(doc), 2, "matrix")
     try:
         return KrausOperator(m)
     except ValueError as exc:

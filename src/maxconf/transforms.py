@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import BipartiteState, Ensemble
-from .linalg import Support, as_matrix, hermitize, kept
+from .ensembles import BipartiteState, Ensemble, schmidt
+from .linalg import _require_finite, as_matrix, hermitize, kept, kept_svd
 from .measurement import max_confidence
 
 _WEIGHT_TOL = 1e-10
@@ -37,9 +37,7 @@ class KrausOperator:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("operation element must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operation element has a non-finite entry")
-        s = np.linalg.svd(m, compute_uv=False)
+        s = np.linalg.svd(_require_finite(m, "operation element"), compute_uv=False)
         if s[0] == 0.0:
             raise ValueError("zero operation element")
         m = np.array(m)
@@ -70,9 +68,8 @@ def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
         if t_i <= _ANNIHILATION_FLOOR:
             raise ValueError(f"operation element annihilates state {i}")
         if af.shape[1] > 1:
-            u, sv, _ = np.linalg.svd(af, full_matrices=False)
-            keep = kept(sv * sv)
-            af = u[:, keep] * sv[keep]
+            u, sv, _ = kept_svd(af)
+            af = u * sv
         factors.append(af / np.sqrt(t_i))
     return Ensemble._of(ens.dim, tuple(factors), weights / success), success
 
@@ -118,13 +115,13 @@ def monotonicity_check(ens: Ensemble, transformed: Ensemble, tol: float = _EQUAL
     return tuple(records)
 
 
-def _flattening(supp: Support) -> tuple[KrausOperator, float, np.ndarray]:
-    """sqrt(lambda_min) rho^{-1/2}, its success probability lambda_min * D, the fail effect."""
-    v, lam = supp.eigenvectors, supp.eigenvalues
+def _flattening(lam: np.ndarray, v: np.ndarray) -> tuple[KrausOperator, float, np.ndarray]:
+    """sqrt(lambda_min) rho^{-1/2}, its success probability lambda_min * D, the
+    fail effect, for rho's kept eigenvalues lam (descending) and eigenvectors v."""
     lam_min = float(lam[-1])
     a = KrausOperator(np.sqrt(lam_min) * ((v / np.sqrt(lam)) @ v.conj().T))
     fail = hermitize(np.eye(v.shape[0]) - lam_min * ((v / lam) @ v.conj().T))
-    return a, min(lam_min * supp.rank, 1.0), fail  # lambda_min <= 1 / D
+    return a, min(lam_min * lam.size, 1.0), fail  # lambda_min <= 1 / D
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +143,7 @@ def two_step_filter(ens: Ensemble) -> TwoStepFilter:
     has one zero direction per lambda_min multiplicity, and the transformed
     average is the maximally mixed state on the support.
     """
-    a, p_succ, fail = _flattening(ens.support)
+    a, p_succ, fail = _flattening(ens.support.eigenvalues, ens.support.eigenvectors)
     transformed, _ = apply_kraus(ens, a)
     return TwoStepFilter(a, p_succ, fail, transformed)
 
@@ -166,16 +163,15 @@ def concentrate(bs: BipartiteState) -> ConcentrationResult:
 
     On success (probability lambda_min * D) the state becomes maximally
     entangled across its original Schmidt rank D.  The amplitude matrix is
-    the left marginal's factor, so one SVD A = U S V^dagger gives the
-    support (S^2, U) and the post-state U V^dagger / sqrt(D), exactly flat.
-    Product states cannot be concentrated.
+    the left marginal's factor, so its Schmidt decomposition (schmidt, one
+    SVD) gives the support (lambda, U) and the post-state U V^T / sqrt(D),
+    exactly flat.  Product states cannot be concentrated.
     """
-    u, s, vh = np.linalg.svd(bs.amplitudes, full_matrices=False)
-    rank = int(np.count_nonzero(kept(s * s)))
-    if rank < 2:
+    sch = schmidt(bs)
+    if sch.rank < 2:
         raise ValueError("cannot concentrate: Schmidt rank 1 (product state)")
-    a, p_succ, fail = _flattening(Support(s[:rank] ** 2, u[:, :rank]))
-    post = BipartiteState(u[:, :rank] @ vh[:rank] / np.sqrt(rank), bs.index_sets)
+    a, p_succ, fail = _flattening(sch.coefficients, sch.left_vectors)
+    post = BipartiteState(sch.left_vectors @ sch.right_vectors.T / np.sqrt(sch.rank), bs.index_sets)
     return ConcentrationResult(a, p_succ, fail, post)
 
 

@@ -108,7 +108,7 @@ def whole_file_load_json(path):
         doc = json.loads(text, parse_constant=specio._reject_constant, object_hook=hook)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
-    return doc, literals
+    return doc
 
 
 def outcome(load, path):

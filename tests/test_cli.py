@@ -282,6 +282,23 @@ class TestErrors:
         assert out == ""
         assert err == "error: concentrate: cannot concentrate: Schmidt rank 1 (product state)\n"
 
+    @pytest.mark.parametrize("command", ["pom", "verify", "simulate"])
+    def test_a_tiny_outcome_probability_is_printed_as_a_plain_float(self, capsys, tmp_path, command):
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps({
+            "dimension": 2,
+            "states": [
+                {"prior": 1e-15, "ket": [[1.0, 0.0], [0.0, 0.0]]},
+                {"prior": 1 - 1e-15, "ket": [[0.6, 0.0], [0.8, 0.0]]},
+            ],
+        }))
+        code, out, err = run(capsys, command, str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {command}: outcome probability 3.6000000000000033e-16 too small:"
+                       " conditional undefined\n")
+        assert "np.float64" not in err
+
     def test_input_error_keeps_its_field_path(self, capsys, tmp_path):
         spec = tmp_path / "bad_prior.json"
         spec.write_text(json.dumps({

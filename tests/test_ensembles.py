@@ -89,7 +89,9 @@ class TestEnsembleValidation:
         (lambda: Ensemble(2, (np.eye(2) / 2,), [0.5, 0.5]), "one prior per state required"),
         (lambda: Ensemble.from_pure([np.ones(2), np.ones(3)], [0.5, 0.5]), "kets must share one dimension"),
         (lambda: Ensemble.from_pure([np.ones(2), np.zeros(2)], [0.5, 0.5]), "zero ket"),
-    ], ids=["dimension", "no-state", "prior-count", "ket-dimensions", "zero-ket"])
+        (lambda: Ensemble.from_pure([np.ones(2), [np.nan, 1.0]], [0.5, 0.5]), "ket 1 has a non-finite entry"),
+        (lambda: Ensemble.from_pure([[np.inf, 1.0], np.ones(2)], [0.5, 0.5]), "ket 0 has a non-finite entry"),
+    ], ids=["dimension", "no-state", "prior-count", "ket-dimensions", "zero-ket", "nan-ket", "inf-ket"])
     def test_rejections_name_their_problem(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -315,13 +317,21 @@ class TestSchmidtAndProjectorValidation:
     @pytest.mark.parametrize("matrix, rank, message", [
         (np.diag([1.0, 0.5]), 2, "projector is not idempotent within 1e-10"),
         (np.diag([1.0, 0.0]), 2, "projector trace 1.0 does not match rank 2"),
-    ], ids=["idempotent", "trace"])
+        (np.full((2, 2), np.nan), 1, "projector has a non-finite entry"),
+    ], ids=["idempotent", "trace", "non-finite"])
     def test_projector_rejections(self, matrix, rank, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SubspaceProjector(matrix.astype(complex), rank)
 
 
 class TestBipartiteStateValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_amplitude_is_rejected_by_name(self, bad):
+        amps = np.eye(2, dtype=complex) / np.sqrt(2.0)
+        amps[1, 0] = bad
+        with pytest.raises(ValueError, match="^amplitude matrix has a non-finite entry$"):
+            BipartiteState(amps, ((0,), (1,)))
+
     def test_norm_enforced(self):
         amps = np.eye(2, dtype=complex)  # norm sqrt(2)
         with pytest.raises(ValueError, match="norm"):

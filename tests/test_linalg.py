@@ -6,8 +6,11 @@ from maxconf.linalg import (
     hermitian_eigen,
     hermitize,
     kept,
+    kept_svd,
     pivoted_factor,
     psd_factor,
+    require_hermitian,
+    sandwich,
     support,
 )
 
@@ -72,6 +75,56 @@ class TestHermitianEigen:
         m[0, 1] = 1e-13
         vals, _ = hermitian_eigen(m)
         assert np.allclose(vals, [2.0, 1.0], atol=1e-12)
+
+
+class TestKeptSvd:
+    @pytest.mark.parametrize("rows, cols, rank", [
+        (5, 3, 3), (3, 5, 3), (6, 6, 6), (8, 6, 2), (4, 9, 3), (7, 7, 1),
+    ])
+    def test_equals_the_hand_cut_bit_for_bit(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+        g = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        h = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        m = g @ h
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        keep = kept(s * s)
+        assert np.count_nonzero(keep) == rank
+        cut = kept_svd(m)
+        for mine, hand in zip(cut, (u[:, keep], s[keep], vh[keep])):
+            assert mine.shape == hand.shape and mine.tobytes() == hand.tobytes()
+
+    def test_drops_a_singular_value_below_the_cutoff(self):
+        # s^2 relative 1e-14 is dropped, 1e-10 kept: the cut is on s squared
+        m = np.diag([1.0, 1e-5, 1e-7]).astype(complex)
+        u, s, vh = kept_svd(m)
+        assert u.shape == (3, 2) and vh.shape == (2, 3)
+        assert s.tolist() == [1.0, 1e-5]
+
+
+class TestNonFiniteOperands:
+    """Every comparison with NaN is false, so only an explicit check names it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_matrix_is_rejected_before_its_other_checks(self, bad):
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            support(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            hermitian_eigen(np.array([[1.0, bad, 0.0], [0.0, 1.0, 0.0]]))
+        with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
+            require_hermitian(np.array([[1.0, bad], [0.0, 1.0]]), "effect")
+
+    @pytest.mark.parametrize("pair", [
+        (np.array([[np.nan], [1.0]]), 1.0),
+        (np.array([[np.inf], [1.0]]), 1.0),
+        (np.array([[1.0], [0.0]]), np.nan),
+        (np.array([[1.0], [0.0]]), np.inf),
+    ], ids=["nan-W", "inf-W", "nan-t", "inf-t"])
+    def test_a_factor_pair_is_rejected_when_checked(self, pair):
+        a = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
+            sandwich(pair, a, checked=True)
+        with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
+            sandwich(pair, a, diagonal=True, checked=True)
 
 
 def inverse_root(supp, power):

@@ -454,6 +454,13 @@ class TestPomValidation:
         with pytest.raises(ValueError, match="^fail effect has a non-finite entry$"):
             POM(((0, 0.5 * np.eye(2)),), [[0.5, bad], [bad, 0.5]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_effect_is_named_before_its_shape(self, bad):
+        with pytest.raises(ValueError, match="^effect 0 has a non-finite entry$"):
+            POM(((0, [[bad, 0.0, 0.0], [0.0, 1.0, 0.0]]),), None)
+        with pytest.raises(ValueError, match="^effect 1 has a non-finite entry$"):
+            POM(((0, 0.5 * np.eye(2)), (1, np.diag([0.25, 0.25, bad]))), None)
+
 
 class TestCompletePomKeepsEveryCheck:
     """complete_pom hands the factors it built to POM; an effect

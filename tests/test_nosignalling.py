@@ -191,6 +191,22 @@ class TestLeakage:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             conditional_right_state(purify(ens), effect)
 
+    def test_a_non_finite_effect_is_rejected_by_every_route(self):
+        ens = trine()
+        bs = purify(ens)
+        pd = allowed_subspace(bs)
+        message = "^effect has a non-finite entry$"
+        for effect in (np.array([[np.nan, 0.0], [0.0, 1.0]]), (np.array([[np.nan], [1.0]]), 1.0),
+                       (np.array([[1.0], [0.0]]), np.inf)):
+            with pytest.raises(ValueError, match=message):
+                conditional_right_state(bs, effect)
+            with pytest.raises(ValueError, match=message):
+                confidence_bipartite(bs, effect, 0)
+            with pytest.raises(ValueError, match=message):
+                subspace_leakage(bs, pd, effect)
+            with pytest.raises(ValueError, match=message):
+                confidence_of(ens, effect, 0)
+
     def test_complement_projector_leaks_entirely(self):
         bs = worked_purification(0.4, 0.3)
         pd = allowed_subspace(bs)

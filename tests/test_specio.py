@@ -281,7 +281,7 @@ class TestArrayParsing:
         entry = rng.normal(size=(5, 5, 2)).tolist()
         entry[0][1] = [-0.0, 3]
         entry[2][2] = [1, -0.0]
-        fast = specio._complex_array(entry, 5, 2, "m", literals=False)
+        fast = specio._complex_array(specio._pair_array(entry, 2), 5, 2, "m")
         assert fast.tobytes() == specio._matrix(entry, 5, "m").tobytes()
 
     def test_parse_decomposes_each_matrix_member_at_most_once(self, tmp_path, monkeypatch):
@@ -306,6 +306,43 @@ class TestArrayParsing:
                     monkeypatch.setattr(module, name, counted)
         read_spec(path)
         assert len(calls) <= len(states)
+
+    def test_a_literal_in_one_member_leaves_the_others_factored_as_they_close(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        states = [random_density(rng, 6, rank) for rank in (1, 2, 3, 6)]
+        doc = {
+            "dimension": 6,
+            "states": [{"prior": 0.25, "matrix": matrix_to_json(rho)} for rho in states],
+        }
+        plain = read_spec(write_spec(tmp_path, doc, "plain.json")).ensemble
+        doc["states"][1]["note"] = True
+        path = write_spec(tmp_path, doc, "noted.json")
+        factored, calls = [], []
+        real_factored = specio._factored
+
+        def recorded(member):
+            out = real_factored(member)
+            factored.append(isinstance(out["matrix"], np.ndarray) and out["matrix"].dtype == np.complex128)
+            return out
+
+        monkeypatch.setattr(specio, "_factored", recorded)
+        modules = [np.linalg] + [m for name, m in sys.modules.items() if name.startswith("maxconf")]
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        noted = read_spec(path).ensemble
+        assert factored == [True, False, True, True]
+        assert calls == ["eigh"] * len(states)
+        # the literal-bearing member is read by the walkers to the same bytes
+        for j in range(len(states)):
+            assert noted.factor(j).tobytes() == plain.factor(j).tobytes()
 
 
 class TestTolerance:
@@ -400,6 +437,8 @@ KRAUS_TEXTS = {
     "bare": json.dumps([[[1.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [0.25, 0.0]]]),
     "wrapped": json.dumps({"matrix": [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]], "note": "x"}),
     "wrapped, literal elsewhere": '{"unitary": true, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "wrapped, literal in a later field": '{"matrix": [[[0.5, -0.0], [0, 0.25]], [[-0.25, 1e-3], [1, 0]]],'
+                                         ' "checked": false}',
     "bare, literal inside": "[[[1, 0], [0, 0]], [[0, 0], [false, 0]]]",
     "wrapped, truncated": '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]',
 }
