@@ -14,9 +14,9 @@ with probability p_j, so measurements on the left realize discrimination
 of the ensemble while the right side keeps the record.
 
 An Ensemble holds member j as its factor F_j, rho_j = F_j F_j^dagger: a ket
-is its own factor, a matrix read from a spec is factored by the eigh that
-checks it, and one given to the constructor by pivoted Cholesky at the rank
-its eigvalsh check found.  support (one SVD of the stacked factors) and
+is its own factor, and a matrix, read from a spec or given to the
+constructor, is factored by pivoted Cholesky at the rank its eigvalsh check
+found (linalg._kept_factor).  support (one SVD of the stacked factors) and
 top(j) are made once, on first use, for the measurement route; the
 bipartite route computes its own.
 """
@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    RANK_TOL,
     Support,
+    _kept_factor,
     _readonly,
     _require_finite,
     as_matrix,
@@ -40,10 +40,7 @@ from .linalg import (
     gram,
     hermitian_in_place,
     hermitize,
-    kept,
     kept_svd,
-    pivoted_factor,
-    psd_factor,
     real_trace,
     require_hermitian,
     support,
@@ -71,52 +68,38 @@ class StateError(ValueError):
         self.problem = problem
 
 
-def checked_state(h: np.ndarray, factor: bool = True) -> np.ndarray:
+def _checked_state(h: np.ndarray) -> np.ndarray:
     """A member's checks on a square complex array the caller owns: finite,
     Hermitian (made exactly so in place), PSD within the slack at its trace,
-    unit trace.  Returns its factor, from the eigh that checks it, or with
-    factor false its rank, from eigvalsh.  Raises ValueError(StateError's problem).
+    unit trace.  Returns its factor at the rank of the eigvalsh that checks
+    it (linalg._kept_factor).  Raises ValueError(StateError's problem).
     """
     try:
         hermitian_in_place(h)
     except ValueError as exc:
         raise ValueError(str(exc).removeprefix("matrix ")) from None
-    vals, vecs = np.linalg.eigh(h) if factor else (np.linalg.eigvalsh(h), None)
+    vals = np.linalg.eigvalsh(h)
     if not within_psd_slack(vals[0], real_trace(h)):
         raise ValueError(f"is not positive semidefinite (most negative eigenvalue {float(vals[0])!r})")
     if abs(real_trace(h) - 1.0) > _TRACE_TOL:
         raise ValueError(f"has trace {real_trace(h)!r}, expected 1")
-    keep = kept(vals)
-    return psd_factor(vals, vecs, keep) if factor else int(np.count_nonzero(keep))
+    return _kept_factor(h, vals)
 
 
 class _States(Sequence):
-    """The states, each rebuilt as F_j F_j^dagger when read.  Holds each
-    factor or, until factor(j) is first asked for, the checked matrix, whose
-    rank is pending[j].  It is then factored by pivoted_factor, with no
-    decomposition, or by one eigh, as the reader does, when that leaves
-    more than RANK_TOL of its unit trace out, as eigenvalues in the PSD
-    slack or just below the rank cutoff can make it."""
+    """The states, read-only, each rebuilt as F_j F_j^dagger from its factor when read."""
 
-    def __init__(self, held, pending=None):
-        self._held = list(held)
-        self._pending = dict(pending or {})
+    def __init__(self, factors):
+        self._factors = tuple(_readonly(f) for f in factors)
 
     def __len__(self) -> int:
-        return len(self._held)
+        return len(self._factors)
 
     def factor(self, j: int) -> np.ndarray:
-        if j in self._pending:
-            h = self._held[j]
-            f = pivoted_factor(h, self._pending.pop(j))
-            if abs(real_trace(h) - np.vdot(f, f).real) > RANK_TOL:
-                vals, vecs = np.linalg.eigh(h)
-                f = psd_factor(vals, vecs, kept(vals))
-            self._held[j] = f
-        return self._held[j]
+        return self._factors[j]
 
     def __getitem__(self, j: int) -> np.ndarray:
-        return gram(self.factor(range(len(self._held))[j]))  # IndexError past the end ends iteration
+        return gram(self._factors[j])  # IndexError past the end ends iteration
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +107,8 @@ class Ensemble:
     """States rho_i with priors p_i on a d-dimensional system, validated on construction.
 
     The constructor checks a copy of each state (eigvalsh, which gives its
-    rank) and factors it on first use by pivoted Cholesky, so a member's
-    factor costs no decomposition (see _States).  read_spec, apply_kraus
+    rank) and factors it at once by pivoted Cholesky, with one eigh on
+    fallback (_checked_state), as read_spec does.  read_spec, apply_kraus
     and from_pure hand over factors with _of.  states is a read-only
     sequence rebuilt from the factors, so it can differ from the input by
     the eigenvalues the rank rule drops.
@@ -137,17 +120,16 @@ class Ensemble:
 
     def __post_init__(self):
         self._settle()
-        held, ranks = [], {}
+        factors = []
         for k, rho in enumerate(self.states):
             h = as_matrix(np.array(rho, dtype=np.complex128))
             if h.shape != (self.dim, self.dim):
                 raise StateError(k, f"has shape {h.shape}, expected ({self.dim}, {self.dim})")
             try:
-                ranks[k] = checked_state(h, factor=False)
+                factors.append(_checked_state(h))
             except ValueError as exc:
                 raise StateError(k, str(exc)) from None
-            held.append(_readonly(h))
-        object.__setattr__(self, "states", _States(held, ranks))
+        object.__setattr__(self, "states", _States(factors))
 
     @classmethod
     def _of(cls, dim: int, factors: tuple, priors) -> "Ensemble":
@@ -156,7 +138,7 @@ class Ensemble:
         for name, value in (("dim", dim), ("states", factors), ("priors", priors)):
             object.__setattr__(ens, name, value)
         ens._settle()
-        object.__setattr__(ens, "states", _States(_readonly(f) for f in factors))
+        object.__setattr__(ens, "states", _States(factors))
         return ens
 
     def _settle(self):

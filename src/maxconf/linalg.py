@@ -7,9 +7,10 @@ which eigenvalues count as zero, kept_svd() cuts every SVD by it, and
 within_psd_slack() decides what counts as positive.  hermitian_in_place()
 is the one check of a caller's operator: finite, square, Hermitian.
 A PSD matrix is held as a factor F, F F^dagger rebuilt by gram():
-psd_factor() takes it from an eigendecomposition, pivoted_factor() from
-the matrix's own columns with no decomposition.  An effect is read, as a
-matrix or as such a factor, only by sandwich().
+_kept_factor() makes it at the kept rank of the matrix's eigvalsh spectrum,
+from the matrix's own columns (one eigh only on fallback).  An effect is
+read, as a matrix or as such a factor, only by sandwich() and
+outcome_probability(), which decides when a conditional given it exists.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ HERMITICITY_TOL = 1e-9
 # PSD slack: the most negative eigenvalue may reach -PSD_TOL times the scale, the
 # trace for a (weighted) state, so rho_j and p_j rho_j agree, and 1 for an effect.
 PSD_TOL = 1e-10
+# A conditional given an outcome is undefined at or below this probability
+# relative to the effect's Frobenius norm, so rescaling an effect never decides it.
+CONDITIONAL_TOL = 1e-14
 
 
 def kept(spectrum: np.ndarray) -> np.ndarray:
@@ -115,18 +119,15 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(np.ascontiguousarray(vals[::-1])), _readonly(np.ascontiguousarray(vecs[:, ::-1]))
 
 
-def psd_factor(vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """F = vecs[:, keep] sqrt(vals[keep]): F F^dagger keeps the selected eigenpairs."""
-    return _readonly(vecs[:, keep] * np.sqrt(vals[keep]))
-
-
-def pivoted_factor(h: np.ndarray, rank: int) -> np.ndarray:
-    """F with F F^dagger = h for a PSD h of known rank, by pivoted Cholesky.
-
-    Each of at most `rank` steps takes the column of the largest remaining
-    diagonal entry of h - F F^dagger, so no d x d array is made.  It stops
-    early, with fewer columns, when no remaining diagonal entry is positive.
+def _kept_factor(h: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """F with F F^dagger = h, a checked Hermitian matrix, at the kept rank of
+    spectrum, its eigvalsh eigenvalues.  Pivoted Cholesky takes at most rank
+    columns, each at the largest remaining diagonal entry of h - F F^dagger,
+    so no d x d array is made, and stops when none is positive.  When that
+    leaves more than RANK_TOL of h's trace out, as eigenvalues in the PSD
+    slack or just below the cutoff can, F is the kept eigenpairs of one eigh.
     """
+    rank = int(np.count_nonzero(kept(spectrum)))
     f = np.zeros((len(h), rank), dtype=np.complex128)
     remaining = h.diagonal().real.copy()
     for s in range(rank):
@@ -139,6 +140,11 @@ def pivoted_factor(h: np.ndarray, rank: int) -> np.ndarray:
         col /= np.sqrt(remaining[k])
         remaining -= col.real ** 2 + col.imag ** 2
         remaining[k] = 0.0
+    trace = real_trace(h)
+    if abs(trace - np.vdot(f, f).real) > RANK_TOL * trace:
+        vals, vecs = np.linalg.eigh(h)
+        keep = kept(vals)
+        f = vecs[:, keep] * np.sqrt(vals[keep])
     return _readonly(f)
 
 
@@ -155,10 +161,11 @@ def sandwich(effect, a: np.ndarray, diagonal: bool = False, checked: bool = Fals
     diagonal, one entry per column of a.
 
     E comes as a d x d matrix or as the factor pair (W, t) of E = t W W^dagger,
-    read as t X^T X^* with X = W^dagger a, so that E is never formed.  This is
-    the one place where the two forms differ.  checked marks a caller's
-    effect: a matrix is validated by require_hermitian, a pair's W and t
-    must be finite, and either form must act on the left system.
+    read as t X^T X^* with X = W^dagger a, so that E is never formed.  This and
+    outcome_probability's norm are the two places where the forms differ.
+    checked marks a caller's effect: a matrix is validated by
+    require_hermitian, a pair's W and t must be finite, and either form must
+    act on the left system.
     """
     pair = isinstance(effect, tuple)
     if checked and pair:
@@ -177,6 +184,21 @@ def sandwich(effect, a: np.ndarray, diagonal: bool = False, checked: bool = Fals
     if diagonal:
         return t * (x.real ** 2 + x.imag ** 2).sum(axis=0)
     return t * (x.T @ x.conj())
+
+
+def outcome_probability(p: float, effect) -> float:
+    """p, the probability Tr(rho E) of the outcome of effect E, when a
+    conditional given it is defined: above CONDITIONAL_TOL times ||E||_F,
+    taken for a factor pair (W, t) as t ||W^dagger W||_F so that E is never
+    formed.  Raises ValueError otherwise."""
+    if isinstance(effect, tuple):
+        w, t = np.asarray(effect[0]), effect[1]
+        scale = abs(t) * frobenius(w.conj().T @ w)
+    else:
+        scale = frobenius(effect)
+    if p <= CONDITIONAL_TOL * scale:
+        raise ValueError(f"outcome probability {float(p)!r} too small: conditional undefined")
+    return p
 
 
 @dataclass(frozen=True, eq=False)

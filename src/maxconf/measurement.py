@@ -31,18 +31,18 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .linalg import (
+    _kept_factor,
     _readonly,
     _require_finite,
     frobenius,
     gram,
     hermitian_in_place,
-    psd_factor,
+    outcome_probability,
     sandwich,
     within_psd_slack,
 )
 
 _COMPLETENESS_TOL = 1e-9
-_OUTCOME_PROB_FLOOR = 1e-14
 # Roundoff tolerated outside [0, 1] on a confidence before it is an error.
 _UNIT_SLACK = 1e-10
 # Trials sampled per block, so memory stays flat in the number of trials.
@@ -77,8 +77,8 @@ class POM:
 
     The constructor validates a copy of each matrix it is given, so the
     caller's arrays stay as they were.  It keeps effect k as the factor
-    pair (W_k, t) of E_k = t W_k W_k^dagger: W_k the factor of the positive
-    eigenvalues from the eigh that checks it, and t = 1.  The POM that
+    pair (W_k, t) of E_k = t W_k W_k^dagger: W_k its factor at the rank of
+    the eigvalsh that checks it (linalg._kept_factor), and t = 1.  The POM that
     complete_pom returns holds the factors it built.  Either way effects is
     a tuple of (label, (W_k, t)) and fail a read-only d x d matrix or None;
     linalg.gram(W_k, t) makes an effect matrix.
@@ -95,11 +95,11 @@ class POM:
                 total = np.zeros_like(h)
             elif h.shape != total.shape:
                 raise ValueError("effects must share one dimension")
-            vals, vecs = np.linalg.eigh(h)
+            vals = np.linalg.eigvalsh(h)
             if not within_psd_slack(vals[0], 1.0):
                 raise ValueError(f"effect {label} is not positive semidefinite")
             total += h
-            effects.append((int(label), (psd_factor(vals, vecs, vals > 0.0), 1.0)))
+            effects.append((int(label), (_kept_factor(h, vals), 1.0)))
         fail = None if self.fail is None else np.array(self.fail, dtype=np.complex128)
         if total is None:
             if fail is None:
@@ -139,10 +139,8 @@ def _unit_interval(value: float, name: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _posterior(numer: float, denom: float, j: int) -> float:
-    if denom <= _OUTCOME_PROB_FLOOR:
-        raise ValueError(f"outcome probability {float(denom)!r} too small: conditional undefined")
-    return _unit_interval(float(numer / denom), f"confidence for state {j}")
+def _posterior(numer: float, denom: float, effect, j: int) -> float:
+    return _unit_interval(float(numer / outcome_probability(denom, effect)), f"confidence for state {j}")
 
 
 def confidence_of(ens: Ensemble, effect, j: int) -> float:
@@ -155,7 +153,7 @@ def confidence_of(ens: Ensemble, effect, j: int) -> float:
     """
     f, starts = _stacked_factors(ens)
     joint = ens.priors * np.add.reduceat(sandwich(effect, f, diagonal=True, checked=True), starts)
-    return _posterior(joint[j], joint.sum(), j)
+    return _posterior(joint[j], joint.sum(), effect, j)
 
 
 def max_confidence(ens: Ensemble, j: int) -> float:
@@ -226,10 +224,9 @@ def confidence_report(ens: Ensemble, pom: POM) -> ConfidenceReport:
     joint = outcome_table(ens, pom) * ens.priors[:, None]  # p_i Tr(rho_i E_k)
     prob = joint.sum(axis=0)
     records = []
-    for k, (label, _) in enumerate(pom.effects):
-        records.append(
-            (label, max_confidence(ens, label), _posterior(joint[label, k], prob[k], label), float(prob[k]))
-        )
+    for k, (label, effect) in enumerate(pom.effects):
+        achieved = _posterior(joint[label, k], prob[k], effect, label)
+        records.append((label, max_confidence(ens, label), achieved, float(prob[k])))
     return ConfidenceReport(tuple(records), float(prob[-1]))
 
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import BipartiteState, SubspaceProjector
-from .linalg import frobenius, hermitize, real_trace, sandwich
-
-_PROB_FLOOR = 1e-14
+from .linalg import frobenius, hermitize, outcome_probability, real_trace, sandwich
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,12 +36,11 @@ def conditional_right_state(bs: BipartiteState, effect) -> ConditionalRightState
     measurement hands out its effects (POM.effects).
 
     Tr_L[|Psi><Psi| (Pi tensor I)] is A^T Pi^* A^* in terms of the amplitude
-    matrix A (linalg.sandwich), which never forms Pi from a pair.
+    matrix A (linalg.sandwich), which never forms Pi from a pair.  Raises
+    when the outcome is too improbable for it (linalg.outcome_probability).
     """
     m = sandwich(effect, bs.amplitudes, checked=True)
-    p = real_trace(m)
-    if p <= _PROB_FLOOR:
-        raise ValueError(f"outcome probability {p!r} too small: conditional undefined")
+    p = outcome_probability(real_trace(m), effect)
     return ConditionalRightState(hermitize(m) / p, float(p))
 
 

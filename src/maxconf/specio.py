@@ -29,11 +29,11 @@ which reject the literal by name, and a literal elsewhere changes nothing.
 Kets are normalized on load (a warning fires when the correction exceeds
 1e-6) and are their own factors; priors are checked to sum to 1 within
 1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
-positive semidefinite, unit trace) with the constructor's checks
-(ensembles.checked_state) as their objects close and replaced by their
-factors, and a failed check is reported under the member's field path.
-The optional tolerance field overrides the verification default unless
-the command line sets one.  NaN and infinities are rejected.
+positive semidefinite, unit trace) and factored by the constructor's own
+routine (ensembles._checked_state) as their objects close, and a failed
+check is reported under the member's field path.  The optional tolerance
+field overrides the verification default unless the command line sets
+one.  NaN and infinities are rejected.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, checked_state
+from .ensembles import Ensemble, _checked_state
 from .transforms import KrausOperator
 
 _KET_NORM_WARN = 1e-6
@@ -247,7 +247,7 @@ def _factored(member):
     m = member.get("matrix") if isinstance(member, dict) else None
     with contextlib.suppress(ValueError):
         if isinstance(m, np.ndarray):
-            member["matrix"] = checked_state(m.view(np.complex128)[..., 0])
+            member["matrix"] = _checked_state(m.view(np.complex128)[..., 0])
     return member
 
 
@@ -356,7 +356,7 @@ def read_spec(path) -> ParsedSpec:
         else:
             m = _complex_array(m, dim, 2, field)
             try:
-                m = checked_state(m)
+                m = _checked_state(m)
             except ValueError as exc:
                 problem = problem or f"{field} {exc}"
         factors.append(m)

@@ -283,7 +283,9 @@ class TestErrors:
         assert err == "error: concentrate: cannot concentrate: Schmidt rank 1 (product state)\n"
 
     @pytest.mark.parametrize("command", ["pom", "verify", "simulate"])
-    def test_a_tiny_outcome_probability_is_printed_as_a_plain_float(self, capsys, tmp_path, command):
+    def test_a_tiny_outcome_probability_still_gives_a_report(self, capsys, tmp_path, command):
+        # The conclusive outcome of the 1e-15 member has probability 3.6e-16,
+        # far above 1e-14 times its effect's norm, so its conditional exists.
         spec = tmp_path / "tiny.json"
         spec.write_text(json.dumps({
             "dimension": 2,
@@ -292,12 +294,14 @@ class TestErrors:
                 {"prior": 1 - 1e-15, "ket": [[0.6, 0.0], [0.8, 0.0]]},
             ],
         }))
-        code, out, err = run(capsys, command, str(spec))
-        assert code == 2
-        assert out == ""
-        assert err == (f"error: {command}: outcome probability 3.6000000000000033e-16 too small:"
-                       " conditional undefined\n")
-        assert "np.float64" not in err
+        code, out, err = run(capsys, command, str(spec), "--output", "machine")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        if command == "verify":
+            assert doc["status"] == "pass"
+        else:
+            rows, key = (doc["states"], "confidence") if command == "pom" else (doc["outcomes"], "expected_confidence")
+            assert [0.0 <= row[key] <= 1.0 for row in rows] == [True, True]
 
     def test_input_error_keeps_its_field_path(self, capsys, tmp_path):
         spec = tmp_path / "bad_prior.json"

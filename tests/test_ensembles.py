@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -10,9 +11,13 @@ from maxconf import (
     SubspaceProjector,
     allowed_subspace,
     purify,
+    read_spec,
+    reports,
     schmidt,
 )
-from maxconf.ensembles import StateError, checked_state
+from maxconf.ensembles import StateError, _checked_state
+from maxconf.linalg import kept, require_hermitian
+from maxconf.specio import matrix_to_json
 
 from randomgen import ensemble_suite, random_bipartite, random_members, random_unitary
 from helpers import (
@@ -107,24 +112,37 @@ BAD_STATES = [
 
 
 class TestFactoredStates:
-    """Each member is held as its factor: the reader's check factors by one
-    eigh, the public constructor by pivoted Cholesky on first use."""
+    """Each member is held as its factor: the reader's check and the public
+    constructor both factor by pivoted Cholesky as the member is checked."""
 
     def test_reader_and_constructor_factors_give_the_same_states(self):
         rng = np.random.default_rng(61)
         states, priors = random_members(rng, 6, [1, 3, 2])
         owned = tuple(rho + 1e-13j * (rho - rho.T) for rho in states)  # Hermitian up to roundoff
         public = Ensemble(6, owned, priors)
-        factors = tuple(checked_state(rho.copy()) for rho in owned)
+        factors = tuple(_checked_state(rho.copy()) for rho in owned)
         handed = Ensemble._of(6, factors, priors)
         for j, (rho, mine) in enumerate(zip(states, factors)):
             assert handed.factor(j) is mine and not mine.flags.writeable
-            assert not public.factor(j).flags.writeable
+            assert public.factor(j).tobytes() == mine.tobytes() and not public.factor(j).flags.writeable
             rebuilt = public.states[j]
             assert not rebuilt.flags.writeable and np.array_equal(rebuilt, rebuilt.conj().T)
             assert np.abs(rebuilt - rho).max() <= 1e-15
             assert np.abs(rebuilt - handed.states[j]).max() <= 1e-15
         assert handed.state_ranks == public.state_ranks == (1, 3, 2)
+
+    @pytest.mark.parametrize("dim, ranks", [(8, [1, 3, 2, 4]), (16, [1, 3, 2, 4] * 2)])
+    def test_read_spec_and_the_constructor_hold_the_same_factors(self, tmp_path, dim, ranks):
+        states, priors = random_members(np.random.default_rng(dim), dim, ranks)
+        path = tmp_path / "members.json"
+        path.write_text(json.dumps({"dimension": dim, "states": [
+            {"prior": float(p), "matrix": matrix_to_json(rho)} for p, rho in zip(priors, states)]}))
+        read = read_spec(str(path)).ensemble
+        built = Ensemble(dim, states, read.priors)
+        for j in range(len(ranks)):
+            assert built.factor(j).tobytes() == read.factor(j).tobytes()
+        bounds = [[s["bound"].hex() for s in reports.bound_report(ens)["states"]] for ens in (read, built)]
+        assert bounds[0] == bounds[1]
 
     def test_a_member_with_an_admitted_negative_eigenvalue_is_factored_by_eigh(self):
         # Pivoted Cholesky would leave the -5e-11 direction's Schur complement,
@@ -132,7 +150,9 @@ class TestFactoredStates:
         u = random_unitary(np.random.default_rng(62), 3)
         rho = u @ np.diag([0.5, 0.5 + 5e-11, -5e-11]) @ u.conj().T
         public = Ensemble(3, (rho, np.eye(3) / 3), np.array([0.5, 0.5]))
-        assert public.factor(0).tobytes() == checked_state(rho.copy()).tobytes()
+        vals, vecs = np.linalg.eigh(require_hermitian(rho))
+        keep = kept(vals)
+        assert public.factor(0).tobytes() == (vecs[:, keep] * np.sqrt(vals[keep])).tobytes()
         assert public.state_ranks == (2, 3)
 
     @pytest.mark.parametrize("bad, message", BAD_STATES,
@@ -144,7 +164,7 @@ class TestFactoredStates:
         assert str(info.value) == message and info.value.index == 1
         if bad.shape == (2, 2):  # the reader's walker rejects another shape first
             with pytest.raises(ValueError) as problem:
-                checked_state(bad.astype(complex))
+                _checked_state(bad.astype(complex))
             assert f"state 1 {problem.value}" == message
 
 

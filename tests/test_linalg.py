@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from maxconf.linalg import (
+    _kept_factor,
     as_matrix,
     hermitian_eigen,
     hermitize,
     kept,
     kept_svd,
-    pivoted_factor,
-    psd_factor,
     require_hermitian,
     sandwich,
     support,
@@ -159,25 +158,36 @@ class TestSupport:
         m = random_psd(rng, 4, 4)
         assert np.linalg.norm(inverse_root(support(m), 1.0) @ m - np.eye(4)) <= 1e-8
 
-    def test_factor_rebuilds_the_kept_part(self):
-        rng = np.random.default_rng(13)
-        m = random_psd(rng, 5, 3)
-        vals, vecs = np.linalg.eigh(m)
-        f = psd_factor(vals, vecs, kept(vals))
-        assert f.shape == (5, 3) and not f.flags.writeable
-        assert np.linalg.norm(f @ f.conj().T - m) <= 1e-12 * np.linalg.norm(m)
-
     @pytest.mark.parametrize("dim, rank", [(5, 1), (5, 3), (8, 8)])
-    def test_pivoted_factor_rebuilds_a_psd_matrix_of_known_rank(self, dim, rank):
-        m = random_psd(np.random.default_rng(14), dim, rank)
-        f = pivoted_factor(m, rank)
+    def test_kept_factor_rebuilds_a_psd_matrix_at_its_kept_rank(self, dim, rank):
+        m = require_hermitian(random_psd(np.random.default_rng(14), dim, rank))
+        f = _kept_factor(m, np.linalg.eigvalsh(m))
         assert f.shape == (dim, rank) and not f.flags.writeable
         assert np.linalg.norm(f @ f.conj().T - m) <= 1e-12 * np.linalg.norm(m)
 
-    def test_pivoted_factor_stops_without_a_positive_pivot(self):
-        f = pivoted_factor(np.diag([0.5, 0.0, 0.5]).astype(complex), 3)
+    def test_kept_factor_stops_without_a_positive_pivot(self):
+        # a spectrum that counts one more kept eigenvalue than the pivots find
+        m = np.diag([0.5, 0.0, 0.5]).astype(complex)
+        f = _kept_factor(m, np.array([0.5, 0.5, 0.5]))
         assert f.shape == (3, 2)
-        assert np.abs(f @ f.conj().T - np.diag([0.5, 0.0, 0.5])).max() <= 1e-15
+        assert np.abs(f @ f.conj().T - m).max() <= 1e-15
+
+    def test_kept_factor_drops_eigenvalues_under_the_cutoff(self):
+        m = np.diag([1.0, 1e-14]).astype(complex)
+        f = _kept_factor(m, np.linalg.eigvalsh(m))
+        assert f.shape == (2, 1) and f[:, 0].tolist() == [1.0, 0.0]
+
+    def test_kept_factor_falls_back_to_one_eigh_relative_to_the_trace(self):
+        # Pivoted Cholesky leaves the -5e-11 direction's Schur complement out:
+        # far under RANK_TOL in absolute terms at a trace of 1e-6, but more
+        # than RANK_TOL of that trace, so eigh drops exactly it.
+        q, _ = np.linalg.qr(random_psd(np.random.default_rng(15), 3, 3))
+        m = require_hermitian(1e-6 * (q @ np.diag([0.5, 0.5 + 5e-11, -5e-11]) @ q.conj().T))
+        vals, vecs = np.linalg.eigh(m)
+        keep = kept(vals)
+        f = _kept_factor(m, np.linalg.eigvalsh(m))
+        assert f.tobytes() == (vecs[:, keep] * np.sqrt(vals[keep])).tobytes()
+        assert f.shape == (3, 2) and not f.flags.writeable
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="support"):

@@ -64,6 +64,21 @@ class TestConfidenceOf:
         with pytest.raises(ValueError, match="undefined"):
             confidence_of(ens, probe, 0)
 
+    @pytest.mark.parametrize("scale", [1e-15, 1e-30, 1e15])
+    def test_a_rescaled_effect_keeps_its_conditional(self, scale):
+        # At 1e-15 the outcome probability, 6.7e-16, is below any fixed floor.
+        ens = trine()
+        w, t = optimal_effect(ens, 0)
+        for effect in ((w, scale * t), gram(w, scale * t)):
+            assert abs(confidence_of(ens, effect, 0) - 2 / 3) <= 1e-12
+
+    def test_an_effect_orthogonal_to_the_support_is_undefined_at_any_scale(self):
+        ens = Ensemble.from_pure([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])], [0.5, 0.5])
+        w = np.array([[0.0], [0.0], [1.0]], dtype=complex)
+        for effect in ((w, 1e-20), (w, 1.0), gram(w, 1e20)):
+            with pytest.raises(ValueError, match=r"^outcome probability 0\.0 too small: conditional undefined$"):
+                confidence_of(ens, effect, 0)
+
 
 class TestMaxConfidence:
     def test_trine_hand_value(self):
@@ -453,6 +468,20 @@ class TestPomValidation:
             POM(((0, 0.25 * np.eye(2)), (1, np.diag([0.25, bad]))), np.eye(2) / 2)
         with pytest.raises(ValueError, match="^fail effect has a non-finite entry$"):
             POM(((0, 0.5 * np.eye(2)),), [[0.5, bad], [bad, 0.5]])
+
+    def test_an_effect_keeps_its_factor_at_the_kept_rank(self):
+        # the 1e-14 eigenvalue is under the rank cutoff, as for a state
+        pom = POM(((0, np.diag([1.0, 1e-14])),), np.diag([0.0, 1.0 - 1e-14]))
+        (w, t), = [e for _, e in pom.effects]
+        assert w.shape == (2, 1) and t == 1.0
+
+    def test_an_effect_is_checked_by_eigvalsh_alone(self, monkeypatch):
+        def refused(m):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        pom = POM(((0, 0.5 * np.eye(3)), (1, np.diag([0.5, 0.25, 0.0]))), np.diag([0.0, 0.25, 0.5]))
+        assert [w.shape for _, (w, _) in pom.effects] == [(3, 3), (3, 2)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_effect_is_named_before_its_shape(self, bad):

@@ -85,6 +85,23 @@ class TestConditionalRightState:
         with pytest.raises(ValueError, match="undefined"):
             conditional_right_state(bs, effect)
 
+    @pytest.mark.parametrize("scale", [1e-15, 1e-30, 1e15])
+    def test_a_rescaled_effect_keeps_its_conditional(self, scale):
+        ens = trine()
+        bs = purify(ens)
+        w, t = optimal_effect(ens, 0)
+        reference = conditional_right_state(bs, (w, t))
+        for effect in ((w, scale * t), gram(w, scale * t)):
+            cond = conditional_right_state(bs, effect)
+            assert abs(cond.probability / (scale * reference.probability) - 1.0) <= 1e-12
+            assert np.abs(cond.state - reference.state).max() <= 1e-12
+
+    def test_an_effect_orthogonal_to_the_support_is_undefined(self):
+        bs = purify(Ensemble.from_pure([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])], [0.5, 0.5]))
+        for effect in ((np.array([[0.0], [0.0], [1.0]]), 1e-20), np.diag([0.0, 0.0, 1e20])):
+            with pytest.raises(ValueError, match=r"^outcome probability 0\.0 too small: conditional undefined$"):
+                conditional_right_state(bs, effect)
+
 
 class TestConfidenceBipartite:
     def test_matches_direct_evaluation(self):

@@ -39,18 +39,19 @@ SPECS = ("worked_example", "trine", "d16")
 # is now clamped to 1.0, worked_example verify's schmidt_reconstruction is
 # measured against the kept Schmidt space, and both verify outputs moved when
 # the allowed subspace became the support of the right marginal (within 1e-14
-# of verify_before.json, see below).
+# of verify_before.json, see below), and every worked_example hash moved when
+# its mixed member came to be factored by pivoted Cholesky in place of eigh.
 TEXT_SHA256 = {
     ("worked_example", "bound"):
-        "983adc65ae734a5afd8245842966be8efca4df61b320f90cbea7078e1da7c13d",
+        "cab17462d55cefe0e7e1fb290c4b4dc068c79ff14270c64d556b3399d0b1ed4c",
     ("worked_example", "pom"):
-        "29110933f25d12c40f72a9e71c52d67ee6c6df0f55d0667839b7597548c158c9",
+        "b3beccfa9d8b72c9c540449686ecf9e27727a5da64d409fbdd4c9274259665d9",
     ("worked_example", "verify"):
-        "918b90baed82870a86639c98e3accdceaa55d45fac26438222a260f89cf8654f",
+        "9ec4e03fc7a2192bd04519030c0f17326d925585b58007eeb83a4a837c9fb084",
     ("worked_example", "concentrate"):
-        "81c286891cd6390e95342e8596ff1fba7103fe80714d2d8e6adb34ed3588fe2b",
+        "8298dd071e34b16273a60eb4afd86eecb321e2ecf1e3a324410e3d931fea54cb",
     ("worked_example", "transform"):
-        "6dd5740c8b5cc5ff1123ac4ae4cd09881ed0a8a6629a8e8d3ef56cbfc8391022",
+        "0011d8b28fe9739df2f915c7b40b7cbe1eab5ec01224136fdf4d533f3d818c59",
     ("trine", "bound"):
         "38eb15e395bf1feee6f223f877fa92e15a3d5de4114b3cb7486355e7805e5399",
     ("trine", "pom"):
@@ -204,12 +205,12 @@ def test_text_output_matches_the_reference_renderer(capsys, inputs, command):
 
 
 # sha256 of json.dumps(<command>_report(fixture), sort_keys=True), as built
-# from the factors.
+# from the factors; worked_example's mixed member by pivoted Cholesky.
 REPORT_SHA256 = {
     ("worked_example", "pom"):
-        "42a569830ab827e1a180a6cffe97c28445910bf1c553387f42cfb85a627dd988",
+        "4ffdbb928717cb5d2491f503ee6b014b6b9e35311d5496c78f9da790d24fb2c1",
     ("worked_example", "concentrate"):
-        "202ba491bc68218a459a112feeba809856d31e6d6c2d1dbfe83f28a5b87cf97e",
+        "97318bd2875c9da22054bc063e87c9cdf2d36f1f3e3ee2d07660508863215b3a",
     ("trine", "pom"):
         "2e6adf9a036d9492068759f8d60148c49e66eed6da04c13b075c73cbe02a1755",
     ("trine", "concentrate"):

@@ -339,7 +339,7 @@ class TestArrayParsing:
                     monkeypatch.setattr(module, name, counted)
         noted = read_spec(path).ensemble
         assert factored == [True, False, True, True]
-        assert calls == ["eigh"] * len(states)
+        assert calls == ["eigvalsh"] * len(states)
         # the literal-bearing member is read by the walkers to the same bytes
         for j in range(len(states)):
             assert noted.factor(j).tobytes() == plain.factor(j).tobytes()

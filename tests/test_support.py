@@ -1,8 +1,9 @@
 """One factorization per matrix and one decomposition per member:
 decomposition counts and independence.
 
-Each member is held as its factor, made by one eigh as the reader closes
-it (or, for the public constructor, by pivoted Cholesky on first use).
+Each member is held as its factor, made by pivoted Cholesky at the rank of
+the eigvalsh that checks it, as the reader closes it or the public
+constructor is given it.
 The measurement route reads the average state's support, from one SVD of
 the stacked factors, from the cached Ensemble.support and each member's
 bound and top singular space from Ensemble.top; the bipartite route
