@@ -149,8 +149,8 @@ def _kept_factor(h: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def gram(f: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """hermitize(scale * f f^dagger), read-only, with one d x d temporary."""
-    m = f @ f.conj().T
+    """hermitize(scale * f f^dagger), read-only complex128, with one d x d temporary."""
+    m = (f @ f.conj().T).astype(np.complex128, copy=False)
     m *= scale
     return _readonly(_symmetrized(m))
 

@@ -46,7 +46,9 @@ _COMPLETENESS_TOL = 1e-9
 # Roundoff tolerated outside [0, 1] on a confidence before it is an error.
 _UNIT_SLACK = 1e-10
 # Trials sampled per block, so memory stays flat in the number of trials.
-_SAMPLE_CHUNK = 1 << 16
+_SAMPLE_CHUNK = 1 << 13
+# A draw is m 2^-53 with m < 2^53, so uint64 keys label 2^53 + m hold 2047 labels and their edges.
+_MANTISSA_BITS, _KEY_LABELS = 53, 2047
 
 
 def _checked_fail(total: np.ndarray, fail) -> np.ndarray | None:
@@ -263,10 +265,10 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     prepared label from the priors, then the outcome from Tr(rho_i Pi_k)
     in effect order with fail last (outcome_table), one uniform pair per
     trial from numpy's seeded generator.  Deterministic for fixed (seed, trials).
-    Trials run in blocks of _SAMPLE_CHUNK; within a block they are grouped
-    by prepared label and each group finds its outcomes by binary search in
-    that label's cumulative row, so working memory is O(block), independent
-    of both the number of trials and the number of outcomes.
+    Trials run in blocks of _SAMPLE_CHUNK.  As a uniform u = m 2^-53 passes the edge c
+    exactly when m >= ceil(c 2^53), one sort of the keys label 2^53 + m, located among the
+    sorted edges label 2^53 + ceil(c 2^53), gives every (label, outcome) cell of a block as one
+    run, _KEY_LABELS labels at a time: O(block) memory, whatever the trials, members and outcomes.
     """
     if not pom.complete:
         raise ValueError("simulation requires a complete measurement")
@@ -278,27 +280,44 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
 
     cum_priors = np.cumsum(ens.priors)
     # Roundoff can push a partial sum above 1.0 before the last outcome;
-    # clamping keeps each row sorted for the binary search and, as every
-    # uniform is below 1, moves no outcome.
-    cum = np.minimum(np.cumsum(prob, axis=1), 1.0)
+    # clamping keeps each row sorted for the search and, as every uniform
+    # is below 1, moves no outcome.
+    cum = np.minimum(np.cumsum(prob, axis=1, out=prob), 1.0, out=prob)
     cum[:, -1] = 1.0
+    cum *= float(1 << _MANTISSA_BITS)
+    edges = np.ceil(cum, out=cum).astype(np.uint64)
+    del prob, cum
+    edges += (np.arange(ens.n_states, dtype=np.uint64) % _KEY_LABELS << _MANTISSA_BITS)[:, None]
+    edges = edges.reshape(-1)  # each window of _KEY_LABELS rows sorted
+    window_size = _KEY_LABELS * n_out
     rng = np.random.default_rng(seed)
     # Consecutive draws continue one stream, so the blocks see exactly the
     # uniforms a single (trials, 2) draw would.
-    joint = np.zeros((ens.n_states, n_out), dtype=np.int64)
+    joint = np.zeros(ens.n_states * n_out, dtype=np.int64)
     for start in range(0, trials, _SAMPLE_CHUNK):
         u = rng.random((min(_SAMPLE_CHUNK, trials - start), 2))
-        prepared = np.searchsorted(cum_priors, u[:, 0], side="right")
-        np.minimum(prepared, ens.n_states - 1, out=prepared)
-        # Outcome uniforms grouped by prepared label: label i owns
-        # u_out[edges[i]:edges[i + 1]].
-        edges = np.zeros(ens.n_states + 1, dtype=np.int64)
-        np.cumsum(np.bincount(prepared, minlength=ens.n_states), out=edges[1:])
-        u_out = u[np.argsort(prepared), 1]
-        for i in range(ens.n_states):
-            outcome = np.searchsorted(cum[i], u_out[edges[i]:edges[i + 1]], side="right")
-            joint[i] += np.bincount(outcome, minlength=n_out)
+        keys = np.searchsorted(cum_priors, u[:, 0], side="right")
+        np.minimum(keys, ens.n_states - 1, out=keys)
+        window = keys // _KEY_LABELS
+        keys -= window * _KEY_LABELS  # the label within its window
+        keys = keys.view(np.uint64)
+        keys <<= _MANTISSA_BITS
+        u[:, 1] *= float(1 << _MANTISSA_BITS)
+        keys |= u[:, 1].astype(np.uint64)
+        # each spent array is dropped before the next is made: a block peaks near 0.35 MB
+        del u
+        for w in range(-(-ens.n_states // _KEY_LABELS)):
+            block = keys[window == w]
+            block.sort()
+            base = w * window_size
+            cells = np.searchsorted(edges[base:base + window_size], block, side="right")
+            del block
+            ends = np.flatnonzero(cells != np.append(cells[1:], -1))
+            joint[base + cells[ends]] += np.diff(ends, prepend=-1)
+            del cells
+        del keys, window
 
+    joint = joint.reshape(ens.n_states, n_out)
     outcome_counts = joint.sum(axis=0)
     labels = tuple(label for label, _ in pom.effects)
     correct = [int(joint[label, k]) for k, label in enumerate(labels)]

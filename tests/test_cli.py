@@ -129,6 +129,30 @@ class TestSimulate:
         for entry in json.loads(out)["outcomes"]:
             assert math.isfinite(entry["band_3sigma"])
 
+    def test_only_simulate_imports_numpy_random(self, tmp_path):
+        # importing numpy.random costs about 5.5 MB of resident memory, which
+        # only simulate needs; a fresh process shows what each command loads
+        kraus = tmp_path / "identity.json"
+        kraus.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+        commands = [["bound", TRINE], ["pom", TRINE], ["verify", TRINE], ["concentrate", TRINE],
+                    ["transform", TRINE, "--kraus", str(kraus)], ["simulate", TRINE, "--trials", "10"]]
+        script = (
+            "import contextlib, json, os, sys\n"
+            "import maxconf.cli\n"
+            "seen = ['numpy.random' in sys.modules]\n"
+            "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+            "    for argv in json.loads(sys.argv[1]):\n"
+            "        assert maxconf.cli.main(argv) == 0, argv\n"
+            "        seen.append('numpy.random' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == [False] * 6 + [True]
+
 
 class TestTransform:
     def test_unitary_preserves_bounds(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from maxconf.linalg import (
     _kept_factor,
     as_matrix,
+    gram,
     hermitian_eigen,
     hermitize,
     kept,
@@ -98,6 +99,24 @@ class TestKeptSvd:
         u, s, vh = kept_svd(m)
         assert u.shape == (3, 2) and vh.shape == (2, 3)
         assert s.tolist() == [1.0, 1e-5]
+
+
+class TestGram:
+    def test_a_real_factor_gives_its_complex_effect(self):
+        e = gram(np.array([[1.0], [0.0]]))
+        assert e.dtype == np.complex128 and not e.flags.writeable
+        assert e.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        f = np.random.default_rng(41).standard_normal((5, 3))
+        assert np.array_equal(gram(f, 0.3), hermitize(0.3 * (f @ f.T)))
+
+    @pytest.mark.parametrize("dim, cols, scale", [(2, 1, 1.0), (5, 3, 0.3), (8, 8, 2.5)])
+    def test_a_complex_factor_keeps_its_bits(self, dim, cols, scale):
+        # one in-place pass, bit for bit the hermitized product
+        rng = np.random.default_rng(dim * 10 + cols)
+        f = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+        m = f @ f.conj().T
+        m *= scale
+        assert gram(f, scale).tobytes() == hermitize(m).tobytes()
 
 
 class TestNonFiniteOperands:

@@ -335,21 +335,59 @@ class TestSimulate:
         sim = simulate_measurement(ens, pom, trials, 21)
         assert (sim.outcome_counts, sim.correct_counts) == one_shot_sample(ens, pom, trials, 21)
 
+    def test_more_members_than_one_sort_key_holds_match_a_row_search(self):
+        # a uint64 key holds 2047 labels beside a draw's 53 bits, so labels
+        # 2047 and up take a second window; the reference finds each trial's
+        # outcome in its own row, where one_shot_sample's (trials x outcomes)
+        # table would take about 300 MB
+        n = 2100
+        rng = np.random.default_rng(24)
+        priors = np.linspace(1.0, 3.0, n)
+        ens = Ensemble.from_pure(list(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))),
+                                 priors / priors.sum())
+        pom = complete_pom(ens)
+        trials = 2 * _SAMPLE_CHUNK + 1
+        prob = np.clip(outcome_table(ens, pom), 0.0, None)
+        cum = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
+        cum[:, -1] = 1.0
+        u = np.random.default_rng(25).random((trials, 2))
+        prepared = np.minimum(np.searchsorted(np.cumsum(ens.priors), u[:, 0], side="right"), n - 1)
+        joint = np.zeros((n, n + 1), dtype=np.int64)
+        for i, v in zip(prepared, u[:, 1]):
+            joint[i, np.count_nonzero(v >= cum[i])] += 1
+        assert joint[2047:].sum() > 500, joint[2047:].sum()
+        sim = simulate_measurement(ens, pom, trials, 25)
+        assert sim.outcome_counts == tuple(joint.sum(axis=0).tolist())
+        assert sim.correct_counts == tuple(int(joint[label, k]) for k, (label, _) in enumerate(pom.effects))
+
+    def test_generator_draws_are_whole_multiples_of_two_to_the_minus_53(self):
+        # the sampler compares draws with its edges as integers m = u 2^53
+        for seed in (0, 1, 21):
+            m = np.random.default_rng(seed).random(1 << 16) * 2.0 ** 53
+            assert np.array_equal(m, np.floor(m)) and m.max() < 2.0 ** 53
+
+    @staticmethod
+    def _simulate_peak(ens, trials):
+        pom = complete_pom(ens)
+        simulate_measurement(ens, pom, 1, 5)  # the first call imports numpy.random, untraced
+        tracemalloc.start()
+        try:
+            simulate_measurement(ens, pom, trials, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_does_not_grow_with_outcomes(self):
         # two blocks of trials; a (block x outcomes) table would cost
-        # 65536 x 65 x 8 B = 34 MB on the 65-outcome ensemble
-        def peak(ens):
-            pom = complete_pom(ens)
-            tracemalloc.start()
-            try:
-                simulate_measurement(ens, pom, 2 * _SAMPLE_CHUNK, 5)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        # 8192 x 65 x 8 B = 4.3 MB on the 65-outcome ensemble
         wide = random_ensemble(np.random.default_rng(23), 16, [1] * 64)
         assert wide.n_states + 1 == 65
-        assert peak(wide) <= 2 * peak(trine())
+        assert self._simulate_peak(wide, 2 * _SAMPLE_CHUNK) <= 2 * self._simulate_peak(trine(), 2 * _SAMPLE_CHUNK)
+
+    def test_memory_does_not_grow_with_trials(self):
+        two, many = (self._simulate_peak(trine(), blocks * _SAMPLE_CHUNK) for blocks in (2, 64))
+        assert many <= 1.25 * two, f"{two} B at 2 blocks, {many} B at 64"
+        assert many < 1 << 20
 
     def test_orthogonal_states_never_misidentified(self):
         # equal priors make the completed measurement exactly projective
