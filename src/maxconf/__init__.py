@@ -16,7 +16,6 @@ from .ensembles import (
     purify,
     schmidt,
 )
-from .linalg import hermitian_eigen, support
 from .measurement import (
     POM,
     ConfidenceReport,
@@ -42,12 +41,10 @@ from .transforms import (
     ConcentrationResult,
     KrausOperator,
     MonotonicityRecord,
-    ResolutionCheck,
     TwoStepFilter,
     apply_kraus,
     concentrate,
     monotonicity_check,
-    projective_resolution,
     two_step_filter,
 )
 
@@ -62,7 +59,6 @@ __all__ = [
     "KrausOperator",
     "MonotonicityRecord",
     "POM",
-    "ResolutionCheck",
     "SchmidtDecomposition",
     "SimulationResult",
     "SpecError",
@@ -77,19 +73,16 @@ __all__ = [
     "confidence_bipartite",
     "confidence_of",
     "confidence_report",
-    "hermitian_eigen",
     "load_kraus",
     "marginal_invariance",
     "max_confidence",
     "monotonicity_check",
     "optimal_effect",
-    "projective_resolution",
     "purify",
     "read_spec",
     "schmidt",
     "simulate_measurement",
     "state_leakage",
     "subspace_leakage",
-    "support",
     "two_step_filter",
 ]

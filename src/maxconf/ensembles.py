@@ -18,7 +18,7 @@ is its own factor, and a matrix, read from a spec or given to the
 constructor, is factored by pivoted Cholesky at the rank its eigvalsh check
 found (linalg._kept_factor).  support (one SVD of the stacked factors) and
 top(j) are made once, on first use, for the measurement route; the
-bipartite route computes its own.
+bipartite route computes its own, from the factors (purify) and a QR.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .linalg import (
     kept_svd,
     real_trace,
     require_hermitian,
-    support,
     within_psd_slack,
 )
 
@@ -321,27 +320,28 @@ class SubspaceProjector:
 
 
 def purify(ens: Ensemble) -> BipartiteState:
-    """Canonical purification of an ensemble.
+    """Canonical purification of an ensemble, from the member factors.
 
     Each member contributes one contiguous block of right-side labels, in
-    ensemble order: a pure rho_j = |psi_j><psi_j| contributes the single
-    column sqrt(p_j) |psi_j>, a mixed rho_j one column sqrt(beta_i) |beta_i>
-    per kept eigenvalue of p_j rho_j (descending).  Eigenvector phases
-    are fixed (largest-magnitude entry real positive) so the construction
-    is reproducible.
+    ensemble order: a pure member the column sqrt(p_j) F_j, phase fixed
+    (largest-magnitude entry real positive), a mixed member the columns U S
+    of kept_svd(sqrt(p_j) F_j), one per kept eigenvalue of p_j rho_j.  Raw
+    factors would make verify repeat the measurement route's products.
     """
-    columns = []
+    blocks = []
     index_sets = []
     cursor = 0
-    for p, rho in zip(ens.priors, ens.states):
-        supp = support(p * rho)
-        block = []
-        for beta, v in zip(supp.eigenvalues, supp.eigenvectors.T):
-            block.append(np.sqrt(beta) * fix_phase(v))
-        columns.extend(block)
-        index_sets.append(tuple(range(cursor, cursor + len(block))))
-        cursor += len(block)
-    amps = np.column_stack(columns)
+    for j, p in enumerate(ens.priors):
+        f = np.sqrt(p) * ens.factor(j)
+        if f.shape[1] > 1:
+            u, s, _ = kept_svd(f)
+            f = u * s
+        else:
+            f = fix_phase(f[:, 0])[:, None]
+        blocks.append(f)
+        index_sets.append(tuple(range(cursor, cursor + f.shape[1])))
+        cursor += f.shape[1]
+    amps = np.hstack(blocks)
     amps = amps / np.linalg.norm(amps)
     return BipartiteState(amps, tuple(index_sets))
 
@@ -359,10 +359,13 @@ def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
 def allowed_subspace(bs: BipartiteState) -> SubspaceProjector:
     """Projector onto the right-side subspace reachable by left measurements.
 
-    The span of the right Schmidt vectors, found as the support of the
-    right marginal (one eigh of the R x R marginal, not the Schmidt SVD).
+    The span of the right Schmidt vectors, the column space of A^T, found
+    apart from the Schmidt SVD: B B^dagger with B = Q U_kept, from a
+    Householder QR A^T = Q R and kept_svd(R), whose singular values are A's.
     Conditional right states of any outcome live inside this subspace;
     that containment is what stops the left party from signalling.
     """
-    supp = support(bs.right_marginal())
-    return SubspaceProjector(supp.projector, supp.rank)
+    q, r = np.linalg.qr(bs.amplitudes.T)
+    u, _, _ = kept_svd(r)
+    b = q @ u
+    return SubspaceProjector(b @ b.conj().T, u.shape[1])

@@ -4,20 +4,20 @@ Operators are plain numpy arrays (complex128, row major).  Bipartite
 operators use the left-major composite index: basis state |a>_L |i>_R
 sits at row a * R + i, R the right-side dimension.  kept() alone decides
 which eigenvalues count as zero, kept_svd() cuts every SVD by it, and
-within_psd_slack() decides what counts as positive.  hermitian_in_place()
-is the one check of a caller's operator: finite, square, Hermitian.
-A PSD matrix is held as a factor F, F F^dagger rebuilt by gram():
-_kept_factor() makes it at the kept rank of the matrix's eigvalsh spectrum,
-from the matrix's own columns (one eigh only on fallback).  An effect is
-read, as a matrix or as such a factor, only by sandwich() and
-outcome_probability(), which decides when a conditional given it exists.
+within_psd_slack() decides what counts as positive; no rank is read off a
+Gram matrix formed here.  hermitian_in_place() is the one check of a
+caller's operator: finite, square, Hermitian.  A PSD matrix is held as a
+factor F, F F^dagger rebuilt by gram(): _kept_factor() makes it at the kept
+rank of the matrix's eigvalsh spectrum, from the matrix's own columns (one
+eigh only on fallback).  An effect is read, as a matrix or as such a
+factor, only by sandwich() and outcome_probability(), which decides when a
+conditional given it exists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,13 +112,6 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's (eigenvalues, eigenvectors) pair of a Hermitian matrix, both
-    read-only and in descending order: column k belongs to eigenvalue k."""
-    vals, vecs = np.linalg.eigh(require_hermitian(m))
-    return _readonly(np.ascontiguousarray(vals[::-1])), _readonly(np.ascontiguousarray(vecs[:, ::-1]))
-
-
 def _kept_factor(h: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """F with F F^dagger = h, a checked Hermitian matrix, at the kept rank of
     spectrum, its eigvalsh eigenvalues.  Pivoted Cholesky takes at most rank
@@ -211,24 +204,6 @@ class Support:
     @property
     def rank(self) -> int:
         return int(self.eigenvalues.size)
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        return _readonly(self.eigenvectors @ self.eigenvectors.conj().T)
-
-
-def support(m) -> Support:
-    """The kept eigenpairs of a state or weighted state; the rest are zeros.
-
-    Raises ValueError beyond the PSD slack (at the trace) and for the zero matrix.
-    """
-    vals, vecs = hermitian_eigen(m)
-    if not within_psd_slack(vals[-1], vals.sum()):
-        raise ValueError(f"matrix has a negative eigenvalue beyond tolerance: {vals[-1]:.3e}")
-    if vals[0] <= 0.0:
-        raise ValueError(f"matrix has no support (largest eigenvalue {vals[0]:.3e})")
-    keep = kept(vals)
-    return Support(_readonly(vals[keep]), _readonly(vecs[:, keep]))
 
 
 def real_trace(m: np.ndarray) -> float:

@@ -127,11 +127,14 @@ def _stacked_factors(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 
 def outcome_table(ens: Ensemble, pom: POM) -> np.ndarray:
     """Tr(rho_i E_k), one row per member and one column per effect, the
-    fail effect last when there is one, taken through the member factors."""
+    fail effect last when there is one, taken through the member factors,
+    one contiguous column at a time: column-major, as sums over members read it."""
     f, starts = _stacked_factors(ens)
     outcomes = [e for _, e in pom.effects] + ([] if pom.fail is None else [pom.fail])
-    cols = [sandwich(e, f, diagonal=True) for e in outcomes]
-    return np.add.reduceat(np.reshape(cols, (len(cols), f.shape[1])), starts, axis=1).T
+    table = np.empty((ens.n_states, len(outcomes)), order="F")
+    for k, e in enumerate(outcomes):
+        np.add.reduceat(sandwich(e, f, diagonal=True), starts, out=table[:, k])
+    return table
 
 
 def _unit_interval(value: float, name: str) -> float:

@@ -173,33 +173,3 @@ def concentrate(bs: BipartiteState) -> ConcentrationResult:
     a, p_succ, fail = _flattening(sch.coefficients, sch.left_vectors)
     post = BipartiteState(sch.left_vectors @ sch.right_vectors.T / np.sqrt(sch.rank), bs.index_sets)
     return ConcentrationResult(a, p_succ, fail, post)
-
-
-@dataclass(frozen=True, eq=False)
-class ResolutionCheck:
-    """Whether projectors onto pure states admit an exact identity resolution."""
-
-    weights: np.ndarray
-    residual: float
-    exact: bool
-
-
-def projective_resolution(ens: Ensemble, tol: float = 1e-9) -> ResolutionCheck:
-    """Test whether weighted projectors onto the members resolve the support.
-
-    Solves sum_j w_j |psi_j><psi_j| = P_supp by least squares over real
-    weights and reports the residual; `exact` requires both a vanishing
-    residual and nonnegative weights.  Decisive whenever the projectors are
-    linearly independent (the generic case); all members must be pure.
-    Used after two_step_filter to tell an exact projective second step
-    apart from one needing its own inconclusive remainder.
-    """
-    if not all(ens.is_pure(j) for j in range(ens.n_states)):
-        raise ValueError("projective resolution is defined for pure-state ensembles")
-    target = ens.support.projector
-    a = np.column_stack([np.concatenate([rho.real.reshape(-1), rho.imag.reshape(-1)]) for rho in ens.states])
-    b = np.concatenate([target.real.reshape(-1), target.imag.reshape(-1)])
-    w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ w - b))
-    exact = residual <= tol and bool(np.all(w >= -tol))
-    return ResolutionCheck(w, residual, exact)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from maxconf.ensembles import BipartiteState, Ensemble
-from maxconf.linalg import hermitize, support
+from maxconf.linalg import hermitize
 from maxconf.measurement import POM
 from maxconf.transforms import KrausOperator
 
@@ -87,9 +87,8 @@ def random_complete_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> 
     """Complete measurement: Wishart pieces whitened by their sum, last piece the fail."""
     pieces = [random_density(rng, dim, dim) for _ in range(n_outcomes + 1)]
     total = hermitize(sum(pieces))
-    supp = support(total)
-    v = supp.eigenvectors
-    w = (v / np.sqrt(supp.eigenvalues)) @ v.conj().T
+    lam, v = np.linalg.eigh(total)
+    w = (v / np.sqrt(lam)) @ v.conj().T
     effects = tuple((k, hermitize(w @ p @ w)) for k, p in enumerate(pieces[:-1]))
     fail = hermitize(w @ pieces[-1] @ w)
     return POM(effects, fail)

@@ -17,6 +17,7 @@ from randomgen import random_ensemble
 WORKED = "fixtures/worked_example.json"
 TRINE = "fixtures/trine.json"
 NEAR_PARALLEL = "fixtures/near_parallel.json"
+TINY_PRIOR = "fixtures/tiny_prior.json"
 
 
 def run(capsys, *argv):
@@ -61,7 +62,7 @@ class TestPom:
 
 class TestVerify:
     def test_fixtures_pass(self, capsys):
-        for spec in (WORKED, TRINE, NEAR_PARALLEL):
+        for spec in (WORKED, TRINE, NEAR_PARALLEL, TINY_PRIOR):
             code, out, _ = run(capsys, "verify", spec)
             assert code == 0
             assert "status" in out

@@ -15,7 +15,7 @@ from maxconf import (
     optimal_effect,
     simulate_measurement,
 )
-from maxconf.linalg import gram, hermitize, real_trace, support
+from maxconf.linalg import gram, hermitize, kept, real_trace
 from maxconf.measurement import _SAMPLE_CHUNK, outcome_table
 from maxconf.specio import read_spec
 
@@ -102,8 +102,8 @@ class TestMaxConfidence:
     def test_pure_and_mixed_formulas_agree_on_rank_one(self):
         # evaluate both branch formulas directly on pure members
         for ens in ensemble_suite(203, 20):
-            supp = support(ens.average)
-            v, lam = supp.eigenvectors, supp.eigenvalues
+            lam, v = np.linalg.eigh(ens.average)
+            v, lam = v[:, kept(lam)], lam[kept(lam)]
             rinv = (v / lam) @ v.conj().T
             s = (v / np.sqrt(lam)) @ v.conj().T
             for j in range(ens.n_states):
@@ -601,8 +601,8 @@ def eager_complete_pom(ens):
     rho^{-1} p_j rho_j rho^{-1} (pure) or rho^{-1/2} P_max rho^{-1/2}
     (mixed, P_max onto the top eigenspace of p_j rho^{-1/2} rho_j rho^{-1/2}),
     scaled by 1 / gamma_max of their sum."""
-    supp = support(ens.average)
-    v, lam = supp.eigenvectors, supp.eigenvalues
+    lam, v = np.linalg.eigh(ens.average)
+    v, lam = v[:, kept(lam)], lam[kept(lam)]
     rinv, s = (v / lam) @ v.conj().T, (v / np.sqrt(lam)) @ v.conj().T
     dirs = []
     for j, rho in enumerate(ens.states):

@@ -20,7 +20,8 @@ cost 1.7x to 2x.  complete_pom keeps each effect as its factor and the
 fail effect, so completing the measurement and reading every effect once
 peaks at under 7 effects' bytes for up to 2d members, where holding them
 all cost n + 7.  simulate builds its outcome table from the factors,
-with no stacked copy of the states or the effects.
+with no stacked copy of the states or the effects, and fills that one
+table a column at a time, where a list of columns and its copies held 3x.
 """
 
 import contextlib
@@ -33,7 +34,7 @@ import pytest
 
 from maxconf import cli
 from maxconf.linalg import gram
-from maxconf.measurement import complete_pom, simulate_measurement
+from maxconf.measurement import complete_pom, outcome_table, simulate_measurement
 from maxconf.specio import matrix_to_json, read_spec
 
 from randomgen import random_ensemble, random_members
@@ -53,6 +54,8 @@ COMPLETE_POM_PEAK_PER_EFFECT_BYTE = 0.2
 COMPLETE_POM_PEAK_IN_EFFECTS = 7.0
 # A one-trial simulate against the states' bytes: the factors and the table.
 SIMULATE_PEAK_PER_STATE_BYTE = 0.25
+# outcome_table against the table's bytes: the table and one column's temporaries.
+OUTCOME_TABLE_PEAK_PER_TABLE_BYTE = 1.3
 
 
 def _spec_file(ens, path):
@@ -163,6 +166,20 @@ def test_a_one_trial_simulate_holds_no_stacked_states_or_effects():
         tracemalloc.stop()
     size = _state_bytes(ens)
     assert peak <= SIMULATE_PEAK_PER_STATE_BYTE * size, f"simulate: {peak / size:.2f}x the states"
+
+
+def test_the_outcome_table_is_held_once():
+    # 1000 qubit kets give a 1000 x 1001 table, far larger than their factors
+    ens = random_ensemble(np.random.default_rng(8), 2, [1] * 1000)
+    pom = complete_pom(ens)
+    tracemalloc.start()
+    try:
+        table = outcome_table(ens, pom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1000, 1001)
+    assert peak <= OUTCOME_TABLE_PEAK_PER_TABLE_BYTE * table.nbytes, f"{peak / table.nbytes:.2f}x the table"
 
 
 @pytest.mark.parametrize("n", [32, 64])

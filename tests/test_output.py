@@ -41,15 +41,18 @@ SPECS = ("worked_example", "trine", "d16")
 # the allowed subspace became the support of the right marginal (within 1e-14
 # of verify_before.json, see below), and every worked_example hash moved when
 # its mixed member came to be factored by pivoted Cholesky in place of eigh.
+# verify and concentrate moved in their last digits when the purification
+# came to be built from the member factors and the allowed subspace from a
+# QR of the amplitude matrix's transpose (test_parity.py still holds).
 TEXT_SHA256 = {
     ("worked_example", "bound"):
         "cab17462d55cefe0e7e1fb290c4b4dc068c79ff14270c64d556b3399d0b1ed4c",
     ("worked_example", "pom"):
         "b3beccfa9d8b72c9c540449686ecf9e27727a5da64d409fbdd4c9274259665d9",
     ("worked_example", "verify"):
-        "9ec4e03fc7a2192bd04519030c0f17326d925585b58007eeb83a4a837c9fb084",
+        "80a5d065652a8c129ae52bab5a8fb0c1311094732c0c7c560d270ba84ebd7e59",
     ("worked_example", "concentrate"):
-        "8298dd071e34b16273a60eb4afd86eecb321e2ecf1e3a324410e3d931fea54cb",
+        "35b39382707276235e3a551b388a2052b60c69cf13f1d18462f1050f348b29a0",
     ("worked_example", "transform"):
         "0011d8b28fe9739df2f915c7b40b7cbe1eab5ec01224136fdf4d533f3d818c59",
     ("trine", "bound"):
@@ -57,9 +60,9 @@ TEXT_SHA256 = {
     ("trine", "pom"):
         "a0f72109c89b255be28cdd0567dc0707d06f60dfd0a2681ef3dab3b703a633b3",
     ("trine", "verify"):
-        "645728b795096262fa1c3b041a5af4ceed59d5ad03395fce554aa5269de7dde9",
+        "39276c41f30527b09685842e5c761739aaa81cd652d79b15ce7384c5f0bc9a96",
     ("trine", "concentrate"):
-        "a741bdb1973327cc78b6c03928197845843501616247dbfbec117a991fdf0f34",
+        "8c68ea53f951cc30bc70f575ba45f1fb1c35693e5638c43bc6678762364e48d1",
     ("trine", "transform"):
         "5b470386b48e596c3d1e4c884c6f0d709e7bb281021eac555b9c9df400cc78a6",
     ("trine", "simulate"):
@@ -183,16 +186,17 @@ def test_verify_numbers_stay_within_1e_14_of_the_whitened_subspace(capsys, input
 
 
 # `maxconf verify fixtures/trine.json --tolerance 1e-30` in text: exceeded
-# lists every gap above the tolerance (all but the leakages that are exactly
-# 0.0), each on a "-: " line.
-FAILING_VERIFY_SHA256 = "4fab9450d69e079b9d7242e91fd2acbe5de70ac71b280c442d5cf1450bf5c8e9"
+# lists every gap above the tolerance (all but those that are exactly 0.0),
+# each on a "-: " line.  The trine's purification columns are its scaled
+# kets, so its residual, projector gap and marginal deviation are 0.0.
+FAILING_VERIFY_SHA256 = "3f44eb4531074b30b5cbdd211d0ca086bf4a1102e1c8a2b3023974b46382daaa"
 
 
 def test_text_output_of_a_failing_verify_is_pinned(capsys):
     code = main(["verify", "fixtures/trine.json", "--tolerance", "1e-30"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "\nexceeded:\n  -: marginal_deviation\n" in out
+    assert "\nexceeded:\n  -: schmidt_reconstruction\n" in out
     report, ok = reports.verify_report(read_spec("fixtures/trine.json").ensemble, 1e-30)
     assert not ok and out == reference_render_text(report)
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_VERIFY_SHA256
@@ -205,16 +209,17 @@ def test_text_output_matches_the_reference_renderer(capsys, inputs, command):
 
 
 # sha256 of json.dumps(<command>_report(fixture), sort_keys=True), as built
-# from the factors; worked_example's mixed member by pivoted Cholesky.
+# from the factors; worked_example's mixed member by pivoted Cholesky, and
+# concentrate's purification from the member factors.
 REPORT_SHA256 = {
     ("worked_example", "pom"):
         "4ffdbb928717cb5d2491f503ee6b014b6b9e35311d5496c78f9da790d24fb2c1",
     ("worked_example", "concentrate"):
-        "97318bd2875c9da22054bc063e87c9cdf2d36f1f3e3ee2d07660508863215b3a",
+        "7e85c06f70da63da00468ea08a5ff24face2d076c4928194395eeb42af92dbc6",
     ("trine", "pom"):
         "2e6adf9a036d9492068759f8d60148c49e66eed6da04c13b075c73cbe02a1755",
     ("trine", "concentrate"):
-        "d2b5f09d5dee4977961ac86d38af2f2ba8f0a51974e73a9e02d6f9f24908f61d",
+        "4d5eac8cfd75fdf76db564eba28061833546b7c9a981191e20ed18f483bd30fd",
 }
 
 

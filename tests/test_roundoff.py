@@ -6,7 +6,9 @@ slack of an effect) was tighter than the roundoff of forming rho^{-1} or
 rho^{-1/2} from an ill-conditioned average state, or that verify failed
 because that roundoff reached a gap.  Every bound, effect and trace now
 comes from square-root factors, whose conditioning is the square root of
-rho's, so each case gives a report with the right numbers.
+rho's, so each case gives a report with the right numbers.  verify's
+allowed subspace comes from a QR of the amplitude matrix's transpose, not
+from the eigh of the right marginal, whose conditioning is squared.
 """
 
 import json
@@ -18,7 +20,7 @@ from maxconf import Ensemble, complete_pom, confidence_of, optimal_effect, read_
 from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
-from randomgen import random_density, random_ket, random_kraus, random_unitary
+from randomgen import random_density, random_ket, random_kraus, random_members, random_unitary
 
 
 def turned_pair(theta: float, seed: int) -> Ensemble:
@@ -77,6 +79,24 @@ def test_pom_with_a_prior_of_1e_6():
     assert abs(report["states"][0]["bound"] - 1.0) <= 1e-12
     total = sum(state["outcome_probability"] for state in report["states"])
     assert abs(total + report["inconclusive_probability"] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("prior", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_verify_passes_with_one_tiny_prior(prior):
+    # With the allowed subspace from the eigh of the right marginal, verify
+    # failed 1, 19, 20 and 0 of these 200 ensembles, each on projector_gap
+    # (up to 1.9e-5); fixtures/tiny_prior.json is a two-member case at 1e-8.
+    rng = np.random.default_rng(0)
+    failed = []
+    for k in range(200):
+        dim, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        states, priors = random_members(rng, dim, [int(rng.integers(1, dim + 1)) for _ in range(n)])
+        priors = priors * (1.0 - prior) / priors[1:].sum()
+        priors[0] = prior
+        report, ok = reports.verify_report(Ensemble(dim, states, priors), reports.DEFAULT_TOLERANCE)
+        if not ok:
+            failed.append((k, report["exceeded"]))
+    assert not failed
 
 
 def test_transform_of_the_near_parallel_fixture():

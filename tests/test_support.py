@@ -7,7 +7,8 @@ constructor is given it.
 The measurement route reads the average state's support, from one SVD of
 the stacked factors, from the cached Ensemble.support and each member's
 bound and top singular space from Ensemble.top; the bipartite route
-behind verify computes its own.
+behind verify computes its own, from one small SVD per mixed member, a
+QR of the amplitude matrix's transpose and one SVD of its triangle.
 """
 
 import json
@@ -30,13 +31,14 @@ DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
 # mixed, all linear in n.  Later changes may only lower them.  The
 # measurement route takes one SVD of the stacked factors, one small SVD per
 # mixed member, one SVD for the scale and one eigvalsh of the fail effect.
+# A pure member costs the bipartite route nothing.
 CEILINGS = {
     "bound": lambda n, m: 1 + m,
     "pom": lambda n, m: m + 3,
-    "verify": lambda n, m: n + 2 * m + 5,
+    "verify": lambda n, m: 3 * m + 5,
     "simulate": lambda n, m: m + 3,
     "transform": lambda n, m: 3 * m + 2,
-    "concentrate": lambda n, m: n + 4,
+    "concentrate": lambda n, m: m + 4,
 }
 
 REPORTS = {
@@ -51,9 +53,9 @@ REPORTS = {
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Counter of numpy.linalg decomposition calls made from now on."""
+    """Counter of numpy.linalg decomposition and QR calls made from now on."""
     calls = Counter()
-    for name in DECOMPOSITIONS:
+    for name in DECOMPOSITIONS + ("qr",):
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -83,8 +85,10 @@ def test_decompositions_per_report_are_linear_in_members(command, n, built_by, d
     kraus = random_kraus(rng, 16, min_singular=0.3)
     decompositions.clear()
     REPORTS[command](ens, kraus)
-    total = sum(decompositions.values())
+    total = sum(decompositions[name] for name in DECOMPOSITIONS)
     assert total <= CEILINGS[command](n, ranks.count(2)), dict(decompositions)
+    # the allowed subspace's QR, counted on its own
+    assert decompositions["qr"] == (command == "verify"), dict(decompositions)
 
 
 @pytest.fixture
