@@ -16,7 +16,7 @@ from maxconf import (
     schmidt,
 )
 from maxconf.ensembles import StateError, _checked_state
-from maxconf.linalg import kept, require_hermitian
+from maxconf.linalg import fix_phase, kept, kept_svd, require_hermitian
 from maxconf.specio import matrix_to_json
 
 from randomgen import ensemble_suite, random_bipartite, random_members, random_unitary
@@ -211,6 +211,49 @@ class TestPurify:
         for ens in ensemble_suite(103, 10):
             bs = purify(ens)
             assert np.linalg.norm(bs.left_marginal() - ens.average) <= 1e-10
+
+
+    def test_pure_member_column_is_its_phase_fixed_scaled_ket(self):
+        for ens in ensemble_suite(107, 10):
+            bs = purify(ens)
+            for j, idx in enumerate(bs.index_sets):
+                if ens.is_pure(j):
+                    col = bs.amplitudes[:, idx[0]]
+                    expected = fix_phase(np.sqrt(ens.priors[j]) * ens.factor(j)[:, 0])
+                    assert np.abs(col - expected).max() <= 1e-15
+                    top = col[np.argmax(np.abs(col))]
+                    assert top.imag == 0.0 and top.real > 0.0
+
+    def test_mixed_member_columns_are_its_scaled_singular_vectors(self):
+        # U S of kept_svd(sqrt(p_j) F_j): orthogonal columns, norms descending
+        for ens in ensemble_suite(108, 10):
+            bs = purify(ens)
+            for j, idx in enumerate(bs.index_sets):
+                cols = bs.amplitudes[:, list(idx)]
+                _, s, _ = kept_svd(np.sqrt(ens.priors[j]) * ens.factor(j))
+                g = cols.conj().T @ cols
+                assert np.abs(g - np.diag(s * s)).max() <= 1e-13
+                assert np.all(np.diff(np.diag(g).real) <= 0.0)
+
+
+class TestEnsembleSupport:
+    def test_identity(self):
+        ens = Ensemble.from_pure(list(np.eye(3)), [1 / 3, 1 / 3, 1 / 3])
+        supp = ens.support
+        assert np.allclose(supp.eigenvalues, 1 / 3, atol=1e-15)
+        assert np.abs(supp.eigenvectors @ supp.eigenvectors.conj().T - np.eye(3)).max() <= 1e-15
+
+    def test_diagonal_sorted_descending(self):
+        ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.25, 0.75])
+        supp = ens.support
+        assert np.allclose(supp.eigenvalues, [0.75, 0.25], atol=1e-15)
+        # eigenvector of the top eigenvalue is e1
+        assert abs(abs(supp.eigenvectors[1, 0]) - 1.0) < 1e-14
+
+    def test_rank_is_the_allowed_subspace_rank(self):
+        # the measurement route's stacked SVD and the bipartite route's QR agree
+        for ens in ensemble_suite(109, 20):
+            assert ens.support.rank == allowed_subspace(purify(ens)).rank
 
 
 class TestRhoLeft:

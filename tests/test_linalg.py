@@ -92,7 +92,60 @@ class TestNonFiniteOperands:
             sandwich(pair, a, diagonal=True, checked=True)
 
 
+class TestRequireHermitian:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="^matrix is not square: shape \\(2, 3\\)$"):
+            require_hermitian(np.ones((2, 3)))
+
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(m)
+
+    def test_accepts_tiny_hermiticity_noise(self):
+        m = np.diag([1.0, 2.0]).astype(complex)
+        m[0, 1] = 1e-13
+        h = require_hermitian(m)
+        assert h.tobytes() == hermitize(m).tobytes()
+        assert np.allclose(np.linalg.eigvalsh(h), [1.0, 2.0], atol=1e-12)
+        assert m[0, 1] == 1e-13 and m[1, 0] == 0.0  # the caller's array is left as it is
+
+
+def support_of(m):
+    """(U, s^2) of m's kept factor, the route Ensemble.support takes for the average."""
+    u, s, _ = kept_svd(_kept_factor(m, np.linalg.eigvalsh(m)))
+    return u, s * s
+
+
 class TestSupport:
+    def test_identity(self):
+        f = _kept_factor(np.eye(3, dtype=complex), np.ones(3))
+        assert f.shape == (3, 3)
+        assert np.abs(f @ f.conj().T - np.eye(3)).max() <= 1e-14
+
+    def test_rank_deficient_diagonal(self):
+        m = np.diag([4.0, 0.0]).astype(complex)
+        f = _kept_factor(m, np.linalg.eigvalsh(m))
+        assert f[:, 0].tolist() == [2.0, 0.0] and f.shape == (2, 1)
+        u, vals = support_of(m)
+        assert np.allclose(vals, [4.0], atol=1e-14)
+        assert np.allclose(u @ u.conj().T, np.diag([1.0, 0.0]), atol=1e-14)
+
+    def test_sandwich_gives_support_projector(self):
+        rng = np.random.default_rng(11)
+        for dim, rank in ((3, 2), (4, 2), (5, 4)):
+            m = require_hermitian(random_psd(rng, dim, rank))
+            u, vals = support_of(m)
+            r = (u / np.sqrt(vals)) @ u.conj().T
+            assert np.linalg.norm(r @ m @ r - u @ u.conj().T) <= 1e-9
+            assert u.shape[1] == rank
+
+    def test_inverse_on_support(self):
+        rng = np.random.default_rng(12)
+        m = require_hermitian(random_psd(rng, 4, 4))
+        u, vals = support_of(m)
+        assert np.linalg.norm((u / vals) @ u.conj().T @ m - np.eye(4)) <= 1e-8
+
     @pytest.mark.parametrize("dim, rank", [(5, 1), (5, 3), (8, 8)])
     def test_kept_factor_rebuilds_a_psd_matrix_at_its_kept_rank(self, dim, rank):
         m = require_hermitian(random_psd(np.random.default_rng(14), dim, rank))
