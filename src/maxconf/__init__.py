@@ -31,10 +31,8 @@ from .nosignalling import (
     ConditionalRightState,
     bound_bipartite,
     conditional_right_state,
-    confidence_bipartite,
     marginal_invariance,
     state_leakage,
-    subspace_leakage,
 )
 from .specio import SpecError, load_kraus, read_spec
 from .transforms import (
@@ -70,7 +68,6 @@ __all__ = [
     "complete_pom",
     "concentrate",
     "conditional_right_state",
-    "confidence_bipartite",
     "confidence_of",
     "confidence_report",
     "load_kraus",
@@ -83,6 +80,5 @@ __all__ = [
     "schmidt",
     "simulate_measurement",
     "state_leakage",
-    "subspace_leakage",
     "two_step_filter",
 ]

@@ -29,6 +29,12 @@ class ConditionalRightState:
     state: np.ndarray
     probability: float
 
+    def weight(self, labels) -> float:
+        """Weight on the right labels `labels`; on the index block sigma(j)
+        it is the confidence of outcome j, p_j Tr(rho_j Pi) / Tr(rho Pi)
+        computed on the left side."""
+        return float(np.sum(np.diag(self.state)[list(labels)].real))
+
 
 def conditional_right_state(bs: BipartiteState, effect) -> ConditionalRightState:
     """Right-side state given the outcome of effect Pi: a d x d matrix, or
@@ -42,16 +48,6 @@ def conditional_right_state(bs: BipartiteState, effect) -> ConditionalRightState
     m = sandwich(effect, bs.amplitudes, checked=True)
     p = outcome_probability(real_trace(m), effect)
     return ConditionalRightState(hermitize(m) / p, float(p))
-
-
-def confidence_bipartite(bs: BipartiteState, effect, j: int) -> float:
-    """Weight of the conditional right state on index block sigma(j).
-
-    Equals p_j Tr(rho_j Pi) / Tr(rho Pi) computed on the left side.
-    """
-    crs = conditional_right_state(bs, effect)
-    idx = list(bs.index_sets[j])
-    return float(np.sum(np.diag(crs.state)[idx].real))
 
 
 def bound_bipartite(bs: BipartiteState, p_d: SubspaceProjector, j: int) -> float:
@@ -72,12 +68,6 @@ def state_leakage(rho_r: np.ndarray, p_d: SubspaceProjector) -> float:
     """Weight of a right-side state outside the allowed subspace."""
     q = p_d.complement()
     return max(real_trace(q @ rho_r @ q), 0.0)
-
-
-def subspace_leakage(bs: BipartiteState, p_d: SubspaceProjector, effect) -> float:
-    """Leakage of the conditional right state of `effect`; must vanish."""
-    crs = conditional_right_state(bs, effect)
-    return state_leakage(crs.state, p_d)
 
 
 def marginal_invariance(bs: BipartiteState, pom) -> float:

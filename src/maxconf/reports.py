@@ -39,9 +39,9 @@ from .measurement import (
 )
 from .nosignalling import (
     bound_bipartite,
-    confidence_bipartite,
+    conditional_right_state,
     marginal_invariance,
-    subspace_leakage,
+    state_leakage,
 )
 from .specio import matrix_to_json
 from .transforms import apply_kraus, concentrate, monotonicity_check
@@ -126,20 +126,21 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
 
     rep = confidence_report(ens, pom)
     per_state = []
-    # each effect through its factor pair: no effect matrix is made
+    # one conditional per effect, through its factor pair: no effect matrix is made
     for (_, e), (label, bound, achieved, _) in zip(pom.effects, rep.records):
+        crs = conditional_right_state(bs, e)
         entry = {
             "label": label,
             "bound": bound,
             "bound_gap": abs(bound_bipartite(bs, pd, label) - bound),
             "achievability_gap": abs(achieved - bound),
-            "crosspicture_gap": abs(confidence_bipartite(bs, e, label) - achieved),
-            "leakage": subspace_leakage(bs, pd, e),
+            "crosspicture_gap": abs(crs.weight(bs.index_sets[label]) - achieved),
+            "leakage": state_leakage(crs.state, pd),
         }
         per_state.append(entry)
 
     if rep.inconclusive_probability > 1e-12:
-        gaps["fail_leakage"] = subspace_leakage(bs, pd, pom.fail)
+        gaps["fail_leakage"] = state_leakage(conditional_right_state(bs, pom.fail).state, pd)
     else:
         gaps["fail_leakage"] = None
 
@@ -200,14 +201,12 @@ def simulate_report(ens, trials: int, seed: int) -> dict:
 
 def concentrate_tree(ens) -> dict:
     """The concentrate report with the filter and fail effect as complex arrays."""
-    bs = purify(ens)
-    before = schmidt(bs)
-    result = concentrate(bs)
+    result = concentrate(purify(ens))
     after = schmidt(result.post_state)
     return {
         "command": "concentrate",
         "dimension": ens.dim,
-        "schmidt_before": [float(x) for x in before.coefficients],
+        "schmidt_before": [float(x) for x in result.before.coefficients],
         "schmidt_after": [float(x) for x in after.coefficients],
         "success_probability": result.success_probability,
         "kraus": result.kraus.matrix,

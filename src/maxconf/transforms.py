@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import BipartiteState, Ensemble, schmidt
+from .ensembles import BipartiteState, Ensemble, SchmidtDecomposition, schmidt
 from .linalg import _require_finite, as_matrix, hermitize, kept, kept_svd
 from .measurement import max_confidence
 
@@ -156,6 +156,7 @@ class ConcentrationResult:
     success_probability: float
     fail_effect: np.ndarray
     post_state: BipartiteState
+    before: SchmidtDecomposition
 
 
 def concentrate(bs: BipartiteState) -> ConcentrationResult:
@@ -165,11 +166,12 @@ def concentrate(bs: BipartiteState) -> ConcentrationResult:
     entangled across its original Schmidt rank D.  The amplitude matrix is
     the left marginal's factor, so its Schmidt decomposition (schmidt, one
     SVD) gives the support (lambda, U) and the post-state U V^T / sqrt(D),
-    exactly flat.  Product states cannot be concentrated.
+    exactly flat; the result keeps it as `before`.  Product states cannot
+    be concentrated.
     """
     sch = schmidt(bs)
     if sch.rank < 2:
         raise ValueError("cannot concentrate: Schmidt rank 1 (product state)")
     a, p_succ, fail = _flattening(sch.coefficients, sch.left_vectors)
     post = BipartiteState(sch.left_vectors @ sch.right_vectors.T / np.sqrt(sch.rank), bs.index_sets)
-    return ConcentrationResult(a, p_succ, fail, post)
+    return ConcentrationResult(a, p_succ, fail, post, sch)

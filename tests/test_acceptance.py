@@ -26,8 +26,9 @@ from maxconf import (
 from maxconf.linalg import gram
 from maxconf.nosignalling import (
     bound_bipartite,
+    conditional_right_state,
     marginal_invariance,
-    subspace_leakage,
+    state_leakage,
 )
 
 from randomgen import (
@@ -116,7 +117,7 @@ def test_acceptance_4_no_signalling():
             pd = allowed_subspace(bs)
             for _ in range(20):
                 e = random_effect(rng, ens.dim)
-                assert subspace_leakage(bs, pd, e) <= 1e-10
+                assert state_leakage(conditional_right_state(bs, e).state, pd) <= 1e-10
             pom = random_complete_pom(rng, ens.dim, ens.n_states)
             assert marginal_invariance(bs, pom) <= 1e-10
         assert time.perf_counter() - start < 30.0

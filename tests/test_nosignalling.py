@@ -17,10 +17,8 @@ from maxconf.linalg import gram, hermitize
 from maxconf.nosignalling import (
     bound_bipartite,
     conditional_right_state,
-    confidence_bipartite,
     marginal_invariance,
     state_leakage,
-    subspace_leakage,
 )
 
 from randomgen import ensemble_suite, random_effect
@@ -112,7 +110,7 @@ class TestConfidenceBipartite:
                 e = random_effect(rng, ens.dim)
                 for j in range(ens.n_states):
                     via_left = confidence_of(ens, e, j)
-                    via_pair = confidence_bipartite(bs, e, j)
+                    via_pair = conditional_right_state(bs, e).weight(bs.index_sets[j])
                     assert abs(via_left - via_pair) <= 1e-10
 
 
@@ -167,18 +165,6 @@ class TestLeakage:
                 rho = np.outer(perp, perp.conj())
                 assert abs(state_leakage(rho, pd) - 1.0) <= 1e-9
 
-    def test_subspace_leakage_traces_every_conditional(self):
-        # subspace_leakage is state_leakage of the conditional of an effect
-        rng = np.random.default_rng(44)
-        for ens in ensemble_suite(307, 8):
-            bs = purify(ens)
-            pd = allowed_subspace(bs)
-            e = random_effect(rng, ens.dim)
-            via_pair = subspace_leakage(bs, pd, e)
-            cond = conditional_right_state(bs, e)
-            assert abs(via_pair - state_leakage(cond.state, pd)) <= 1e-14
-            assert via_pair <= 1e-10
-
     def test_a_factor_pair_gives_the_conditional_of_its_matrix(self):
         # A measurement's effects enter as (W, t), t W W^dagger never formed.
         for ens in ensemble_suite(308, 8):
@@ -191,8 +177,9 @@ class TestLeakage:
                 cond = conditional_right_state(bs, matrix)
                 assert abs(via_pair.probability - cond.probability) <= 1e-12
                 assert np.abs(via_pair.state - cond.state).max() <= 1e-10
-                assert abs(confidence_bipartite(bs, pair, label) - confidence_bipartite(bs, matrix, label)) <= 1e-10
-                assert subspace_leakage(bs, pd, pair) <= 1e-10
+                block = bs.index_sets[label]
+                assert abs(via_pair.weight(block) - cond.weight(block)) <= 1e-10
+                assert state_leakage(via_pair.state, pd) <= 1e-10
         with pytest.raises(ValueError, match="left system"):
             conditional_right_state(purify(trine([0.5, 0.3, 0.2])), (np.ones((3, 1)), 1.0))
 
@@ -218,9 +205,9 @@ class TestLeakage:
             with pytest.raises(ValueError, match=message):
                 conditional_right_state(bs, effect)
             with pytest.raises(ValueError, match=message):
-                confidence_bipartite(bs, effect, 0)
+                conditional_right_state(bs, effect).weight(bs.index_sets[0])
             with pytest.raises(ValueError, match=message):
-                subspace_leakage(bs, pd, effect)
+                state_leakage(conditional_right_state(bs, effect).state, pd)
             with pytest.raises(ValueError, match=message):
                 confidence_of(ens, effect, 0)
 

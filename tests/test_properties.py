@@ -29,13 +29,14 @@ from maxconf import (
     apply_kraus,
     complete_pom,
     concentrate,
+    conditional_right_state,
     confidence_report,
     marginal_invariance,
     max_confidence,
     monotonicity_check,
     purify,
     reports,
-    subspace_leakage,
+    state_leakage,
 )
 from maxconf.linalg import PSD_TOL
 
@@ -255,7 +256,7 @@ def test_no_measurement_on_the_left_signals_to_the_right(ens, seed, outcomes):
     pom = random_complete_pom(np.random.default_rng(seed), ens.dim, outcomes)
     assert marginal_invariance(bs, pom) <= 1e-10
     for e in [e for _, e in pom.effects] + [pom.fail]:
-        assert subspace_leakage(bs, pd, e) <= 1e-10
+        assert state_leakage(conditional_right_state(bs, e).state, pd) <= 1e-10
 
 
 # The rank rule merges near-parallel members whose average has an eigenvalue

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from maxconf import Ensemble, KrausOperator, max_confidence, measurement, optimal_effect, read_spec, reports
+from maxconf import Ensemble, KrausOperator, max_confidence, measurement, nosignalling, optimal_effect, read_spec, reports
 from maxconf.linalg import Support
 from maxconf.specio import matrix_to_json
 
@@ -38,7 +38,7 @@ CEILINGS = {
     "verify": lambda n, m: 3 * m + 5,
     "simulate": lambda n, m: m + 3,
     "transform": lambda n, m: 3 * m + 2,
-    "concentrate": lambda n, m: m + 4,
+    "concentrate": lambda n, m: m + 3,
 }
 
 REPORTS = {
@@ -139,26 +139,37 @@ def test_bound_and_effect_share_one_decomposition_per_member(decompositions):
         assert sum(decompositions.values()) <= 1 + (rank > 1), dict(decompositions)
 
 
-def test_verify_forms_no_effect(monkeypatch):
-    # The marginal, the cross-picture gaps and the leakages take each
-    # conclusive outcome's conditional through its factor pair, and the
-    # confidence report its traces through the factors: verify forms no
-    # effect matrix.  gram, the one way a factor pair becomes a matrix, runs
-    # once, on complete_pom's [W_1 ... W_n] for the fail effect.
+def test_verify_takes_each_conditional_once_and_forms_no_effect(monkeypatch):
+    # Each conclusive outcome's conditional right state is made once and
+    # read twice, for its cross-picture gap and its leakage; the fail effect
+    # adds one more when fail_leakage is reported.  The marginal, those
+    # conditionals and the confidence report take each effect through its
+    # factor pair: verify forms no effect matrix.  gram, the one way a
+    # factor pair becomes a matrix, runs once, on complete_pom's
+    # [W_1 ... W_n] for the fail effect.
     formed = []
+    conditionals = []
     real_gram = measurement.gram
+    real_conditional = nosignalling.conditional_right_state
 
     def counted(f, scale=1.0):
         formed.append(f.shape)
         return real_gram(f, scale)
 
+    def counted_conditional(bs, effect):
+        conditionals.append(effect)
+        return real_conditional(bs, effect)
+
     for module in (measurement, reports):
         monkeypatch.setattr(module, "gram", counted)
+    monkeypatch.setattr(nosignalling, "conditional_right_state", counted_conditional)
+    monkeypatch.setattr(reports, "conditional_right_state", counted_conditional, raising=False)
     ens = random_ensemble(np.random.default_rng(6), 8, [1, 2, 1, 3])
     report, ok = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
     assert ok and report["checks"]["fail_leakage"] is not None
     columns = sum(ens.top(j)[1].shape[1] for j in range(ens.n_states))
     assert formed == [(ens.dim, columns)]
+    assert len(conditionals) == ens.n_states + 1
 
 
 def near_parallel(theta):
