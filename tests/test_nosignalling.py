@@ -12,6 +12,7 @@ from maxconf import (
     max_confidence,
     optimal_effect,
     purify,
+    reports,
 )
 from maxconf.linalg import gram, hermitize
 from maxconf.nosignalling import (
@@ -164,6 +165,23 @@ class TestLeakage:
                 perp = worked_perp(p, q)
                 rho = np.outer(perp, perp.conj())
                 assert abs(state_leakage(rho, pd) - 1.0) <= 1e-9
+
+    def test_subspace_leakage_traces_every_conditional(self):
+        # verify's leakage is state_leakage of each conclusive outcome's conditional,
+        # and any effect's conditional stays in the allowed subspace
+        rng = np.random.default_rng(44)
+        for ens in ensemble_suite(307, 8):
+            bs = purify(ens)
+            pd = allowed_subspace(bs)
+            e = random_effect(rng, ens.dim)
+            assert state_leakage(conditional_right_state(bs, e).state, pd) <= 1e-10
+            report, _ = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
+            pom = complete_pom(ens)
+            assert len(report["states"]) == len(pom.effects)
+            for entry, (_, effect) in zip(report["states"], pom.effects):
+                cond = conditional_right_state(bs, effect)
+                assert abs(entry["leakage"] - state_leakage(cond.state, pd)) <= 1e-14
+                assert entry["leakage"] <= 1e-10
 
     def test_a_factor_pair_gives_the_conditional_of_its_matrix(self):
         # A measurement's effects enter as (W, t), t W W^dagger never formed.
