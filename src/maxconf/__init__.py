@@ -11,7 +11,6 @@ from .ensembles import (
     BipartiteState,
     Ensemble,
     SchmidtDecomposition,
-    SubspaceProjector,
     allowed_subspace,
     purify,
     schmidt,
@@ -28,11 +27,9 @@ from .measurement import (
     simulate_measurement,
 )
 from .nosignalling import (
-    ConditionalRightState,
     bound_bipartite,
-    conditional_right_state,
+    conditional_diagonals,
     marginal_invariance,
-    state_leakage,
 )
 from .specio import SpecError, load_kraus, read_spec
 from .transforms import (
@@ -51,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteState",
     "ConcentrationResult",
-    "ConditionalRightState",
     "ConfidenceReport",
     "Ensemble",
     "KrausOperator",
@@ -60,14 +56,13 @@ __all__ = [
     "SchmidtDecomposition",
     "SimulationResult",
     "SpecError",
-    "SubspaceProjector",
     "TwoStepFilter",
     "allowed_subspace",
     "apply_kraus",
     "bound_bipartite",
     "complete_pom",
     "concentrate",
-    "conditional_right_state",
+    "conditional_diagonals",
     "confidence_of",
     "confidence_report",
     "load_kraus",
@@ -79,6 +74,5 @@ __all__ = [
     "read_spec",
     "schmidt",
     "simulate_measurement",
-    "state_leakage",
     "two_step_filter",
 ]

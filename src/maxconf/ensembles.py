@@ -42,7 +42,6 @@ from .linalg import (
     hermitize,
     kept_svd,
     real_trace,
-    require_hermitian,
     within_psd_slack,
 )
 
@@ -282,15 +281,17 @@ class SchmidtDecomposition:
     right_vectors: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.coefficients, dtype=np.float64)
+        lam = _require_finite(np.array(self.coefficients, dtype=np.float64), "Schmidt spectrum")
         if np.any(lam <= 0.0):
             raise ValueError("Schmidt coefficients must be positive")
         if abs(lam.sum() - 1.0) > 1e-10:
             raise ValueError(f"Schmidt coefficients sum to {float(lam.sum())!r}")
-        for name, block in (("left", self.left_vectors), ("right", self.right_vectors)):
-            g = block.conj().T @ block
-            if frobenius(g - np.eye(lam.size)) > 1e-10:
+        object.__setattr__(self, "coefficients", _readonly(lam))
+        for name in ("left", "right"):
+            block = _require_finite(as_matrix(getattr(self, f"{name}_vectors")), f"{name} Schmidt basis")
+            if frobenius(block.conj().T @ block - np.eye(lam.size)) > 1e-10:
                 raise ValueError(f"{name} Schmidt vectors are not orthonormal")
+            object.__setattr__(self, f"{name}_vectors", block)
 
     @property
     def rank(self) -> int:
@@ -298,25 +299,6 @@ class SchmidtDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return (self.left_vectors * np.sqrt(self.coefficients)) @ self.right_vectors.T
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceProjector:
-    """Orthogonal projector onto the reachable right-side subspace."""
-
-    matrix: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        m = require_hermitian(self.matrix, name="projector")
-        if frobenius(m @ m - m) > 1e-10:
-            raise ValueError("projector is not idempotent within 1e-10")
-        if abs(real_trace(m) - self.rank) > 1e-9:
-            raise ValueError(f"projector trace {real_trace(m)!r} does not match rank {self.rank}")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    def complement(self) -> np.ndarray:
-        return np.eye(len(self.matrix)) - self.matrix
 
 
 def purify(ens: Ensemble) -> BipartiteState:
@@ -356,16 +338,17 @@ def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
     return SchmidtDecomposition(s * s, u, vh.T)
 
 
-def allowed_subspace(bs: BipartiteState) -> SubspaceProjector:
-    """Projector onto the right-side subspace reachable by left measurements.
+def allowed_subspace(bs: BipartiteState) -> np.ndarray:
+    """Orthonormal basis B, read-only R x D, of the right-side subspace
+    reachable by left measurements.
 
     The span of the right Schmidt vectors, the column space of A^T, found
-    apart from the Schmidt SVD: B B^dagger with B = Q U_kept, from a
-    Householder QR A^T = Q R and kept_svd(R), whose singular values are A's.
-    Conditional right states of any outcome live inside this subspace;
-    that containment is what stops the left party from signalling.
+    apart from the Schmidt SVD: B = Q U_kept, from a Householder QR
+    A^T = Q R and kept_svd(R), whose singular values are A's, so D is the
+    Schmidt rank and B B^dagger the projector onto the subspace.
+    Conditional right states of any outcome live inside it; that
+    containment is what stops the left party from signalling.
     """
     q, r = np.linalg.qr(bs.amplitudes.T)
     u, _, _ = kept_svd(r)
-    b = q @ u
-    return SubspaceProjector(b @ b.conj().T, u.shape[1])
+    return _readonly(q @ u)

@@ -3,71 +3,66 @@
 Conditioned on outcome omega of an effect Pi on the left half of the
 purification, the right system holds
 
-    rho_{R|omega} = Tr_L[ |Psi><Psi| (Pi tensor I) ] / P(omega).
+    rho_{R|omega} = Tr_L[ |Psi><Psi| (Pi tensor I) ] / P(omega)
+                  = A^T Pi^* A^* / P(omega)
 
-Whatever Pi is chosen, rho_{R|omega} stays inside the subspace spanned by
-the right Schmidt vectors, and the outcome-averaged right state equals the
-unmeasured right marginal.  The confidence of outcome j is the weight of
-rho_{R|j} on the index block sigma(j), which is how the measurement-side
-bound reappears as a geometric statement about one subspace.
+in terms of the amplitude matrix A.  Whatever Pi is chosen, rho_{R|omega}
+stays inside the allowed subspace, the span of the right Schmidt vectors
+with orthonormal basis B (ensembles.allowed_subspace), and the
+outcome-averaged right state equals the unmeasured right marginal.  The
+confidence of outcome j is the weight of rho_{R|j} on the index block
+sigma(j), which is how the measurement-side bound reappears as a geometric
+statement about one subspace.  Every such weight is a sum over a diagonal,
+so no conditional is formed: the diagonal of A^T Pi^* A^* gives P(omega)
+and the weights, and that of Z^T Pi^* Z^*, with Z = A - (A B^*) B^T the
+amplitudes outside the subspace, gives the weight outside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ensembles import BipartiteState, SubspaceProjector
-from .linalg import frobenius, hermitize, outcome_probability, real_trace, sandwich
+from .ensembles import BipartiteState
+from .linalg import frobenius, hermitize, outcome_probability, sandwich
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalRightState:
-    """Right-side state given one left-side outcome."""
+def conditional_diagonals(bs: BipartiteState, basis: np.ndarray, effects) -> list[tuple[float, np.ndarray, float]]:
+    """(P, diagonal, leakage) of the right-side state given the outcome of
+    each effect Pi: its probability P, the diagonal of rho_{R|Pi}, whose sum
+    over the labels sigma(j) is the confidence of outcome j read on the
+    right side, and its weight Tr(Q rho_{R|Pi} Q) outside the subspace that
+    basis B spans, Q = I - B B^dagger.
 
-    state: np.ndarray
-    probability: float
-
-    def weight(self, labels) -> float:
-        """Weight on the right labels `labels`; on the index block sigma(j)
-        it is the confidence of outcome j, p_j Tr(rho_j Pi) / Tr(rho Pi)
-        computed on the left side."""
-        return float(np.sum(np.diag(self.state)[list(labels)].real))
-
-
-def conditional_right_state(bs: BipartiteState, effect) -> ConditionalRightState:
-    """Right-side state given the outcome of effect Pi: a d x d matrix, or
-    the factor pair (W, t) of Pi = t W W^dagger, the form in which a
-    measurement hands out its effects (POM.effects).
-
-    Tr_L[|Psi><Psi| (Pi tensor I)] is A^T Pi^* A^* in terms of the amplitude
-    matrix A (linalg.sandwich), which never forms Pi from a pair.  Raises
-    when the outcome is too improbable for it (linalg.outcome_probability).
+    An effect is a d x d matrix or the factor pair (W, t) of Pi = t W W^dagger,
+    the form in which a measurement hands out its effects (POM.effects),
+    checked as linalg.sandwich checks a caller's.  Each costs two diagonal
+    sandwiches, of A and of Z = A - (A B^*) B^T, formed once, for
+    Q A^T = Z^T.  Raises when an outcome is too improbable for a conditional
+    (linalg.outcome_probability).
     """
-    m = sandwich(effect, bs.amplitudes, checked=True)
-    p = outcome_probability(real_trace(m), effect)
-    return ConditionalRightState(hermitize(m) / p, float(p))
+    a = bs.amplitudes
+    z = a - (a @ basis.conj()) @ basis.T
+    readings = []
+    for effect in effects:
+        diagonal = sandwich(effect, a, diagonal=True, checked=True)
+        p = outcome_probability(float(diagonal.sum()), effect)
+        outside = float(sandwich(effect, z, diagonal=True).sum())
+        readings.append((p, diagonal / p, max(outside / p, 0.0)))
+    return readings
 
 
-def bound_bipartite(bs: BipartiteState, p_d: SubspaceProjector, j: int) -> float:
-    """Maximum confidence for member j read off the allowed subspace.
+def bound_bipartite(bs: BipartiteState, basis: np.ndarray, j: int) -> float:
+    """Maximum confidence for member j read off the allowed subspace's basis B.
 
-    The largest eigenvalue of P_D Pi_sigma P_D, with Pi_sigma the
-    projector onto the block, is that of Pi_sigma P_D Pi_sigma, the block
-    of P_D on sigma(j); a single right label i gives <i| P_D |i>.
+    The largest eigenvalue of P_D Pi_sigma P_D, with P_D = B B^dagger and
+    Pi_sigma the projector onto the block sigma(j), is the top squared
+    singular value of B's rows on sigma(j); a single right label i gives
+    the squared norm of row i, <i| P_D |i>.
     """
-    idx = list(bs.index_sets[j])
-    block = p_d.matrix[np.ix_(idx, idx)]
-    if len(idx) == 1:
-        return float(block[0, 0].real)
-    return float(np.linalg.eigvalsh(block)[-1])
-
-
-def state_leakage(rho_r: np.ndarray, p_d: SubspaceProjector) -> float:
-    """Weight of a right-side state outside the allowed subspace."""
-    q = p_d.complement()
-    return max(real_trace(q @ rho_r @ q), 0.0)
+    rows = basis[list(bs.index_sets[j])]
+    if len(rows) == 1:
+        return float(np.vdot(rows[0], rows[0]).real)
+    return float(np.linalg.svd(rows, compute_uv=False)[0] ** 2)
 
 
 def marginal_invariance(bs: BipartiteState, pom) -> float:

@@ -37,12 +37,7 @@ from .measurement import (
     max_confidence,
     simulate_measurement,
 )
-from .nosignalling import (
-    bound_bipartite,
-    conditional_right_state,
-    marginal_invariance,
-    state_leakage,
-)
+from .nosignalling import bound_bipartite, conditional_diagonals, marginal_invariance
 from .specio import matrix_to_json
 from .transforms import apply_kraus, concentrate, monotonicity_check
 
@@ -113,7 +108,7 @@ def pom_report(ens) -> dict:
 def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     """Cross-picture verification tree plus an overall pass flag."""
     bs = purify(ens)
-    pd = allowed_subspace(bs)
+    basis = allowed_subspace(bs)
     sd = schmidt(bs)
     pom = complete_pom(ens)
 
@@ -121,28 +116,28 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     gaps["purification_residual"] = frobenius(bs.left_marginal() - ens.average)
     u = sd.left_vectors  # against U_k U_k^dagger A, the amplitudes on the kept Schmidt space
     gaps["schmidt_reconstruction"] = frobenius(sd.reconstruct() - u @ (u.conj().T @ bs.amplitudes))
-    gaps["projector_gap"] = frobenius(sd.right_vectors @ sd.right_vectors.conj().T - pd.matrix)
+    v = sd.right_vectors
+    gaps["projector_gap"] = frobenius(v @ v.conj().T - basis @ basis.conj().T)
     gaps["marginal_deviation"] = marginal_invariance(bs, pom)
 
     rep = confidence_report(ens, pom)
+    fail = rep.inconclusive_probability > 1e-12
+    # each effect through its factor pair, the fail effect when reported:
+    # two diagonal sandwiches per outcome, no effect matrix or conditional made
+    effects = [e for _, e in pom.effects] + ([pom.fail] if fail else [])
+    readings = conditional_diagonals(bs, basis, effects)
     per_state = []
-    # one conditional per effect, through its factor pair: no effect matrix is made
-    for (_, e), (label, bound, achieved, _) in zip(pom.effects, rep.records):
-        crs = conditional_right_state(bs, e)
+    for (label, bound, achieved, _), (_, diagonal, leakage) in zip(rep.records, readings):
         entry = {
             "label": label,
             "bound": bound,
-            "bound_gap": abs(bound_bipartite(bs, pd, label) - bound),
+            "bound_gap": abs(bound_bipartite(bs, basis, label) - bound),
             "achievability_gap": abs(achieved - bound),
-            "crosspicture_gap": abs(crs.weight(bs.index_sets[label]) - achieved),
-            "leakage": state_leakage(crs.state, pd),
+            "crosspicture_gap": abs(float(diagonal[list(bs.index_sets[label])].sum()) - achieved),
+            "leakage": leakage,
         }
         per_state.append(entry)
-
-    if rep.inconclusive_probability > 1e-12:
-        gaps["fail_leakage"] = state_leakage(conditional_right_state(bs, pom.fail).state, pd)
-    else:
-        gaps["fail_leakage"] = None
+    gaps["fail_leakage"] = readings[-1][2] if fail else None
 
     exceeded = sorted(
         name

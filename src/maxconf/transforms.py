@@ -37,6 +37,8 @@ class KrausOperator:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("operation element must be square")
+        if m.size == 0:
+            raise ValueError("operation element is empty")
         s = np.linalg.svd(_require_finite(m, "operation element"), compute_uv=False)
         if s[0] == 0.0:
             raise ValueError("zero operation element")

@@ -24,12 +24,7 @@ from maxconf import (
     simulate_measurement,
 )
 from maxconf.linalg import gram
-from maxconf.nosignalling import (
-    bound_bipartite,
-    conditional_right_state,
-    marginal_invariance,
-    state_leakage,
-)
+from maxconf.nosignalling import bound_bipartite, conditional_diagonals, marginal_invariance
 
 from randomgen import (
     ensemble_suite,
@@ -96,9 +91,9 @@ def test_acceptance_3_bipartite_bound_agreement():
         start = time.perf_counter()
         for ens in SUITE:
             bs = purify(ens)
-            pd = allowed_subspace(bs)
+            basis = allowed_subspace(bs)
             for j in range(ens.n_states):
-                gap = abs(bound_bipartite(bs, pd, j) - max_confidence(ens, j))
+                gap = abs(bound_bipartite(bs, basis, j) - max_confidence(ens, j))
                 assert gap <= 1e-9
         assert time.perf_counter() - start < 10.0
 
@@ -114,10 +109,9 @@ def test_acceptance_4_no_signalling():
         rng = np.random.default_rng(4)
         for ens in SUITE:
             bs = purify(ens)
-            pd = allowed_subspace(bs)
-            for _ in range(20):
-                e = random_effect(rng, ens.dim)
-                assert state_leakage(conditional_right_state(bs, e).state, pd) <= 1e-10
+            effects = [random_effect(rng, ens.dim) for _ in range(20)]
+            for _, _, leakage in conditional_diagonals(bs, allowed_subspace(bs), effects):
+                assert leakage <= 1e-10
             pom = random_complete_pom(rng, ens.dim, ens.n_states)
             assert marginal_invariance(bs, pom) <= 1e-10
         assert time.perf_counter() - start < 30.0

@@ -8,7 +8,6 @@ from maxconf import (
     BipartiteState,
     Ensemble,
     SchmidtDecomposition,
-    SubspaceProjector,
     allowed_subspace,
     purify,
     read_spec,
@@ -253,7 +252,7 @@ class TestEnsembleSupport:
     def test_rank_is_the_allowed_subspace_rank(self):
         # the measurement route's stacked SVD and the bipartite route's QR agree
         for ens in ensemble_suite(109, 20):
-            assert ens.support.rank == allowed_subspace(purify(ens)).rank
+            assert ens.support.rank == allowed_subspace(purify(ens)).shape[1]
 
 
 class TestRhoLeft:
@@ -314,55 +313,59 @@ class TestSchmidt:
         assert np.abs(a - b).max() <= 1e-12
 
 
+def projector(b: np.ndarray) -> np.ndarray:
+    return b @ b.conj().T
+
+
 class TestAllowedSubspace:
     def test_bell_reaches_everything(self):
-        bs = bell_state()
-        pd = allowed_subspace(bs)
-        assert pd.rank == 2
-        assert np.abs(pd.matrix - np.eye(2)).max() <= 1e-12
+        b = allowed_subspace(bell_state())
+        assert b.shape == (2, 2)
+        assert np.abs(projector(b) - np.eye(2)).max() <= 1e-12
 
     def test_single_state_purification(self):
         ens = Ensemble.from_pure([np.array([0.6, 0.8])], [1.0])
-        bs = purify(ens)
-        pd = allowed_subspace(bs)
-        assert pd.rank == 1
-        assert np.abs(pd.matrix - np.array([[1.0]])).max() <= 1e-12
+        b = allowed_subspace(purify(ens))
+        assert b.shape == (1, 1)
+        assert np.abs(projector(b) - np.array([[1.0]])).max() <= 1e-12
 
     def test_worked_example_orthogonal_complement(self):
         for p, q in ((0.5, 0.5), (0.3, 0.2), (0.7, 0.6), (0.2, 0.9)):
-            bs = worked_purification(p, q)
-            pd = allowed_subspace(bs)
+            b = allowed_subspace(worked_purification(p, q))
             perp = worked_perp(p, q)
             expected = np.eye(3) - np.outer(perp, perp.conj())
-            assert np.abs(pd.matrix - expected).max() <= 1e-10
-            assert pd.rank == 2
+            assert np.abs(projector(b) - expected).max() <= 1e-10
+            assert b.shape == (3, 2)
 
     def test_trace_formula_matches_schmidt_projectors(self):
         for ens in ensemble_suite(105, 30):
             bs = purify(ens)
-            pd = allowed_subspace(bs)
+            b = allowed_subspace(bs)
             sd = schmidt(bs)
-            direct = sd.right_vectors @ sd.right_vectors.conj().T
-            assert np.linalg.norm(pd.matrix - direct) <= 1e-10
-            assert pd.rank == sd.rank
+            assert np.linalg.norm(projector(b) - projector(sd.right_vectors)) <= 1e-10
+            assert b.shape[1] == sd.rank
 
     def test_projector_fixes_right_marginal(self):
         for ens in ensemble_suite(106, 10):
             bs = purify(ens)
-            pd = allowed_subspace(bs)
             rr = bs.right_marginal()
-            assert np.linalg.norm(pd.matrix @ rr - rr) <= 1e-10
+            assert np.linalg.norm(projector(allowed_subspace(bs)) @ rr - rr) <= 1e-10
+
+    def test_the_basis_is_read_only(self):
+        b = allowed_subspace(bell_state())
+        with pytest.raises(ValueError, match="read-only"):
+            b[0, 0] = 0.0
 
     @pytest.mark.parametrize("theta", [3e-6, 1e-5, 1e-4, 1e-3])
-    def test_turned_near_parallel_pairs_give_an_idempotent_projector(self, theta):
+    def test_turned_near_parallel_pairs_give_an_orthonormal_basis(self, theta):
         # Whitening the amplitudes by rho_L^{-1/2} squared the average's
-        # conditioning: on these 100 orientations per angle it failed the
-        # 1e-10 idempotency check 100, 100, 100 and 62 times.
+        # conditioning: on these 100 orientations per angle its projector
+        # failed the 1e-10 idempotency check 100, 100, 100 and 62 times.
         for seed in range(100):
             u = random_unitary(np.random.default_rng(seed), 2)
             kets = [u @ np.array([1.0, 0.0]), u @ np.array([np.cos(theta), np.sin(theta)])]
-            pd = allowed_subspace(purify(Ensemble.from_pure(kets, [0.5, 0.5]))).matrix
-            assert np.linalg.norm(pd @ pd - pd) <= 1e-14
+            b = allowed_subspace(purify(Ensemble.from_pure(kets, [0.5, 0.5])))
+            assert np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])) <= 1e-14
 
 
 class TestSchmidtAndProjectorValidation:
@@ -372,19 +375,21 @@ class TestSchmidtAndProjectorValidation:
         ([0.5, 0.6], np.eye(2), np.eye(2), "Schmidt coefficients sum to 1.1"),
         ([0.5, 0.5], np.diag([1.0, 2.0]), np.eye(2), "left Schmidt vectors are not orthonormal"),
         ([0.5, 0.5], np.eye(2), np.ones((2, 2)), "right Schmidt vectors are not orthonormal"),
-    ], ids=["zero-coefficient", "sum", "left", "right"])
+        ([np.nan, 0.5], np.eye(2), np.eye(2), "Schmidt spectrum has a non-finite entry"),
+        ([np.inf, 0.5], np.eye(2), np.eye(2), "Schmidt spectrum has a non-finite entry"),
+        ([0.5, 0.5], np.diag([1.0, np.nan]), np.eye(2), "left Schmidt basis has a non-finite entry"),
+        ([0.5, 0.5], np.eye(2), np.full((2, 2), np.nan), "right Schmidt basis has a non-finite entry"),
+    ], ids=["zero-coefficient", "sum", "left", "right", "nan-coefficient", "inf-coefficient",
+            "nan-left", "nan-right"])
     def test_schmidt_rejections(self, coefficients, left, right, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SchmidtDecomposition(np.array(coefficients), left.astype(complex), right.astype(complex))
 
-    @pytest.mark.parametrize("matrix, rank, message", [
-        (np.diag([1.0, 0.5]), 2, "projector is not idempotent within 1e-10"),
-        (np.diag([1.0, 0.0]), 2, "projector trace 1.0 does not match rank 2"),
-        (np.full((2, 2), np.nan), 1, "projector has a non-finite entry"),
-    ], ids=["idempotent", "trace", "non-finite"])
-    def test_projector_rejections(self, matrix, rank, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SubspaceProjector(matrix.astype(complex), rank)
+    def test_a_list_of_coefficients_is_stored_as_an_array(self):
+        sd = SchmidtDecomposition([0.5, 0.5], np.eye(2), np.eye(2))
+        assert sd.rank == 2
+        assert sd.coefficients.dtype == np.float64 and not sd.coefficients.flags.writeable
+        assert np.abs(sd.reconstruct() - np.eye(2) / np.sqrt(2.0)).max() <= 1e-15
 
 
 class TestBipartiteStateValidation:

@@ -29,14 +29,13 @@ from maxconf import (
     apply_kraus,
     complete_pom,
     concentrate,
-    conditional_right_state,
+    conditional_diagonals,
     confidence_report,
     marginal_invariance,
     max_confidence,
     monotonicity_check,
     purify,
     reports,
-    state_leakage,
 )
 from maxconf.linalg import PSD_TOL
 
@@ -252,11 +251,11 @@ def test_no_measurement_on_the_left_signals_to_the_right(ens, seed, outcomes):
     # measurement leaves the right marginal as it was, and every outcome
     # steers the right side inside the span of its Schmidt vectors.
     bs = purify(ens)
-    pd = allowed_subspace(bs)
     pom = random_complete_pom(np.random.default_rng(seed), ens.dim, outcomes)
     assert marginal_invariance(bs, pom) <= 1e-10
-    for e in [e for _, e in pom.effects] + [pom.fail]:
-        assert state_leakage(conditional_right_state(bs, e).state, pd) <= 1e-10
+    effects = [e for _, e in pom.effects] + [pom.fail]
+    for _, _, leakage in conditional_diagonals(bs, allowed_subspace(bs), effects):
+        assert leakage <= 1e-10
 
 
 # The rank rule merges near-parallel members whose average has an eigenvalue

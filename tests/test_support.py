@@ -139,37 +139,50 @@ def test_bound_and_effect_share_one_decomposition_per_member(decompositions):
         assert sum(decompositions.values()) <= 1 + (rank > 1), dict(decompositions)
 
 
-def test_verify_takes_each_conditional_once_and_forms_no_effect(monkeypatch):
-    # Each conclusive outcome's conditional right state is made once and
-    # read twice, for its cross-picture gap and its leakage; the fail effect
-    # adds one more when fail_leakage is reported.  The marginal, those
-    # conditionals and the confidence report take each effect through its
-    # factor pair: verify forms no effect matrix.  gram, the one way a
-    # factor pair becomes a matrix, runs once, on complete_pom's
-    # [W_1 ... W_n] for the fail effect.
+def test_verify_reads_each_outcome_from_two_diagonal_sandwiches_and_forms_no_effect(monkeypatch):
+    # Each conclusive outcome, and the fail outcome when fail_leakage is
+    # reported, is read from two diagonal sandwiches, of the amplitudes and
+    # of their part outside the allowed subspace: no R x R conditional is
+    # made.  The only full sandwiches are marginal_invariance's, summed into
+    # the outcome-averaged right state.  The marginal, the readings and the
+    # confidence report take each effect through its factor pair: verify
+    # forms no effect matrix.  gram, the one way a factor pair becomes a
+    # matrix, runs once, on complete_pom's [W_1 ... W_n] for the fail effect.
     formed = []
-    conditionals = []
+    sandwiches = []
+    in_marginal = []
     real_gram = measurement.gram
-    real_conditional = nosignalling.conditional_right_state
+    real_sandwich = nosignalling.sandwich
+    real_marginal = nosignalling.marginal_invariance
 
     def counted(f, scale=1.0):
         formed.append(f.shape)
         return real_gram(f, scale)
 
-    def counted_conditional(bs, effect):
-        conditionals.append(effect)
-        return real_conditional(bs, effect)
+    def counted_sandwich(effect, a, diagonal=False, checked=False):
+        sandwiches.append((diagonal, bool(in_marginal)))
+        return real_sandwich(effect, a, diagonal=diagonal, checked=checked)
+
+    def marked_marginal(bs, pom):
+        in_marginal.append(True)
+        try:
+            return real_marginal(bs, pom)
+        finally:
+            in_marginal.pop()
 
     for module in (measurement, reports):
         monkeypatch.setattr(module, "gram", counted)
-    monkeypatch.setattr(nosignalling, "conditional_right_state", counted_conditional)
-    monkeypatch.setattr(reports, "conditional_right_state", counted_conditional, raising=False)
+    monkeypatch.setattr(nosignalling, "sandwich", counted_sandwich)
+    monkeypatch.setattr(reports, "marginal_invariance", marked_marginal)
     ens = random_ensemble(np.random.default_rng(6), 8, [1, 2, 1, 3])
     report, ok = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
     assert ok and report["checks"]["fail_leakage"] is not None
     columns = sum(ens.top(j)[1].shape[1] for j in range(ens.n_states))
     assert formed == [(ens.dim, columns)]
-    assert len(conditionals) == ens.n_states + 1
+    outcomes = ens.n_states + 1
+    assert sandwiches.count((True, False)) == 2 * outcomes
+    assert sandwiches.count((False, True)) == outcomes
+    assert len(sandwiches) == 3 * outcomes
 
 
 def near_parallel(theta):

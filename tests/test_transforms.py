@@ -39,6 +39,10 @@ class TestKrausOperator:
         with pytest.raises(ValueError, match="zero"):
             KrausOperator(np.zeros((2, 2)))
 
+    def test_empty_element_rejected(self):
+        with pytest.raises(ValueError, match="^operation element is empty$"):
+            KrausOperator(np.zeros((0, 0)))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             KrausOperator(np.ones((2, 3)))
