@@ -14,18 +14,20 @@ A spec file looks like
     }
 
 Complex numbers are [re, im] pairs, matrices row-major nested lists.
-A file is streamed: it is read in chunks of _READ_CHUNK characters, and
-each member of the states array is decoded on its own as soon as its text
-is in, so neither the file's bytes nor its whole text is ever held, and
-at most one member's text, nested lists and d x d array are alive at a
-time.  A valid file is decoded once; a file that is not JSON is read again
-whole only to give json.loads's own message.  Each member's ket or matrix
-is decoded to an array as its object closes, as are a root ket or matrix
-and a bare Kraus matrix; an entry that does not convert stays a list, and
-the per-entry readers name its first bad value.  numpy reads true as 1.0,
-so the rule is per value, not per file: a member or root field whose own
-text holds a true or false literal stays a list for the per-entry readers,
-which reject the literal by name, and a literal elsewhere changes nothing.
+A file is streamed: it is read in chunks of _READ_CHUNK characters, the
+root object and each member of the states array are tokenized field by
+field, and each matrix (a member's, a Kraus file's root matrix or a bare
+Kraus array) is decoded one [[re, im], ...] row at a time into its float
+array.  So neither the file's bytes nor its whole text is ever held, and
+at most one chunk of text, one row's nested lists and one d x d array are
+alive at a time.  A valid file is decoded once; a file that is not JSON is
+read again whole only to give json.loads's own message.  A ket is decoded
+to an array as one value; a ket, or a matrix with a row, that does not
+convert stays a list, and the per-entry readers name its first bad value.
+numpy reads true as 1.0, so the rule is per value, not per file: a ket or
+matrix row whose own text holds a true or false literal leaves its field
+a list for the per-entry readers, which reject the literal by name, and a
+literal elsewhere changes nothing.
 Kets are normalized on load (a warning fires when the correction exceeds
 1e-6) and are their own factors; priors are checked to sum to 1 within
 1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
@@ -85,18 +87,16 @@ class _Stream:
         self.pos = 0
         self.eof = False
 
-    def _read(self, want=1, stop=None):
+    def _read(self, want=1):
         """Read chunks until the unconsumed text has at least `want`
-        characters and holds the character `stop`, or the file ends."""
+        characters, or the file ends."""
         pieces = [self.buf[self.pos:]]
         have = len(pieces[0])
-        found = stop is None or stop in pieces[0]
-        while (have < want or not found) and not self.eof:
+        while have < want and not self.eof:
             chunk = self.fh.read(_READ_CHUNK)
             self.eof = not chunk
             pieces.append(chunk)
             have += len(chunk)
-            found = found or stop in chunk
         self.buf = "".join(pieces)
         self.pos = 0
 
@@ -115,20 +115,14 @@ class _Stream:
         self.pos += 1
         return c
 
-    def value(self, stop=None, ndim=None):
-        """The JSON value at the next character, read on until `stop` first.
-
-        A value without a true or false literal in its text is decoded to an
-        array where it can be: an object has its well-formed ket or matrix
-        decoded as the object closes, and a list given the ndim of a ket or
-        matrix is decoded itself (_pair_array).  A decode that fails, or a
-        number that the text read so far may continue ("1" of "1e-9"), reads
-        on to twice the text and starts again; at the end of the file the
-        text is not JSON.
-        """
+    def _decoded(self):
+        """(the JSON value at the next character, whether its text is free of
+        quotes and of the letters t, f and n).  No number holds them, the
+        true, false and null literals begin with them, and a string needs
+        quotes.  A decode that fails, or a number that the text read so far
+        may continue ("1" of "1e-9"), reads on to twice the text and starts
+        again; at the end of the file the text is not JSON."""
         self.peek()
-        if stop is not None and self.buf.find(stop, self.pos) < 0:
-            self._read(stop=stop)
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.buf, self.pos)
@@ -140,48 +134,91 @@ class _Stream:
                     raise _NotJSON from None
             self._read(want=2 * (len(self.buf) - self.pos) + 1)
         start, self.pos = self.pos, end
-        if self.buf.find("true", start, end) < 0 and self.buf.find("false", start, end) < 0:
-            if isinstance(value, dict):
-                _arrays_as_they_close(value)
-            elif ndim is not None and isinstance(value, list):
-                value = _pair_array(value, ndim)
-        return value
+        return value, all(self.buf.find(c, start, end) < 0 for c in 'tfn"')
+
+    def value(self):
+        return self._decoded()[0]
+
+    def ket(self):
+        """A ket's value, as a float array of [re, im] pairs when its text
+        has no literal or string (see _decoded) and it converts to finite
+        numbers (_pairs)."""
+        value, plain = self._decoded()
+        arr = _pairs(value) if plain else None
+        return value if arr is None or not np.isfinite(arr).all() else arr
+
+    def matrix(self):
+        """A matrix's value.  A list is decoded one row at a time, and each
+        row of [re, im] pairs (_pairs) fills the next row of a float array of
+        shape (k, k, 2), k the first row's length, grown as rows arrive.  A
+        row that breaks that form (a true, false, null or string in its
+        text, another length, not pairs of numbers, a row past the k-th),
+        fewer than k rows, or a value that is not finite leaves the whole
+        matrix a list for the per-entry walkers: the rows filled go back
+        through tolist() and the rest stay as decoded."""
+        if self.peek() != "[":
+            return self.value()
+        arr, n, rows = None, 0, []  # rows [0, n) filled, then the rows after a break
+        for _ in self._items():
+            row, plain = self._decoded()
+            r = _pairs(row) if plain and not rows else None
+            if r is not None and arr is None:
+                arr = np.empty((1,) + r.shape)
+            if r is not None and r.shape == arr.shape[1:] and n < len(r):
+                if n == len(arr):  # doubled as rows arrive: k pairs in a row do not make k rows
+                    arr = np.concatenate((arr, np.empty((min(n, len(r) - n),) + r.shape)))
+                arr[n] = r
+                n += 1
+            else:
+                rows.append(row)
+        if n and not rows and n == arr.shape[1] and np.isfinite(arr).all():
+            return arr
+        return (arr[:n].tolist() if n else []) + rows
+
+    def object(self, fields):
+        """The object at the next character.  Its `key` field is read by
+        fields[key] when there is one, else as one value()."""
+        obj = {}
+        for _ in self._items("}"):
+            if self.peek() != '"':
+                raise _NotJSON
+            key = self.value()
+            self.expect(":")
+            obj[key] = fields.get(key, _Stream.value)(self)
+        return obj
+
+    def members(self):
+        """The states array: each member object tokenized field by field and
+        factored as it closes (_factored)."""
+        if self.peek() != "[":
+            return self.value()
+        return [_factored(self.object(_MEMBER_FIELDS) if self.peek() == "{" else self.value())
+                for _ in self._items()]
+
+    def _items(self, close="]"):
+        """Stop at each element of the array (or, with close "}", each field
+        of the object) at the next character in turn, for the caller to
+        read it, and consume the brackets and commas around them."""
+        self.pos += 1
+        if self.peek() == close:
+            self.pos += 1
+            return
+        while True:
+            yield
+            if self.expect("," + close) == close:
+                return
 
     def document(self):
-        """The whole document.  Only a root object and its states array are
-        tokenized here: each member, and every other value, is one value()."""
-        if self.peek() != "{":
-            self._read(want=math.inf)  # a bare Kraus matrix is one value
-            doc = self.value(ndim=2)
-        else:
-            self.pos += 1
-            doc = {}
-            if self.peek() == "}":
-                self.pos += 1
-            else:
-                while True:
-                    if self.peek() != '"':
-                        raise _NotJSON
-                    key = self.value()
-                    self.expect(":")
-                    doc[key] = (self.members() if key == "states" and self.peek() == "["
-                                else self.value(ndim=_ARRAY_FIELDS.get(key)))
-                    if self.expect(",}") == "}":
-                        break
+        """The whole document: a root object tokenized field by field, or a
+        bare Kraus matrix."""
+        doc = self.object(_ROOT_FIELDS) if self.peek() == "{" else self.matrix()
         if self.peek():
             raise _NotJSON  # json.loads: extra data
         return doc
 
-    def members(self) -> list:
-        self.pos += 1
-        out = []
-        if self.peek() == "]":
-            self.pos += 1
-            return out
-        while True:
-            out.append(_factored(self.value(stop="}")))
-            if self.expect(",]") == "]":
-                return out
+
+_MEMBER_FIELDS = {"ket": _Stream.ket, "matrix": _Stream.matrix}
+_ROOT_FIELDS = {"states": _Stream.members, "matrix": _Stream.matrix}
 
 
 def _not_json(path):
@@ -201,8 +238,9 @@ def _load_json(path):
     """The parsed document.
 
     The file is streamed (see _Stream), so its text is never held whole.
-    Every well-formed ket or matrix whose value's text holds no true or
-    false literal arrives as a float array of [re, im] pairs (see _pair_array).
+    Every well-formed ket or matrix whose text holds no literal or string
+    arrives as a float array of [re, im] pairs (see _Stream.ket and
+    _Stream.matrix).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -215,30 +253,18 @@ def _load_json(path):
         raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _pair_array(entry, ndim: int):
-    """A ket (ndim 1) or square matrix (ndim 2) of [re, im] pairs as a float
-    array of shape (k,) * ndim + (2,), or the entry itself when it is anything
-    else: not numbers, not finite, ragged, or of another shape."""
+def _pairs(entry):
+    """A list of [re, im] pairs (a ket, or a matrix row) as a float array of
+    shape (k, 2), or None when it is anything else: ragged, of another
+    shape, or holding an object or a number beyond the float range.  numpy
+    reads true as 1.0, null as NaN and a string of digits as its number, so
+    it is given only a value whose text has no literal or string (see
+    _Stream._decoded), and the caller checks that the numbers are finite."""
     try:
-        arr = np.asarray(entry)
-    except ValueError:  # ragged nesting
-        return entry
-    if (arr.ndim != ndim + 1 or arr.shape[-1] != 2 or len(set(arr.shape[:-1])) != 1
-            or arr.dtype.kind not in "fiu"):
-        return entry
-    arr = np.asarray(arr, dtype=np.float64)
-    return arr if np.isfinite(arr).all() else entry
-
-
-_ARRAY_FIELDS = {"ket": 1, "matrix": 2}
-
-
-def _arrays_as_they_close(obj: dict) -> dict:
-    """json object_hook: replace a well-formed ket or matrix by its array."""
-    for key, ndim in _ARRAY_FIELDS.items():
-        if isinstance(obj.get(key), list):
-            obj[key] = _pair_array(obj[key], ndim)
-    return obj
+        arr = np.array(entry, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):  # ragged, an object, a huge integer
+        return None
+    return arr if arr.ndim == 2 and arr.shape[1] == 2 else None
 
 
 def _factored(member):

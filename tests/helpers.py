@@ -96,16 +96,15 @@ def array_leaves(tree) -> list:
 
 
 def whole_file_load_json(path):
-    """Reference reader for specio._load_json: json.loads over the file's whole text."""
+    """Reference reader for specio._load_json: json.loads over the file's whole
+    text, every ket and matrix left as lists for the per-entry walkers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    literals = "true" in text or "false" in text
-    hook = None if literals else specio._arrays_as_they_close
     try:
-        doc = json.loads(text, parse_constant=specio._reject_constant, object_hook=hook)
+        doc = json.loads(text, parse_constant=specio._reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
     return doc

@@ -1,27 +1,31 @@
 """Peak Python memory of reading a spec, printing a pom report and
 completing a measurement.
 
-A member's nested [re, im] lists are decoded to an array as soon as the
-member closes, and the report makes its effects only as each is printed, so
+A matrix's nested [re, im] lists are decoded into its array a row at a
+time, and the report makes its effects only as each is printed, so
 neither step holds the whole document as Python lists.  Both peaks stay
 within a small multiple of the file size, where holding the lists once
 costs more than 4x.  The spec is streamed in and the report streamed out,
 so neither the file's text nor the printed report is ever held whole:
-what remains is the ensemble's factors, one member's text and a few d x d
+what remains is the ensemble's factors, one chunk of text and a few d x d
 arrays, about 0.4x the file for the read and for the whole command, where
 holding the text cost 2x and holding every member 0.7x.
 
 The reader checks and factors each matrix member as it closes and drops
 the decoded array, so the ensemble holds only the factors F_j
 (rho_j = F_j F_j^dagger): after the read at most one member's bytes and
-the factors are held, and the peak is one member's text, nested lists
-and arrays, under the states' bytes, where adopting every decoded member
-cost 1.7x to 2x.  complete_pom keeps each effect as its factor and the
-fail effect, so completing the measurement and reading every effect once
-peaks at under 7 effects' bytes for up to 2d members, where holding them
-all cost n + 7.  simulate builds its outcome table from the factors,
-with no stacked copy of the states or the effects, and fills that one
-table a column at a time, where a list of columns and its copies held 3x.
+the factors are held, under the states' bytes, where adopting every
+decoded member cost 1.7x to 2x.  Each matrix, a member's or a Kraus
+file's, is decoded one row at a time into its array, so the read peaks
+at one chunk of text, one row's lists, that array and its factoring,
+about 7 of its d x d bytes at d=128, where one member's whole text and
+nested lists took 15 to 18.  complete_pom keeps each effect as its
+factor and the fail effect, so completing the measurement and reading
+every effect once peaks at under 7 effects' bytes for up to 2d members,
+where holding them all cost n + 7.  simulate builds its outcome table
+from the factors, with no stacked copy of the states or the effects, and
+fills that one table a column at a time, where a list of columns and its
+copies held 3x.
 """
 
 import contextlib
@@ -35,19 +39,19 @@ import pytest
 from maxconf import cli
 from maxconf.linalg import gram
 from maxconf.measurement import complete_pom, outcome_table, simulate_measurement
-from maxconf.specio import matrix_to_json, read_spec
+from maxconf.specio import load_kraus, matrix_to_json, read_spec
 
-from randomgen import random_ensemble, random_members
+from randomgen import random_ensemble, random_kraus, random_members
 
 PEAK_PER_FILE_BYTE = 3.0
 # Streamed: the read and the whole command hold less than the file.
 READ_PEAK_PER_FILE_BYTE = 0.5
 COMMAND_PEAK_PER_FILE_BYTE = 0.5
-# Factored as read: one member's text, lists and arrays, and the factors.
+# Factored as read: one chunk of text, one member's array, and the factors.
 READ_PEAK_PER_STATE_BYTE = 1.0
 # The same peak at d=128 in units of one member's d x d bytes, whatever the
-# number of members: its text and nested lists take about 18.
-READ_PEAK_IN_MEMBERS = 20.0
+# number of members: the 2^18-character chunk is now most of it.
+READ_PEAK_IN_MEMBERS = 8.0
 # complete_pom against all its effects' bytes: the factors and a few d x d arrays.
 COMPLETE_POM_PEAK_PER_EFFECT_BYTE = 0.2
 # complete_pom and one pass over its effects, in units of one effect's bytes.
@@ -153,6 +157,23 @@ def test_read_spec_holds_the_factors_and_at_most_one_member(tmp_path):
     one = _state_bytes(ens) // ens.n_states
     assert held <= one + factors, f"read_spec holds {held} bytes"
     assert peak <= READ_PEAK_IN_MEMBERS * one, f"read_spec peaks at {peak / one:.1f} members' bytes"
+
+
+@pytest.mark.parametrize("form", ["bare", "wrapped"])
+def test_load_kraus_peaks_at_a_few_matrices(tmp_path, form):
+    rows = matrix_to_json(random_kraus(np.random.default_rng(6), 128).matrix)
+    path = tmp_path / "kraus.json"
+    path.write_text(json.dumps(rows if form == "bare" else {"matrix": rows}))
+    del rows
+    tracemalloc.start()
+    try:
+        k = load_kraus(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = k.matrix.nbytes
+    assert k.matrix.shape == (128, 128)
+    assert peak <= READ_PEAK_IN_MEMBERS * one, f"load_kraus peaks at {peak / one:.1f} matrices' bytes"
 
 
 def test_a_one_trial_simulate_holds_no_stacked_states_or_effects():

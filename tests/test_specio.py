@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import warnings
@@ -5,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from maxconf import SpecError, load_kraus, read_spec
+from maxconf import SpecError, load_kraus, read_spec, reports
 from maxconf import specio
 from maxconf.specio import matrix_to_json
 
-from randomgen import random_density
+from randomgen import random_density, random_kraus
 from helpers import streamed_and_whole, trine_kets
 
 
@@ -214,6 +215,11 @@ class TestArrayParsing:
             ),
             (
                 "matrix",
+                [[[0.5, 0.0], [0.0, 0.0]], [[0.0, None], [0.5, 0.0]]],
+                r"states\[0\]\.matrix\[1\]\[0\]\[1\] must be a number, got None",
+            ),
+            (
+                "matrix",
                 [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
                 r"states\[0\]\.matrix\[1\] must be a list of 2 complex entries",
             ),
@@ -281,7 +287,9 @@ class TestArrayParsing:
         entry = rng.normal(size=(5, 5, 2)).tolist()
         entry[0][1] = [-0.0, 3]
         entry[2][2] = [1, -0.0]
-        fast = specio._complex_array(specio._pair_array(entry, 2), 5, 2, "m")
+        rows = specio._Stream(io.StringIO(json.dumps(entry))).matrix()
+        assert isinstance(rows, np.ndarray)
+        fast = specio._complex_array(rows, 5, 2, "m")
         assert fast.tobytes() == specio._matrix(entry, 5, "m").tobytes()
 
     def test_parse_decomposes_each_matrix_member_at_most_once(self, tmp_path, monkeypatch):
@@ -307,7 +315,7 @@ class TestArrayParsing:
         read_spec(path)
         assert len(calls) <= len(states)
 
-    def test_a_literal_in_one_member_leaves_the_others_factored_as_they_close(self, tmp_path, monkeypatch):
+    def test_a_literal_in_another_field_leaves_every_matrix_factored_as_it_closes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(9)
         states = [random_density(rng, 6, rank) for rank in (1, 2, 3, 6)]
         doc = {
@@ -338,9 +346,9 @@ class TestArrayParsing:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         noted = read_spec(path).ensemble
-        assert factored == [True, False, True, True]
+        # the literal rule is per field: member 1's note leaves its matrix an array
+        assert factored == [True] * len(states)
         assert calls == ["eigvalsh"] * len(states)
-        # the literal-bearing member is read by the walkers to the same bytes
         for j in range(len(states)):
             assert noted.factor(j).tobytes() == plain.factor(j).tobytes()
 
@@ -378,6 +386,13 @@ class TestLoadKraus:
         path = tmp_path / "k.json"
         path.write_text('{"matrix": "nope"}')
         with pytest.raises(SpecError, match="square matrix"):
+            load_kraus(str(path))
+
+    def test_a_long_first_row_reserves_no_square_array(self, tmp_path):
+        # the array grows as rows arrive: 100000 x 100000 pairs would take 160 GB
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps([[[1, 0]] * 100_000]))
+        with pytest.raises(SpecError, match=r"^matrix\[0\] must be a list of 1 complex entries$"):
             load_kraus(str(path))
 
     def test_zero_kraus_rejected(self, tmp_path):
@@ -487,6 +502,34 @@ class TestStreamedRead:
             streamed, whole = streamed_and_whole(read_spec, path, chunk)
             assert streamed == whole, chunk
 
+    def test_d8_matrices_decode_alike_when_every_number_straddles_a_chunk_edge(self, tmp_path):
+        rng = np.random.default_rng(14)
+        doc = {
+            "dimension": 8,
+            "states": [{"prior": p, "matrix": matrix_to_json(random_density(rng, 8, r))}
+                       for p, r in ((0.25, 1), (0.25, 3), (0.5, 8))],
+        }
+        spec = write_spec(tmp_path, doc)
+        rows = matrix_to_json(random_kraus(rng, 8, 5).matrix)
+        kraus = [write_spec(tmp_path, rows, "bare.json"), write_spec(tmp_path, {"matrix": rows}, "wrapped.json")]
+        read = {}
+        for chunk in (None, 2):  # every number here, "0.0" at the shortest, straddles a chunk edge
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk is not None:
+                    mp.setattr(specio, "_READ_CHUNK", chunk)
+                ens = read_spec(spec).ensemble
+                with open(kraus[0], encoding="utf-8") as fh:
+                    bare = specio._Stream(fh).document()
+                assert isinstance(bare, np.ndarray) and bare.shape == (8, 8, 2)
+                read[chunk] = (
+                    [ens.factor(j).tobytes() for j in range(ens.n_states)],
+                    [s["bound"] for s in reports.bound_report(ens)["states"]],
+                    bare.tobytes(),
+                    [load_kraus(path).matrix.tobytes() for path in kraus],
+                )
+        assert read[2] == read[None]
+        assert read[2][3] == [bare.view(np.complex128)[..., 0].tobytes()] * 2
+
     def test_file_that_is_not_utf8_fails_as_before(self, tmp_path):
         path = tmp_path / "spec.json"
         text = json.dumps(qubit_spec()).encode()
@@ -495,7 +538,7 @@ class TestStreamedRead:
         assert streamed == whole
         assert streamed[0] == "UnicodeDecodeError"
 
-    def test_each_member_is_decoded_once(self, tmp_path, monkeypatch):
+    def test_each_matrix_row_is_decoded_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(13)
         doc = {
             "dimension": 6,
@@ -503,16 +546,19 @@ class TestStreamedRead:
                        for _ in range(5)],
         }
         path = write_spec(tmp_path, doc)
-        starts = []
+        decoded = []
 
         class Counting:
             def raw_decode(self, text, pos):
-                starts.append(text[pos])
-                return decoder.raw_decode(text, pos)
+                value, end = decoder.raw_decode(text, pos)
+                decoded.append(text[pos:end])
+                return value, end
 
         decoder = specio._DECODER
         monkeypatch.setattr(specio, "_DECODER", Counting())
-        monkeypatch.setattr(specio, "_READ_CHUNK", 100)  # a member is about 2 kB
+        monkeypatch.setattr(specio, "_READ_CHUNK", 100)  # a row is about 250 characters
         read_spec(path)
-        assert starts.count("{") == len(doc["states"])
-
+        rows = [json.dumps(row) for m in doc["states"] for row in m["matrix"]]
+        # no member or whole matrix is ever one decode: each row is, once
+        assert [t for t in decoded if t[:2] == "[["] == rows
+        assert not [t for t in decoded if t[0] == "{" or t[:3] == "[[["]
