@@ -57,8 +57,8 @@ def run(args) -> int:
     if args.command == "simulate":
         if args.trials < 1:
             raise SpecError("--trials must be positive")
-        if args.seed < 0:
-            raise SpecError("--seed must be non-negative")
+        if not 0 <= args.seed < 1 << 64:
+            raise SpecError(f"--seed must be in [0, 2^64), got {args.seed}")
     spec = read_spec(args.spec)
     if tolerance is None:
         tolerance = spec.tolerance if spec.tolerance is not None else DEFAULT_TOLERANCE

@@ -49,6 +49,9 @@ _UNIT_SLACK = 1e-10
 _SAMPLE_CHUNK = 1 << 13
 # A draw is m 2^-53 with m < 2^53, so uint64 keys label 2^53 + m hold 2047 labels and their edges.
 _MANTISSA_BITS, _KEY_LABELS = 53, 2047
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its increment and its two mixing multipliers.
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
 def _checked_fail(total: np.ndarray, fail) -> np.ndarray | None:
@@ -261,13 +264,39 @@ class SimulationResult:
         return self.fail_count / self.trials
 
 
+def _draws(seed: int, start: int, count: int) -> np.ndarray:
+    """SplitMix64's outputs start .. start + count - 1 of seed, each shifted
+    right by 11 bits: the integers m < 2^53 of the uniforms u = m 2^-53.
+
+    Output j mixes the state seed + (j + 1) gamma, so any stretch of the
+    stream is computed from its counters alone.  Every step is in place on
+    uint64 arrays, which wrap mod 2^64 where numpy scalars would warn.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _SPLITMIX_GAMMA
+    z += np.uint64(seed)
+    t = z >> 30
+    z ^= t
+    z *= _SPLITMIX_MIX[0]
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _SPLITMIX_MIX[1]
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    z >>= 64 - _MANTISSA_BITS
+    return z
+
+
 def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> SimulationResult:
     """Sample prepared labels and outcomes, counting correct identifications.
 
     Sampling is inverse-CDF over cumulative probabilities: first the
     prepared label from the priors, then the outcome from Tr(rho_i Pi_k)
     in effect order with fail last (outcome_table), one uniform pair per
-    trial from numpy's seeded generator.  Deterministic for fixed (seed, trials).
+    trial.  Trial i draws SplitMix64's outputs 2i (label) and 2i + 1
+    (outcome) of seed, an integer in [0, 2^64), each shifted to m < 2^53 of
+    u = m 2^-53 (_draws), so counts depend on (seed, trials) alone, on any
+    platform and however the trials are blocked.
     Trials run in blocks of _SAMPLE_CHUNK.  As a uniform u = m 2^-53 passes the edge c
     exactly when m >= ceil(c 2^53), one sort of the keys label 2^53 + m, located among the
     sorted edges label 2^53 + ceil(c 2^53), gives every (label, outcome) cell of a block as one
@@ -277,6 +306,8 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
         raise ValueError("simulation requires a complete measurement")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
     prob = np.clip(outcome_table(ens, pom), 0.0, None)  # prob[i, k] = Tr(rho_i Pi_k)
     n_out = prob.shape[1]
     prob /= prob.sum(axis=1, keepdims=True)
@@ -293,22 +324,18 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     edges += (np.arange(ens.n_states, dtype=np.uint64) % _KEY_LABELS << _MANTISSA_BITS)[:, None]
     edges = edges.reshape(-1)  # each window of _KEY_LABELS rows sorted
     window_size = _KEY_LABELS * n_out
-    rng = np.random.default_rng(seed)
-    # Consecutive draws continue one stream, so the blocks see exactly the
-    # uniforms a single (trials, 2) draw would.
     joint = np.zeros(ens.n_states * n_out, dtype=np.int64)
     for start in range(0, trials, _SAMPLE_CHUNK):
-        u = rng.random((min(_SAMPLE_CHUNK, trials - start), 2))
-        keys = np.searchsorted(cum_priors, u[:, 0], side="right")
+        m = _draws(seed, 2 * start, 2 * min(_SAMPLE_CHUNK, trials - start)).reshape(-1, 2)
+        keys = np.searchsorted(cum_priors, m[:, 0] * 2.0 ** -_MANTISSA_BITS, side="right")
         np.minimum(keys, ens.n_states - 1, out=keys)
         window = keys // _KEY_LABELS
         keys -= window * _KEY_LABELS  # the label within its window
         keys = keys.view(np.uint64)
         keys <<= _MANTISSA_BITS
-        u[:, 1] *= float(1 << _MANTISSA_BITS)
-        keys |= u[:, 1].astype(np.uint64)
+        keys |= m[:, 1]
         # each spent array is dropped before the next is made: a block peaks near 0.35 MB
-        del u
+        del m
         for w in range(-(-ens.n_states // _KEY_LABELS)):
             block = keys[window == w]
             block.sort()

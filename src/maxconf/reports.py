@@ -161,6 +161,13 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     return report, not exceeded
 
 
+def _band_3sigma(p: float, n: int) -> float:
+    """3 sqrt(p (1 - p) / n) + 1 / (2n): the 3-sigma band of a frequency of
+    n shots with continuity correction, so that a single miss at p near 1,
+    where the bare band is near 0, is not out of it."""
+    return 3.0 * math.sqrt(p * (1.0 - p) / n) + 0.5 / n
+
+
 def simulate_report(ens, trials: int, seed: int) -> dict:
     pom = complete_pom(ens)
     rep = confidence_report(ens, pom)
@@ -170,7 +177,7 @@ def simulate_report(ens, trials: int, seed: int) -> dict:
         expected = rep.records[k][2]
         count = sim.outcome_counts[k]
         freq = sim.conditional_frequencies[k]
-        band = 3.0 * math.sqrt(expected * (1.0 - expected) / count) if count else None
+        band = _band_3sigma(expected, count) if count else None
         outcomes.append(
             {
                 "label": label,

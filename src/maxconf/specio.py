@@ -173,6 +173,7 @@ class _Stream:
                 rows.append(row)
         if n and not rows and n == arr.shape[1] and np.isfinite(arr).all():
             return arr
+        row = r = None  # a filled last row's lists go before tolist() makes them again
         return (arr[:n].tolist() if n else []) + rows
 
     def object(self, fields):

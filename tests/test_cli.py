@@ -103,6 +103,12 @@ class TestSimulate:
         counts = lambda s: [o["count"] for o in json.loads(s)["outcomes"]]
         assert counts(a) != counts(b)
 
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, err = run(capsys, "simulate", TRINE, "--trials", "100", "--seed", "18446744073709551615",
+                             "--output", "machine")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["seed"] == (1 << 64) - 1
+
     def test_conditional_frequencies_near_bound(self, capsys):
         _, out, _ = run(
             capsys, "simulate", TRINE, "--trials", "100000", "--seed", "42", "--output", "machine"
@@ -130,9 +136,10 @@ class TestSimulate:
         for entry in json.loads(out)["outcomes"]:
             assert math.isfinite(entry["band_3sigma"])
 
-    def test_only_simulate_imports_numpy_random(self, tmp_path):
-        # importing numpy.random costs about 5.5 MB of resident memory, which
-        # only simulate needs; a fresh process shows what each command loads
+    def test_no_command_imports_numpy_random(self, tmp_path):
+        # importing numpy.random costs about 5.5 MB of resident memory, and
+        # simulate draws its uniforms from SplitMix64 on numpy's core; a fresh
+        # process shows what each command loads
         kraus = tmp_path / "identity.json"
         kraus.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
         commands = [["bound", TRINE], ["pom", TRINE], ["verify", TRINE], ["concentrate", TRINE],
@@ -152,7 +159,7 @@ class TestSimulate:
         child = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                                capture_output=True, text=True, env=env, timeout=120)
         assert child.returncode == 0, child.stderr
-        assert json.loads(child.stdout) == [False] * 6 + [True]
+        assert json.loads(child.stdout) == [False] * 7
 
 
 class TestTransform:
@@ -286,6 +293,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--seed=-1"),
+        ("simulate", "--seed=18446744073709551616"),  # 2^64 would alias seed 0
         ("simulate", "--trials=0"),
         ("verify", "--tolerance=nan"),
     ])

@@ -16,11 +16,12 @@ from maxconf import (
     simulate_measurement,
 )
 from maxconf.linalg import gram, hermitize, kept, real_trace
-from maxconf.measurement import _SAMPLE_CHUNK, outcome_table
+from maxconf.measurement import _SAMPLE_CHUNK, _draws, outcome_table
 from maxconf.specio import read_spec
 
 from randomgen import ensemble_suite, random_complete_pom, random_effect, random_ensemble, random_unitary
 from helpers import effect_matrices, outcome_matrices, trine, trine_kets, worked, worked_bound
+from splitmix import one_shot_sample, splitmix64, uniforms
 
 
 class TestConfidenceOf:
@@ -278,26 +279,6 @@ class TestOutcomeTable:
                 assert np.abs(table - np.array(expected)).max() <= 1e-12
 
 
-def one_shot_sample(ens, pom, trials, seed):
-    """(outcome counts, correct counts) from a single (trials, 2) draw."""
-    matrices = outcome_matrices(pom)
-    prob = np.array([[real_trace(rho @ e) for e in matrices] for rho in ens.states])
-    prob = np.clip(prob, 0.0, None)
-    prob /= prob.sum(axis=1, keepdims=True)
-    u = np.random.default_rng(seed).random((trials, 2))
-    prepared = np.searchsorted(np.cumsum(ens.priors), u[:, 0], side="right")
-    prepared = np.minimum(prepared, ens.n_states - 1)
-    cum = np.cumsum(prob, axis=1)
-    cum[:, -1] = 1.0
-    outcome = (u[:, 1:] >= cum[prepared]).sum(axis=1)
-    counts = np.bincount(outcome, minlength=len(matrices))
-    correct = [
-        int(np.count_nonzero((outcome == k) & (prepared == label)))
-        for k, (label, _) in enumerate(pom.effects)
-    ]
-    return tuple(int(c) for c in counts), tuple(correct)
-
-
 def sampler_case(name):
     if name == "trine":
         ens = trine([0.2, 0.3, 0.5])  # misidentifications and a fail outcome
@@ -350,7 +331,7 @@ class TestSimulate:
         prob = np.clip(outcome_table(ens, pom), 0.0, None)
         cum = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
         cum[:, -1] = 1.0
-        u = np.random.default_rng(25).random((trials, 2))
+        u = uniforms(25, trials)
         prepared = np.minimum(np.searchsorted(np.cumsum(ens.priors), u[:, 0], side="right"), n - 1)
         joint = np.zeros((n, n + 1), dtype=np.int64)
         for i, v in zip(prepared, u[:, 1]):
@@ -361,15 +342,43 @@ class TestSimulate:
         assert sim.correct_counts == tuple(int(joint[label, k]) for k, (label, _) in enumerate(pom.effects))
 
     def test_generator_draws_are_whole_multiples_of_two_to_the_minus_53(self):
-        # the sampler compares draws with its edges as integers m = u 2^53
+        # the sampler compares draws with its edges as integers m = u 2^53,
+        # the top 53 bits of each 64-bit output
         for seed in (0, 1, 21):
-            m = np.random.default_rng(seed).random(1 << 16) * 2.0 ** 53
-            assert np.array_equal(m, np.floor(m)) and m.max() < 2.0 ** 53
+            m = _draws(seed, 0, 1 << 16)
+            assert m.dtype == np.uint64
+            assert 2 ** 52 <= int(m.max()) < 2 ** 53
+
+    def test_draws_match_splitmix64s_published_outputs(self):
+        published = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                     4593380528125082431, 16408922859458223821]
+        assert splitmix64(1234567, 5) == published
+        assert _draws(1234567, 0, 5).tolist() == [x >> 11 for x in published]
+
+    @pytest.mark.parametrize("seed", [0, 1234567, (1 << 64) - 1])
+    def test_any_stretch_of_draws_is_the_reference_stream_at_its_counters(self, seed):
+        # the state seed + (j + 1) gamma wraps past 2^64 at once for the largest seed
+        stream = [x >> 11 for x in splitmix64(seed, 3 * _SAMPLE_CHUNK)]
+        for start, count in ((0, 1), (5, 3), (_SAMPLE_CHUNK - 1, _SAMPLE_CHUNK + 2)):
+            assert _draws(seed, start, count).tolist() == stream[start:start + count]
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_sixty_four_bits_is_rejected(self, seed):
+        # 2^64 would alias seed 0 mod 2^64
+        ens = trine()
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            simulate_measurement(ens, complete_pom(ens), 10, seed)
+
+    def test_largest_seed_is_accepted(self):
+        ens = trine()
+        pom = complete_pom(ens)
+        sim = simulate_measurement(ens, pom, 100, (1 << 64) - 1)
+        assert (sim.outcome_counts, sim.correct_counts) == one_shot_sample(ens, pom, 100, (1 << 64) - 1)
 
     @staticmethod
     def _simulate_peak(ens, trials):
         pom = complete_pom(ens)
-        simulate_measurement(ens, pom, 1, 5)  # the first call imports numpy.random, untraced
+        simulate_measurement(ens, pom, 1, 5)  # one-time costs of a first call stay untraced
         tracemalloc.start()
         try:
             simulate_measurement(ens, pom, trials, 5)

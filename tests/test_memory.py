@@ -19,7 +19,11 @@ decoded member cost 1.7x to 2x.  Each matrix, a member's or a Kraus
 file's, is decoded one row at a time into its array, so the read peaks
 at one chunk of text, one row's lists, that array and its factoring,
 about 7 of its d x d bytes at d=128, where one member's whole text and
-nested lists took 15 to 18.  complete_pom keeps each effect as its
+nested lists took 15 to 18.  A matrix that breaks that form is left as
+lists for the per-entry walkers, and its rows are made once more from the
+array only after the last row's decoded lists are dropped, so a one-row
+bare Kraus file peaks at 1.3x the whole-file reader, where holding that row
+twice took 2x.  complete_pom keeps each effect as its
 factor and the fail effect, so completing the measurement and reading
 every effect once peaks at under 7 effects' bytes for up to 2d members,
 where holding them all cost n + 7.  simulate builds its outcome table
@@ -36,12 +40,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxconf import cli
+from maxconf import SpecError, cli, specio
 from maxconf.linalg import gram
 from maxconf.measurement import complete_pom, outcome_table, simulate_measurement
 from maxconf.specio import load_kraus, matrix_to_json, read_spec
 
 from randomgen import random_ensemble, random_kraus, random_members
+from helpers import whole_file_load_json
 
 PEAK_PER_FILE_BYTE = 3.0
 # Streamed: the read and the whole command hold less than the file.
@@ -52,6 +57,8 @@ READ_PEAK_PER_STATE_BYTE = 1.0
 # The same peak at d=128 in units of one member's d x d bytes, whatever the
 # number of members: the 2^18-character chunk is now most of it.
 READ_PEAK_IN_MEMBERS = 8.0
+# A matrix left as lists against the whole-file reader, which holds the text and the lists once.
+FALLBACK_PEAK_PER_WHOLE_FILE_PEAK = 1.5
 # complete_pom against all its effects' bytes: the factors and a few d x d arrays.
 COMPLETE_POM_PEAK_PER_EFFECT_BYTE = 0.2
 # complete_pom and one pass over its effects, in units of one effect's bytes.
@@ -174,6 +181,29 @@ def test_load_kraus_peaks_at_a_few_matrices(tmp_path, form):
     one = k.matrix.nbytes
     assert k.matrix.shape == (128, 128)
     assert peak <= READ_PEAK_IN_MEMBERS * one, f"load_kraus peaks at {peak / one:.1f} matrices' bytes"
+
+
+def test_a_matrix_left_as_lists_holds_its_last_row_once(tmp_path):
+    # one row of 200000 pairs fills the array's first row, then fails the
+    # square check, so the whole matrix goes back to lists
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps([[[0.5, 0.25]] * 200000]))
+
+    def traced():
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError) as exc:
+                load_kraus(str(path))
+            return tracemalloc.get_traced_memory()[1], str(exc.value)
+        finally:
+            tracemalloc.stop()
+
+    peak, error = traced()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specio, "_load_json", whole_file_load_json)
+        whole_peak, whole_error = traced()
+    assert error == whole_error == "matrix[0] must be a list of 1 complex entries"
+    assert peak <= FALLBACK_PEAK_PER_WHOLE_FILE_PEAK * whole_peak, f"{peak / whole_peak:.2f}x the whole-file reader"
 
 
 def test_a_one_trial_simulate_holds_no_stacked_states_or_effects():

@@ -4,13 +4,19 @@ held as its d x d matrix and every bound and effect went through rho^{-1}
 or rho^{-1/2}.  The factor route changes last digits only: counts, labels,
 verdicts and the keys of every report stay the same.
 
-A simulate band, 3 sqrt(x (1 - x) / count), turns a 1e-16 move of an
-expected confidence x next to 1 into one of 1e-9, so its square is
-compared.  The inputs are the three fixtures and two seeded specs, one of mixed
-members written as matrices and one of pure members written as kets.
+simulate's counts, frequencies and bands depend on its random stream,
+which has changed since outputs_before.json was written, so they are
+checked against the reference sampler (splitmix.one_shot_sample) and its
+every other number against the stored values.  A band,
+3 sqrt(x (1 - x) / count) + 1 / (2 count), turns a 1e-16 move of an
+expected confidence x next to 1 into one of 1e-9, so it is compared as
+x (1 - x) / count.  The inputs are the three fixtures and two seeded specs,
+one of mixed members written as matrices and one of pure members written as
+kets.
 """
 
 import contextlib
+import copy
 import io
 import json
 from pathlib import Path
@@ -19,13 +25,16 @@ import numpy as np
 import pytest
 
 from maxconf.cli import main
-from maxconf.specio import matrix_to_json
+from maxconf.measurement import complete_pom
+from maxconf.specio import matrix_to_json, read_spec
 
 from randomgen import random_ket, random_members
+from splitmix import one_shot_sample
 
 COMMANDS = ("bound", "pom", "verify", "simulate", "concentrate", "transform")
 FIXTURES = ("worked_example", "trine", "near_parallel")
 TOL = 1e-14
+SIM_TRIALS, SIM_SEED = 70001, 5
 
 with open(Path(__file__).with_name("outputs_before.json"), encoding="utf-8") as fh:
     BEFORE = json.load(fh)
@@ -62,7 +71,7 @@ def machine_output(inputs, spec, command) -> tuple:
     if command == "transform":
         argv += ["--kraus", kraus]
     elif command == "simulate":
-        argv += ["--trials", "70001", "--seed", "5"]
+        argv += ["--trials", str(SIM_TRIALS), "--seed", str(SIM_SEED)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -77,10 +86,32 @@ def differences(doc, before, path=""):
     if isinstance(before, list) and isinstance(doc, list) and len(doc) == len(before):
         return [p for k, (a, b) in enumerate(zip(doc, before)) for p in differences(a, b, f"{path}[{k}]")]
     if type(before) is float and type(doc) in (float, int):
-        if path.endswith(".band_3sigma"):  # 3 sqrt(x (1 - x) / count): compare x (1 - x)
-            doc, before = doc * doc / 9.0, before * before / 9.0
         return [] if abs(doc - before) <= TOL else [f"{path}: {before!r} -> {doc!r}"]
     return [] if doc == before and type(doc) is type(before) else [f"{path}: {before!r} -> {doc!r}"]
+
+
+def band_as_variance(doc):
+    """A simulate output with each band b of count n given as
+    ((b - 1 / (2n)) / 3)^2, that is x (1 - x) / n."""
+    doc = copy.deepcopy(doc)
+    for entry in doc["outcomes"]:
+        if entry["count"]:
+            entry["band_3sigma"] = ((entry["band_3sigma"] - 0.5 / entry["count"]) / 3.0) ** 2
+    return doc
+
+
+def reference_simulate(inputs, spec, before):
+    """before's simulate output with its counts, frequencies and bands from
+    the reference sampler, and each band as band_as_variance gives it."""
+    ens = read_spec(inputs[spec][0]).ensemble
+    counts, correct = one_shot_sample(ens, complete_pom(ens), SIM_TRIALS, SIM_SEED)
+    expected = copy.deepcopy(before)
+    for entry, n, hits in zip(expected["outcomes"], counts[:-1], correct, strict=True):
+        x = entry["expected_confidence"]
+        entry.update(count=n, frequency=hits / n if n else None,
+                     band_3sigma=x * (1.0 - x) / n if n else None)
+    expected["fail"].update(count=counts[-1], frequency=counts[-1] / SIM_TRIALS)
+    return expected
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +125,10 @@ def test_every_printed_number_stays_within_1e_14_of_the_matrix_route(inputs, spe
     code, doc = machine_output(inputs, spec, command)
     before = BEFORE[spec][command]
     assert code == before["exit"]
-    assert differences(doc, before["output"]) == []
+    expected = before["output"]
+    if command == "simulate":
+        doc, expected = band_as_variance(doc), reference_simulate(inputs, spec, expected)
+    assert differences(doc, expected) == []
 
 
 @pytest.mark.parametrize("spec", sorted(BEFORE))

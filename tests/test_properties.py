@@ -333,3 +333,15 @@ def test_simulated_conditional_frequencies_fall_in_their_3_sigma_band(ens):
                 misses.setdefault(outcome["label"], []).append((seed, outcome))
     assert all(2 * len(m) < len(SIMULATION_SEEDS) for m in misses.values()), misses
 
+
+def test_a_single_miss_near_one_lies_in_the_continuity_corrected_band():
+    # One miss in 3156 shots at an expected confidence of 0.99998 is off by
+    # 2.97e-4.  The bare 3 sqrt(p (1 - p) / n) is 2.39e-4 and misses it; the
+    # continuity correction 1 / (2n) widens the band to 3.97e-4.
+    p, n = 0.99998, 3156
+    deviation = p - (n - 1) / n
+    bare = 3.0 * np.sqrt(p * (1.0 - p) / n)
+    band = reports._band_3sigma(p, n)
+    assert (round(deviation, 6), round(bare, 6), round(band, 6)) == (2.97e-4, 2.39e-4, 3.97e-4)
+    assert bare < deviation < band
+
