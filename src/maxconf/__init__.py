@@ -23,7 +23,6 @@ from .measurement import (
     confidence_of,
     confidence_report,
     max_confidence,
-    optimal_effect,
     simulate_measurement,
 )
 from .nosignalling import (
@@ -36,11 +35,9 @@ from .transforms import (
     ConcentrationResult,
     KrausOperator,
     MonotonicityRecord,
-    TwoStepFilter,
     apply_kraus,
     concentrate,
     monotonicity_check,
-    two_step_filter,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +53,6 @@ __all__ = [
     "SchmidtDecomposition",
     "SimulationResult",
     "SpecError",
-    "TwoStepFilter",
     "allowed_subspace",
     "apply_kraus",
     "bound_bipartite",
@@ -69,10 +65,8 @@ __all__ = [
     "marginal_invariance",
     "max_confidence",
     "monotonicity_check",
-    "optimal_effect",
     "purify",
     "read_spec",
     "schmidt",
     "simulate_measurement",
-    "two_step_filter",
 ]

@@ -74,24 +74,14 @@ def frobenius(m) -> float:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m^dagger) / 2."""
-    return (m + m.conj().T) / 2
-
-
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Validate that m is finite, square and Hermitian, return its Hermitian part.
-
-    The symmetrized matrix is returned so that downstream eigensolvers see
-    an exactly Hermitian operand regardless of roundoff in the input.  It
-    is a new array; m is left as it is.
-    """
-    return hermitian_in_place(np.array(m, dtype=np.complex128), name)
+    """Hermitian part (m + m^dagger) / 2, as a new complex128 array."""
+    return _symmetrized(np.array(m, dtype=np.complex128))
 
 
 def hermitian_in_place(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """require_hermitian for an array the caller owns: the same checks and
-    messages, a non-finite entry first, then the Hermitian part, with
-    hermitize's float operations, is written over m and returned."""
+    """Validate that m, an array the caller owns, is finite, square and
+    Hermitian, a non-finite entry first; its Hermitian part is written over
+    m and returned, so eigensolvers see an exactly Hermitian operand."""
     arr = as_matrix(_require_finite(m, name))
     n, k = arr.shape
     if n != k:
@@ -104,7 +94,7 @@ def hermitian_in_place(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """hermitize(m), bit for bit, written over m one real half at a time."""
+    """(m + m^dagger) / 2 written over m, a complex128 array, one real half at a time."""
     re, im = m.real, m.imag
     re += re.T
     im -= im.T
@@ -156,15 +146,15 @@ def sandwich(effect, a: np.ndarray, diagonal: bool = False, checked: bool = Fals
     E comes as a d x d matrix or as the factor pair (W, t) of E = t W W^dagger,
     read as t X^T X^* with X = W^dagger a, so that E is never formed.  This and
     outcome_probability's norm are the two places where the forms differ.
-    checked marks a caller's effect: a matrix is validated by
-    require_hermitian, a pair's W and t must be finite, and either form must
+    checked marks a caller's effect: a matrix is validated, on a copy, by
+    hermitian_in_place, a pair's W and t must be finite, and either form must
     act on the left system.
     """
     pair = isinstance(effect, tuple)
     if checked and pair:
         effect = tuple(_require_finite(x, "effect") for x in effect)
     elif checked:
-        effect = require_hermitian(effect, name="effect")
+        effect = hermitian_in_place(np.array(effect, dtype=np.complex128), "effect")
     if checked and len(effect[0] if pair else effect) != len(a):
         raise ValueError("effect must act on the left system")
     if not pair:

@@ -154,7 +154,7 @@ def _posterior(numer: float, denom: float, effect, j: int) -> float:
 def confidence_of(ens: Ensemble, effect, j: int) -> float:
     """Posterior probability of state j given the outcome tied to `effect`:
     a d x d matrix, or the factor pair (W, t) of t W W^dagger in which
-    POM.effects and optimal_effect hand out an effect.
+    POM.effects hands out an effect.
 
     Invariant under rescaling of the effect.  Raises when the outcome
     probability Tr(rho effect) is too small for the conditional to exist.
@@ -169,18 +169,6 @@ def max_confidence(ens: Ensemble, j: int) -> float:
     return _unit_interval(ens.top(j)[0], f"bound for state {j}")
 
 
-def _whitening(ens: Ensemble) -> np.ndarray:
-    """U diag(1/s), with (s^2, U) the support of the average."""
-    supp = ens.support
-    return supp.eigenvectors / np.sqrt(supp.eigenvalues)
-
-
-def optimal_effect(ens: Ensemble, j: int) -> tuple:
-    """(W_j, 1.0), W_j = U diag(1/s) T_j: the factor pair of the effect
-    W_j W_j^dagger attaining max_confidence(ens, j)."""
-    return _readonly(_whitening(ens) @ ens.top(j)[1]), 1.0
-
-
 def complete_pom(ens: Ensemble) -> POM:
     """Scale the optimal effects into a single measurement.
 
@@ -191,7 +179,7 @@ def complete_pom(ens: Ensemble) -> POM:
     column blocks W_j of U diag(1/s) [T_1 ... T_n], t and the checked fail effect.
     """
     tops = [ens.top(j)[1] for j in range(ens.n_states)]
-    whitening = _whitening(ens)
+    whitening = ens.support.eigenvectors / np.sqrt(ens.support.eigenvalues)  # U diag(1/s)
     w = np.empty((ens.dim, sum(v.shape[1] for v in tops)), dtype=np.complex128)
     factors = np.hsplit(w, np.cumsum([v.shape[1] for v in tops[:-1]]))
     for j, (f, v) in enumerate(zip(factors, tops)):

@@ -7,7 +7,7 @@ maximum confidence, and leaves every one unchanged when A is invertible
 on the support of the average state.  The canonical example is the
 two-step filter A = sqrt(lambda_min) rho^{-1/2}, which flattens the
 average state (and, on the purification, the Schmidt spectrum) at success
-probability lambda_min * D; two_step_filter and concentrate share it.
+probability lambda_min * D; concentrate applies it to a bipartite state.
 Ranks follow linalg.kept: an element's rank is the support rank of A^dagger A.
 """
 
@@ -117,39 +117,6 @@ def monotonicity_check(ens: Ensemble, transformed: Ensemble, tol: float = _EQUAL
     return tuple(records)
 
 
-def _flattening(lam: np.ndarray, v: np.ndarray) -> tuple[KrausOperator, float, np.ndarray]:
-    """sqrt(lambda_min) rho^{-1/2}, its success probability lambda_min * D, the
-    fail effect, for rho's kept eigenvalues lam (descending) and eigenvectors v."""
-    lam_min = float(lam[-1])
-    a = KrausOperator(np.sqrt(lam_min) * ((v / np.sqrt(lam)) @ v.conj().T))
-    fail = hermitize(np.eye(v.shape[0]) - lam_min * ((v / lam) @ v.conj().T))
-    return a, min(lam_min * lam.size, 1.0), fail  # lambda_min <= 1 / D
-
-
-@dataclass(frozen=True, eq=False)
-class TwoStepFilter:
-    """Flattening filter: element, success probability, fail effect, result."""
-
-    kraus: KrausOperator
-    success_probability: float
-    fail_effect: np.ndarray
-    ensemble: Ensemble
-
-
-def two_step_filter(ens: Ensemble) -> TwoStepFilter:
-    """Filter whose success branch flattens the average state.
-
-    A = sqrt(p_succ / D) rho^{-1/2} with p_succ = lambda_min * D, where
-    lambda_min is the smallest retained eigenvalue of rho and D its rank.
-    A^dagger A plus the fail effect resolves the identity, the fail effect
-    has one zero direction per lambda_min multiplicity, and the transformed
-    average is the maximally mixed state on the support.
-    """
-    a, p_succ, fail = _flattening(ens.support.eigenvalues, ens.support.eigenvectors)
-    transformed, _ = apply_kraus(ens, a)
-    return TwoStepFilter(a, p_succ, fail, transformed)
-
-
 @dataclass(frozen=True, eq=False)
 class ConcentrationResult:
     """Outcome of Schmidt-spectrum flattening on a bipartite state."""
@@ -162,18 +129,22 @@ class ConcentrationResult:
 
 
 def concentrate(bs: BipartiteState) -> ConcentrationResult:
-    """Flatten the Schmidt spectrum by filtering the left system.
-
-    On success (probability lambda_min * D) the state becomes maximally
-    entangled across its original Schmidt rank D.  The amplitude matrix is
-    the left marginal's factor, so its Schmidt decomposition (schmidt, one
-    SVD) gives the support (lambda, U) and the post-state U V^T / sqrt(D),
-    exactly flat; the result keeps it as `before`.  Product states cannot
-    be concentrated.
+    """Flatten the Schmidt spectrum by filtering the left system with
+    A = sqrt(lambda_min) rho^{-1/2}, rho the left marginal: A^dagger A plus
+    the fail effect resolves the identity, and the fail effect has one zero
+    direction per multiplicity of lambda_min.  On success (probability
+    lambda_min * D) the state becomes maximally entangled across its
+    original Schmidt rank D.  The amplitude matrix is the left marginal's
+    factor, so its Schmidt decomposition (schmidt, one SVD) gives the
+    support (lambda, U) and the post-state U V^T / sqrt(D), exactly flat;
+    the result keeps it as `before`.  Product states cannot be concentrated.
     """
     sch = schmidt(bs)
     if sch.rank < 2:
         raise ValueError("cannot concentrate: Schmidt rank 1 (product state)")
-    a, p_succ, fail = _flattening(sch.coefficients, sch.left_vectors)
-    post = BipartiteState(sch.left_vectors @ sch.right_vectors.T / np.sqrt(sch.rank), bs.index_sets)
-    return ConcentrationResult(a, p_succ, fail, post, sch)
+    lam, v = sch.coefficients, sch.left_vectors
+    lam_min = float(lam[-1])  # at most 1 / D, so lambda_min * D is a probability up to roundoff
+    a = KrausOperator(np.sqrt(lam_min) * ((v / np.sqrt(lam)) @ v.conj().T))
+    fail = hermitize(np.eye(v.shape[0]) - lam_min * ((v / lam) @ v.conj().T))
+    post = BipartiteState(v @ sch.right_vectors.T / np.sqrt(sch.rank), bs.index_sets)
+    return ConcentrationResult(a, min(lam_min * lam.size, 1.0), fail, post, sch)

@@ -18,7 +18,6 @@ from maxconf import (
     concentrate,
     confidence_of,
     max_confidence,
-    optimal_effect,
     purify,
     schmidt,
     simulate_measurement,
@@ -70,10 +69,10 @@ def test_acceptance_2_optimal_effect_geometry():
         psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
         for p in GRID:
             for q in GRID:
-                ens = worked(p, q)
-                e0 = gram(*optimal_effect(ens, 0))
+                pom = complete_pom(worked(p, q))
+                e0 = gram(*pom.effects[0][1])
                 assert abs(psi.conj() @ e0 @ psi) <= 1e-12
-                e1 = gram(*optimal_effect(ens, 1))
+                e1 = gram(*pom.effects[1][1])
                 vals, vecs = np.linalg.eigh(e1)
                 assert vals[0] <= 1e-12 * vals[-1]
                 u = np.array([1.0 - q, q])
@@ -127,8 +126,8 @@ def test_acceptance_5_bound_is_tight_and_unbeatable():
         for idx, ens in enumerate(SUITE):
             d = ens.dim
             bounds = np.array([max_confidence(ens, j) for j in range(ens.n_states)])
-            for j in range(ens.n_states):
-                achieved = confidence_of(ens, optimal_effect(ens, j), j)
+            for j, effect in complete_pom(ens).effects:
+                achieved = confidence_of(ens, effect, j)
                 assert abs(achieved - bounds[j]) <= 1e-9
 
             g = rng.normal(size=(1000, d, d)) + 1j * rng.normal(size=(1000, d, d))

@@ -15,7 +15,7 @@ from maxconf import (
     schmidt,
 )
 from maxconf.ensembles import StateError, _checked_state
-from maxconf.linalg import fix_phase, kept, kept_svd, require_hermitian
+from maxconf.linalg import fix_phase, hermitize, kept, kept_svd
 from maxconf.specio import matrix_to_json
 
 from randomgen import ensemble_suite, random_bipartite, random_members, random_unitary
@@ -149,7 +149,7 @@ class TestFactoredStates:
         u = random_unitary(np.random.default_rng(62), 3)
         rho = u @ np.diag([0.5, 0.5 + 5e-11, -5e-11]) @ u.conj().T
         public = Ensemble(3, (rho, np.eye(3) / 3), np.array([0.5, 0.5]))
-        vals, vecs = np.linalg.eigh(require_hermitian(rho))
+        vals, vecs = np.linalg.eigh(hermitize(rho))
         keep = kept(vals)
         assert public.factor(0).tobytes() == (vecs[:, keep] * np.sqrt(vals[keep])).tobytes()
         assert public.state_ranks == (2, 3)

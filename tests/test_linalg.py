@@ -9,7 +9,6 @@ from maxconf.linalg import (
     hermitize,
     kept,
     kept_svd,
-    require_hermitian,
     sandwich,
 )
 
@@ -72,11 +71,13 @@ class TestNonFiniteOperands:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_matrix_is_rejected_before_its_other_checks(self, bad):
         with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
-            require_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+            hermitian_in_place(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex))
         with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
             hermitian_in_place(np.array([[1.0, bad, 0.0], [0.0, 1.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
-            require_hermitian(np.array([[1.0, bad], [0.0, 1.0]]), "effect")
+            hermitian_in_place(np.array([[1.0, bad], [0.0, 1.0]], dtype=complex), "effect")
+        with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
+            sandwich(np.array([[1.0, bad], [0.0, 1.0]]), np.eye(2, dtype=complex), checked=True)
 
     @pytest.mark.parametrize("pair", [
         (np.array([[np.nan], [1.0]]), 1.0),
@@ -92,23 +93,48 @@ class TestNonFiniteOperands:
             sandwich(pair, a, diagonal=True, checked=True)
 
 
-class TestRequireHermitian:
+class TestHermitianInPlace:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="^matrix is not square: shape \\(2, 3\\)$"):
-            require_hermitian(np.ones((2, 3)))
+            hermitian_in_place(np.ones((2, 3), dtype=complex))
 
     def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            require_hermitian(m)
+        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within relative tolerance 1e-09$"):
+            hermitian_in_place(m)
 
-    def test_accepts_tiny_hermiticity_noise(self):
+    def test_accepts_tiny_hermiticity_noise_and_writes_the_hermitian_part_over_its_operand(self):
         m = np.diag([1.0, 2.0]).astype(complex)
         m[0, 1] = 1e-13
-        h = require_hermitian(m)
-        assert h.tobytes() == hermitize(m).tobytes()
+        reference = (m + m.conj().T) / 2
+        h = hermitian_in_place(m)
+        assert h is m and h.tobytes() == reference.tobytes()
         assert np.allclose(np.linalg.eigvalsh(h), [1.0, 2.0], atol=1e-12)
-        assert m[0, 1] == 1e-13 and m[1, 0] == 0.0  # the caller's array is left as it is
+
+
+class TestHermitize:
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 3e5])
+    def test_equals_the_reference_bit_for_bit(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 100)
+        for dim in (1, 2, 3, 7, 16, 33, 64):
+            m = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            before = m.copy()
+            h = hermitize(m)
+            assert h.dtype == np.complex128 and h is not m
+            assert h.tobytes() == ((m + m.conj().T) / 2).tobytes()
+            assert m.tobytes() == before.tobytes()
+
+
+class TestSandwich:
+    def test_a_checked_matrix_leaves_the_callers_array_as_it_is(self):
+        rng = np.random.default_rng(16)
+        e = random_psd(rng, 3, 2)
+        e[0, 1] += 1e-13  # Hermitian within tolerance, but not exactly
+        before = e.copy()
+        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        checked = sandwich(e, a, checked=True)
+        assert e.tobytes() == before.tobytes()
+        assert checked.tobytes() == sandwich(hermitize(e), a).tobytes()
 
 
 def support_of(m):
@@ -134,7 +160,7 @@ class TestSupport:
     def test_sandwich_gives_support_projector(self):
         rng = np.random.default_rng(11)
         for dim, rank in ((3, 2), (4, 2), (5, 4)):
-            m = require_hermitian(random_psd(rng, dim, rank))
+            m = hermitize(random_psd(rng, dim, rank))
             u, vals = support_of(m)
             r = (u / np.sqrt(vals)) @ u.conj().T
             assert np.linalg.norm(r @ m @ r - u @ u.conj().T) <= 1e-9
@@ -142,13 +168,13 @@ class TestSupport:
 
     def test_inverse_on_support(self):
         rng = np.random.default_rng(12)
-        m = require_hermitian(random_psd(rng, 4, 4))
+        m = hermitize(random_psd(rng, 4, 4))
         u, vals = support_of(m)
         assert np.linalg.norm((u / vals) @ u.conj().T @ m - np.eye(4)) <= 1e-8
 
     @pytest.mark.parametrize("dim, rank", [(5, 1), (5, 3), (8, 8)])
     def test_kept_factor_rebuilds_a_psd_matrix_at_its_kept_rank(self, dim, rank):
-        m = require_hermitian(random_psd(np.random.default_rng(14), dim, rank))
+        m = hermitize(random_psd(np.random.default_rng(14), dim, rank))
         f = _kept_factor(m, np.linalg.eigvalsh(m))
         assert f.shape == (dim, rank) and not f.flags.writeable
         assert np.linalg.norm(f @ f.conj().T - m) <= 1e-12 * np.linalg.norm(m)
@@ -170,7 +196,7 @@ class TestSupport:
         # far under RANK_TOL in absolute terms at a trace of 1e-6, but more
         # than RANK_TOL of that trace, so eigh drops exactly it.
         q, _ = np.linalg.qr(random_psd(np.random.default_rng(15), 3, 3))
-        m = require_hermitian(1e-6 * (q @ np.diag([0.5, 0.5 + 5e-11, -5e-11]) @ q.conj().T))
+        m = hermitize(1e-6 * (q @ np.diag([0.5, 0.5 + 5e-11, -5e-11]) @ q.conj().T))
         vals, vecs = np.linalg.eigh(m)
         keep = kept(vals)
         f = _kept_factor(m, np.linalg.eigvalsh(m))

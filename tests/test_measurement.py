@@ -12,7 +12,6 @@ from maxconf import (
     confidence_of,
     confidence_report,
     max_confidence,
-    optimal_effect,
     simulate_measurement,
 )
 from maxconf.linalg import gram, hermitize, kept, real_trace
@@ -43,8 +42,9 @@ class TestConfidenceOf:
     def test_optimal_effect_scale_freedom(self):
         # as its factor pair (W, c) and as the matrix c W W^dagger
         for ens in ensemble_suite(212, 10):
+            pom = complete_pom(ens)
             for j in range(ens.n_states):
-                w, t = optimal_effect(ens, j)
+                w, t = pom.effects[j][1]
                 reference = confidence_of(ens, (w, t), j)
                 for c in (1e-3, 1.0, 1e3):
                     assert abs(confidence_of(ens, (w, c), j) - reference) <= 1e-12
@@ -69,7 +69,7 @@ class TestConfidenceOf:
     def test_a_rescaled_effect_keeps_its_conditional(self, scale):
         # At 1e-15 the outcome probability, 6.7e-16, is below any fixed floor.
         ens = trine()
-        w, t = optimal_effect(ens, 0)
+        w, t = complete_pom(ens).effects[0][1]
         for effect in ((w, scale * t), gram(w, scale * t)):
             assert abs(confidence_of(ens, effect, 0) - 2 / 3) <= 1e-12
 
@@ -142,24 +142,27 @@ class TestMaxConfidence:
 class TestOptimalEffect:
     def test_achieves_the_bound(self):
         for ens in ensemble_suite(206, 25):
+            pom = complete_pom(ens)
             for j in range(ens.n_states):
-                e = optimal_effect(ens, j)
+                e = pom.effects[j][1]
                 gap = abs(confidence_of(ens, e, j) - max_confidence(ens, j))
                 assert gap <= 1e-9
 
     def test_effects_are_psd(self):
         for ens in ensemble_suite(207, 10):
+            pom = complete_pom(ens)
             for j in range(ens.n_states):
-                vals = np.linalg.eigvalsh(gram(*optimal_effect(ens, j)))
+                vals = np.linalg.eigvalsh(gram(*pom.effects[j][1]))
                 assert vals[0] >= -1e-10 * max(vals[-1], 1.0)
 
     def test_worked_example_directions(self):
         p, q = 0.4, 0.7
         ens = worked(p, q)
         psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        e0 = gram(*optimal_effect(ens, 0))
+        pom = complete_pom(ens)
+        e0 = gram(*pom.effects[0][1])
         assert abs(psi.conj() @ e0 @ psi) <= 1e-12
-        e1 = gram(*optimal_effect(ens, 1))
+        e1 = gram(*pom.effects[1][1])
         u = np.array([1.0 - q, q])
         u = u / np.linalg.norm(u)
         vals, vecs = np.linalg.eigh(e1)
@@ -196,7 +199,7 @@ class TestCompletePom:
     def test_scale_is_maximal(self):
         # pushing the common scale any higher drives the fail effect negative
         for ens in ensemble_suite(210, 10):
-            dirs = [gram(*optimal_effect(ens, j)) for j in range(ens.n_states)]
+            dirs = [gram(w) for _, (w, _) in complete_pom(ens).effects]  # unscaled W_j W_j^dagger
             total = sum(dirs)
             t = 1.0 / np.linalg.eigvalsh((total + total.conj().T) / 2)[-1]
             grown = np.eye(ens.dim) - (t * 1.001) * total
@@ -216,7 +219,7 @@ class TestCompletePom:
             inconclusive = np.trace(rho @ pom.fail).real
             assert abs(inconclusive - np.cos(2.0 * theta)) <= 1e-9
 
-            dirs = [gram(*optimal_effect(ens, j)) for j in range(2)]
+            dirs = [gram(w) for _, (w, _) in pom.effects]
             total = sum(dirs)
             best = None
             for t in np.linspace(0.0, 2.0, 4001):

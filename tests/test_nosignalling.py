@@ -10,7 +10,6 @@ from maxconf import (
     complete_pom,
     confidence_of,
     max_confidence,
-    optimal_effect,
     purify,
     reports,
 )
@@ -67,7 +66,7 @@ class TestConditionalDiagonals:
             for q in (0.2, 0.5, 0.8):
                 ens = worked(p, q)
                 bs = worked_purification(p, q)
-                _, diagonal, leakage = reading(bs, optimal_effect(ens, 0))
+                _, diagonal, leakage = reading(bs, complete_pom(ens).effects[0][1])
                 phi = np.zeros(3)
                 phi[:2] = [np.sqrt(q), -np.sqrt(1.0 - q)]
                 assert np.abs(diagonal - phi ** 2).max() <= 1e-9
@@ -79,11 +78,11 @@ class TestConditionalDiagonals:
         for ens in ensemble_suite(308, 15):
             bs = purify(ens)
             b = allowed_subspace(bs)
-            for j in range(ens.n_states):
+            for j, effect in complete_pom(ens).effects:
                 if not ens.is_pure(j):
                     continue
                 (i,) = bs.index_sets[j]
-                _, diagonal, _ = reading(bs, optimal_effect(ens, j))
+                _, diagonal, _ = reading(bs, effect)
                 column = b @ b[i].conj()  # P_D |i>
                 target = np.abs(column) ** 2 / np.vdot(column, column).real
                 assert np.abs(diagonal - target).max() <= 1e-9
@@ -98,7 +97,7 @@ class TestConditionalDiagonals:
     def test_a_rescaled_effect_keeps_its_conditional(self, scale):
         ens = trine()
         bs = purify(ens)
-        w, t = optimal_effect(ens, 0)
+        w, t = complete_pom(ens).effects[0][1]
         p_ref, diagonal_ref, _ = reading(bs, (w, t))
         for effect in ((w, scale * t), gram(w, scale * t)):
             p, diagonal, leakage = reading(bs, effect)

@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from maxconf import Ensemble, complete_pom, confidence_of, optimal_effect, read_spec, reports
+from maxconf import Ensemble, complete_pom, confidence_of, read_spec, reports
 from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
@@ -60,13 +60,11 @@ def test_confidence_of_a_handed_out_effect_keeps_its_digits(theta):
     # A formed effect's entries grow like 1/theta^2; confidence_of on
     # complete_pom's effects as matrices raised "confidence for state 0 out
     # of range" on 106, 88 and 78 of 200 reads at these angles.  It now reads
-    # the factor pairs that POM.effects and optimal_effect hand out.
+    # the factor pairs that POM.effects hands out.
     for seed in range(100):
         ens = turned_pair(theta, seed)
         for label, e in complete_pom(ens).effects:
             assert abs(confidence_of(ens, e, label) - 1.0) <= 1e-12
-        for j in range(ens.n_states):
-            assert abs(confidence_of(ens, optimal_effect(ens, j), j) - 1.0) <= 1e-12
 
 
 def test_pom_with_a_prior_of_1e_6():

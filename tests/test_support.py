@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from maxconf import Ensemble, KrausOperator, max_confidence, measurement, nosignalling, optimal_effect, read_spec, reports
+from maxconf import Ensemble, KrausOperator, complete_pom, max_confidence, measurement, nosignalling, read_spec, reports
 from maxconf.linalg import Support
 from maxconf.specio import matrix_to_json
 
@@ -135,8 +135,14 @@ def test_bound_and_effect_share_one_decomposition_per_member(decompositions):
         ens = random_ensemble(np.random.default_rng(5), 8, ranks)
         decompositions.clear()
         max_confidence(ens, j)
-        optimal_effect(ens, j)
         assert sum(decompositions.values()) <= 1 + (rank > 1), dict(decompositions)
+    # the effects reuse each member's top singular space: complete_pom adds
+    # only the SVD of its scale and the eigvalsh that checks the fail effect
+    for j in range(len(ranks)):
+        max_confidence(ens, j)
+    decompositions.clear()
+    complete_pom(ens)
+    assert dict(decompositions) == {"svd": 1, "eigvalsh": 1}
 
 
 def test_verify_reads_each_outcome_from_two_diagonal_sandwiches_and_forms_no_effect(monkeypatch):

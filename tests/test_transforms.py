@@ -11,7 +11,6 @@ from maxconf import (
     monotonicity_check,
     purify,
     schmidt,
-    two_step_filter,
 )
 from maxconf.linalg import hermitize, kept, real_trace
 from maxconf.measurement import confidence_of
@@ -163,54 +162,6 @@ class TestMonotonicity:
         assert not rec0.full_rank_on_support
 
 
-class TestTwoStepFilter:
-    def test_qubit_by_hand(self):
-        ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.75, 0.25])
-        flt = two_step_filter(ens)
-        assert abs(flt.success_probability - 0.5) <= 1e-12
-        assert np.abs(flt.fail_effect - np.diag([2.0 / 3.0, 0.0])).max() <= 1e-12
-        total = flt.kraus.matrix.conj().T @ flt.kraus.matrix + flt.fail_effect
-        assert np.abs(total - np.eye(2)).max() <= 1e-12
-        assert np.abs(flt.ensemble.average - 0.5 * np.eye(2)).max() <= 1e-12
-
-    def test_fail_effect_zero_mode_per_minimal_eigenvalue(self):
-        ens = Ensemble.from_pure(
-            [np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]], [0.5, 0.25, 0.25]
-        )
-        flt = two_step_filter(ens)
-        vals = np.linalg.eigvalsh(flt.fail_effect)
-        assert np.count_nonzero(np.abs(vals) <= 1e-12) == 2
-        assert abs(flt.success_probability - 0.75) <= 1e-12
-
-    def test_already_flat_average_passes_for_free(self):
-        flt = two_step_filter(trine())
-        assert abs(flt.success_probability - 1.0) <= 1e-12
-        assert np.linalg.norm(flt.fail_effect) <= 1e-12
-
-    def test_transformed_average_is_flat_on_support(self):
-        for ens in ensemble_suite(406, 15):
-            flt = two_step_filter(ens)
-            vals, vecs = np.linalg.eigh(ens.average)
-            v = vecs[:, kept(vals)]
-            target = v @ v.conj().T / v.shape[1]
-            assert np.abs(flt.ensemble.average - target).max() <= 1e-10
-            total = flt.kraus.matrix.conj().T @ flt.kraus.matrix + flt.fail_effect
-            assert np.abs(total - np.eye(ens.dim)).max() <= 1e-10
-            assert np.linalg.eigvalsh(flt.fail_effect)[0] >= -1e-12
-
-    def test_pure_members_keep_their_confidence_and_projectors_attain_it(self):
-        rng = np.random.default_rng(56)
-        for dim, n in ((2, 3), (3, 3), (4, 4)):
-            ens = random_ensemble(rng, dim, [1] * n)
-            flt = two_step_filter(ens)
-            for j in range(n):
-                before = max_confidence(ens, j)
-                after = max_confidence(flt.ensemble, j)
-                assert abs(after - before) <= 1e-9
-                achieved = confidence_of(flt.ensemble, flt.ensemble.states[j], j)
-                assert abs(achieved - before) <= 1e-9
-
-
 class TestConcentrate:
     @staticmethod
     def _two_qubit(theta):
@@ -234,6 +185,51 @@ class TestConcentrate:
         bs = BipartiteState(amps, ((0,), (1,)))
         with pytest.raises(ValueError, match="cannot concentrate"):
             concentrate(bs)
+
+    # The flattening filter A = sqrt(lambda_min) rho^{-1/2} on an ensemble's
+    # purification: rho is the ensemble's average, the left marginal.
+    def test_qubit_pair_by_hand(self):
+        ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.75, 0.25])
+        res = concentrate(purify(ens))
+        assert abs(res.success_probability - 0.5) <= 1e-12
+        assert np.abs(res.fail_effect - np.diag([2.0 / 3.0, 0.0])).max() <= 1e-12
+        total = res.kraus.matrix.conj().T @ res.kraus.matrix + res.fail_effect
+        assert np.abs(total - np.eye(2)).max() <= 1e-12
+        assert np.abs(res.post_state.left_marginal() - 0.5 * np.eye(2)).max() <= 1e-12
+
+    def test_fail_effect_zero_mode_per_minimal_eigenvalue(self):
+        ens = Ensemble.from_pure(list(np.eye(3)), [0.5, 0.25, 0.25])
+        res = concentrate(purify(ens))
+        vals = np.linalg.eigvalsh(res.fail_effect)
+        assert np.count_nonzero(np.abs(vals) <= 1e-12) == 2
+        assert abs(res.success_probability - 0.75) <= 1e-12
+
+    def test_already_flat_average_passes_for_free(self):
+        res = concentrate(purify(trine()))
+        assert abs(res.success_probability - 1.0) <= 1e-12
+        assert np.linalg.norm(res.fail_effect) <= 1e-12
+
+    def test_element_resolves_the_identity_and_flattens_the_average(self):
+        for ens in ensemble_suite(406, 15):
+            res = concentrate(purify(ens))
+            vals, vecs = np.linalg.eigh(ens.average)
+            v = vecs[:, kept(vals)]
+            target = v @ v.conj().T / v.shape[1]
+            assert np.abs(res.post_state.left_marginal() - target).max() <= 1e-10
+            assert np.abs(apply_kraus(ens, res.kraus)[0].average - target).max() <= 1e-10
+            total = res.kraus.matrix.conj().T @ res.kraus.matrix + res.fail_effect
+            assert np.abs(total - np.eye(ens.dim)).max() <= 1e-10
+            assert np.linalg.eigvalsh(res.fail_effect)[0] >= -1e-12
+
+    def test_pure_members_keep_their_confidence_and_projectors_attain_it(self):
+        rng = np.random.default_rng(56)
+        for dim, n in ((2, 3), (3, 3), (4, 4)):
+            ens = random_ensemble(rng, dim, [1] * n)
+            flat, _ = apply_kraus(ens, concentrate(purify(ens)).kraus)
+            for j in range(n):
+                before = max_confidence(ens, j)
+                assert abs(max_confidence(flat, j) - before) <= 1e-9
+                assert abs(confidence_of(flat, flat.states[j], j) - before) <= 1e-9
 
     def test_ensemble_purifications_flatten(self):
         for ens in ensemble_suite(407, 10):
