@@ -31,27 +31,28 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="ensemble spec file (JSON)")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help=f"verification tolerance (default {DEFAULT_TOLERANCE})")
         p.add_argument("--output", choices=("text", "machine"), default="text",
                        help="report format (default text)")
         return p
 
     add("bound", "maximum-confidence bound per ensemble member")
     add("pom", "optimal effects completed into a measurement")
-    add("verify", "cross-check the measurement picture against the bipartite one")
+    verify = add("verify", "cross-check the measurement picture against the bipartite one")
     sim = add("simulate", "finite-shot sampling of the completed measurement")
     sim.add_argument("--trials", type=int, default=100000, help="number of shots (default 100000)")
     sim.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     add("concentrate", "flatten the Schmidt spectrum of the canonical purification")
     tr = add("transform", "apply a local filter and check confidence monotonicity")
     tr.add_argument("--kraus", required=True, help="operation element file (JSON matrix)")
+    for p in (verify, tr):  # the two reports that compare residuals with a tolerance
+        p.add_argument("--tolerance", type=float, default=None,
+                       help=f"verification tolerance (default {DEFAULT_TOLERANCE})")
     return parser
 
 
 def run(args) -> int:
     # Flags are checked before the spec is read, which can take seconds.
-    tolerance = args.tolerance
+    tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
         raise SpecError(f"--tolerance must be finite and positive, got {tolerance!r}")
     if args.command == "simulate":

@@ -53,24 +53,18 @@ _DEGENERACY_TOL = 1e-9
 
 
 class StateError(ValueError):
-    """One ensemble member failed validation.
-
-    index is the member's position and problem the message without the
-    member's name, so that a reader of input files can name the member by
-    its own field path.
-    """
+    """One ensemble member, at position index, failed validation."""
 
     def __init__(self, index: int, problem: str):
         super().__init__(f"state {index} {problem}")
         self.index = index
-        self.problem = problem
 
 
 def _checked_state(h: np.ndarray) -> np.ndarray:
     """A member's checks on a square complex array the caller owns: finite,
     Hermitian (made exactly so in place), PSD within the slack at its trace,
     unit trace.  Returns its factor at the rank of the eigvalsh that checks
-    it (linalg._kept_factor).  Raises ValueError(StateError's problem).
+    it (linalg._kept_factor).  Raises ValueError; the caller names the member.
     """
     try:
         hermitian_in_place(h)

@@ -204,6 +204,4 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its largest-magnitude entry is real positive."""
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
-    if abs(pivot) == 0.0:
-        return v
     return v * (abs(pivot) / pivot)

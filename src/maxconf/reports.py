@@ -79,19 +79,9 @@ def pom_tree(ens) -> dict:
     when plain() or a renderer reaches it."""
     pom = complete_pom(ens)
     rep = confidence_report(ens, pom)
-    states = []
-    for (label, bound, achieved, prob), (_, e) in zip(rep.records, pom.effects):
-        states.append(
-            {
-                "label": label,
-                "prior": float(ens.priors[label]),
-                "kind": _kind(ens, label),
-                "bound": bound,
-                "confidence": achieved,
-                "outcome_probability": prob,
-                "effect": lambda e=e: gram(*e),
-            }
-        )
+    states = bound_report(ens)["states"]
+    for state, (_, _, achieved, prob), (_, e) in zip(states, rep.records, pom.effects):
+        state.update(confidence=achieved, outcome_probability=prob, effect=lambda e=e: gram(*e))
     return {
         "command": "pom",
         "dimension": ens.dim,

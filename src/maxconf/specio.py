@@ -21,13 +21,13 @@ Kraus array) is decoded one [[re, im], ...] row at a time into its float
 array.  So neither the file's bytes nor its whole text is ever held, and
 at most one chunk of text, one row's nested lists and one d x d array are
 alive at a time.  A valid file is decoded once; a file that is not JSON is
-read again whole only to give json.loads's own message.  A ket is decoded
-to an array as one value; a ket, or a matrix with a row, that does not
-convert stays a list, and the per-entry readers name its first bad value.
-numpy reads true as 1.0, so the rule is per value, not per file: a ket or
-matrix row whose own text holds a true or false literal leaves its field
-a list for the per-entry readers, which reject the literal by name, and a
-literal elsewhere changes nothing.
+read again whole only to give json.loads's own message.  A ket that does
+not convert stays a list, and so does a matrix with such a row, its filled
+rows arrays.  The per-entry readers (_vector, _matrix) view a finite float
+array of the right shape as complex and walk anything else entry by entry
+to name its first bad value.  numpy reads true as 1.0, so the rule is per
+value: a ket or matrix row whose own text holds a true or false literal
+stays a list, and a literal elsewhere changes nothing.
 Kets are normalized on load (a warning fires when the correction exceeds
 1e-6) and are their own factors; priors are checked to sum to 1 within
 1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
@@ -35,7 +35,8 @@ positive semidefinite, unit trace) and factored by the constructor's own
 routine (ensembles._checked_state) as their objects close, and a failed
 check is reported under the member's field path.  The optional tolerance
 field overrides the verification default unless the command line sets
-one.  NaN and infinities are rejected.
+one.  NaN and infinities are rejected: in a ket or a Kraus matrix by the
+per-entry readers, in a member matrix first by its checks as it closes.
 """
 
 from __future__ import annotations
@@ -141,21 +142,19 @@ class _Stream:
 
     def ket(self):
         """A ket's value, as a float array of [re, im] pairs when its text
-        has no literal or string (see _decoded) and it converts to finite
-        numbers (_pairs)."""
+        has no literal or string (see _decoded) and it converts (_pairs)."""
         value, plain = self._decoded()
         arr = _pairs(value) if plain else None
-        return value if arr is None or not np.isfinite(arr).all() else arr
+        return value if arr is None else arr
 
     def matrix(self):
         """A matrix's value.  A list is decoded one row at a time, and each
         row of [re, im] pairs (_pairs) fills the next row of a float array of
         shape (k, k, 2), k the first row's length, grown as rows arrive.  A
         row that breaks that form (a true, false, null or string in its
-        text, another length, not pairs of numbers, a row past the k-th),
-        fewer than k rows, or a value that is not finite leaves the whole
-        matrix a list for the per-entry walkers: the rows filled go back
-        through tolist() and the rest stay as decoded."""
+        text, another length, not pairs of numbers, a row past the k-th), or
+        fewer than k rows, leaves the matrix a list for the per-entry
+        walkers: the rows filled, as arrays, then the rest as decoded."""
         if self.peek() != "[":
             return self.value()
         arr, n, rows = None, 0, []  # rows [0, n) filled, then the rows after a break
@@ -171,10 +170,9 @@ class _Stream:
                 n += 1
             else:
                 rows.append(row)
-        if n and not rows and n == arr.shape[1] and np.isfinite(arr).all():
+        if n and not rows and n == arr.shape[1]:
             return arr
-        row = r = None  # a filled last row's lists go before tolist() makes them again
-        return (arr[:n].tolist() if n else []) + rows
+        return (list(arr[:n]) if n else []) + rows
 
     def object(self, fields):
         """The object at the next character.  Its `key` field is read by
@@ -260,7 +258,7 @@ def _pairs(entry):
     shape, or holding an object or a number beyond the float range.  numpy
     reads true as 1.0, null as NaN and a string of digits as its number, so
     it is given only a value whose text has no literal or string (see
-    _Stream._decoded), and the caller checks that the numbers are finite."""
+    _Stream._decoded); _vector and _matrix check that the numbers are finite."""
     try:
         arr = np.array(entry, dtype=np.float64)
     except (ValueError, TypeError, OverflowError):  # ragged, an object, a huge integer
@@ -291,39 +289,27 @@ def _real(value, field: str) -> float:
 
 
 def _complex(entry, field: str) -> complex:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+    if not isinstance(entry, (list, tuple, np.ndarray)) or len(entry) != 2:
         raise SpecError(f"{field} must be an [re, im] pair, got {entry!r}")
     return complex(_real(entry[0], f"{field}[0]"), _real(entry[1], f"{field}[1]"))
 
 
 def _vector(entry, dim: int, field: str) -> np.ndarray:
-    if not isinstance(entry, list) or len(entry) != dim:
+    """A ket or matrix row as a complex array (see the module docstring)."""
+    if isinstance(entry, np.ndarray) and entry.shape == (dim, 2) and np.isfinite(entry).all():
+        return entry.view(np.complex128)[..., 0]
+    if not isinstance(entry, (list, np.ndarray)) or len(entry) != dim:
         raise SpecError(f"{field} must be a list of {dim} complex entries")
     return np.array([_complex(x, f"{field}[{k}]") for k, x in enumerate(entry)])
 
 
 def _matrix(entry, dim: int, field: str) -> np.ndarray:
-    if not isinstance(entry, list) or len(entry) != dim:
+    """A matrix, its rows arrays, lists or both, as a complex array."""
+    if isinstance(entry, np.ndarray) and entry.shape == (dim, dim, 2) and np.isfinite(entry).all():
+        return entry.view(np.complex128)[..., 0]
+    if not isinstance(entry, (list, np.ndarray)) or len(entry) != dim:
         raise SpecError(f"{field} must be a {dim} x {dim} matrix")
     return np.vstack([_vector(row, dim, f"{field}[{k}]") for k, row in enumerate(entry)])
-
-
-def _complex_array(entry, dim: int, ndim: int, field: str) -> np.ndarray:
-    """A ket (ndim 1) or matrix (ndim 2) of [re, im] pairs as a complex array.
-
-    The entry is the float array _load_json decoded, or a list, which goes
-    through the per-entry walkers: one whose value's text holds a true or
-    false literal, which numpy would read as 1.0, or one that does not
-    convert to finite numbers of the right shape (a string, null, ragged or
-    wrong-length list).  The walkers raise the message naming the first bad
-    entry, and read a valid list to the bytes of the array.
-    """
-    if isinstance(entry, np.ndarray):
-        if len(entry) == dim:
-            return entry.view(np.complex128)[..., 0]
-        entry = entry.tolist()  # of another dimension
-    walk = _vector if ndim == 1 else _matrix
-    return walk(entry, dim, field)
 
 
 @dataclass(frozen=True)
@@ -367,7 +353,7 @@ def read_spec(path) -> ParsedSpec:
             raise SpecError(f"{field} needs exactly one of ket or matrix")
         if has_ket:
             field += ".ket"
-            v = _complex_array(entry["ket"], dim, 1, field)
+            v = _vector(entry["ket"], dim, field)
             norm = float(np.linalg.norm(v))
             if norm == 0.0:
                 raise SpecError(f"{field} is the zero vector")
@@ -381,7 +367,7 @@ def read_spec(path) -> ParsedSpec:
             if len(m) != dim:
                 raise SpecError(f"{field} must be a {dim} x {dim} matrix")
         else:
-            m = _complex_array(m, dim, 2, field)
+            m = _matrix(m, dim, field)
             try:
                 m = _checked_state(m)
             except ValueError as exc:
@@ -415,7 +401,7 @@ def load_kraus(path) -> KrausOperator:
         doc = doc["matrix"]
     if not isinstance(doc, (list, np.ndarray)) or not len(doc):
         raise SpecError("kraus file must hold a square matrix of [re, im] pairs")
-    m = _complex_array(doc, len(doc), 2, "matrix")
+    m = _matrix(doc, len(doc), "matrix")
     try:
         return KrausOperator(m)
     except ValueError as exc:

@@ -4,10 +4,9 @@ A single operation element A maps the ensemble member rho_i to
 A rho_i A^dagger / Tr(rho_i A^dagger A) with the priors reweighted by the
 per-state success probabilities.  Local filtering can never raise any
 maximum confidence, and leaves every one unchanged when A is invertible
-on the support of the average state.  The canonical example is the
-two-step filter A = sqrt(lambda_min) rho^{-1/2}, which flattens the
-average state (and, on the purification, the Schmidt spectrum) at success
-probability lambda_min * D; concentrate applies it to a bipartite state.
+on the support of the average state.  concentrate flattens the Schmidt
+spectrum of a bipartite state with the filter A = sqrt(lambda_min) rho^{-1/2}
+on its left marginal rho, at success probability lambda_min * D.
 Ranks follow linalg.kept: an element's rank is the support rank of A^dagger A.
 """
 

@@ -291,6 +291,15 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: --tolerance must be finite and positive")
 
+    def test_tolerance_flag_is_refused_where_no_report_reads_it(self, capsys):
+        for command in ("bound", "pom", "simulate", "concentrate"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, TRINE, "--tolerance", "1e-9"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tolerance 1e-9" in capsys.readouterr().err
+        code, _, _ = run(capsys, "verify", TRINE, "--tolerance", "1e-9")
+        assert code == 0
+
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--seed=-1"),
         ("simulate", "--seed=18446744073709551616"),  # 2^64 would alias seed 0

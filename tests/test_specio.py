@@ -289,7 +289,7 @@ class TestArrayParsing:
         entry[2][2] = [1, -0.0]
         rows = specio._Stream(io.StringIO(json.dumps(entry))).matrix()
         assert isinstance(rows, np.ndarray)
-        fast = specio._complex_array(rows, 5, 2, "m")
+        fast = specio._matrix(rows, 5, "m")
         assert fast.tobytes() == specio._matrix(entry, 5, "m").tobytes()
 
     def test_parse_decomposes_each_matrix_member_at_most_once(self, tmp_path, monkeypatch):

@@ -132,3 +132,35 @@ def test_damaged_matrices_are_named_as_before(tmp_path, form, case, message, chu
     load = read_spec if form == "spec" else load_kraus
     streamed, whole = streamed_and_whole(load, str(path), chunk)
     assert streamed == whole == ("SpecError", message.replace("{path}", str(path)))
+
+
+
+def _overflowed_spec(ket, matrix):
+    """A two-member spec text with each _SENTINEL in ket or matrix written as 1e999."""
+    doc = {"dimension": 2, "states": [{"prior": 0.25, "ket": ket}, {"prior": 0.75, "matrix": matrix}]}
+    return json.dumps(doc).replace(repr(_SENTINEL), "1e999")
+
+
+# Values the streamed reader decodes to float arrays that the per-entry
+# readers still walk to name the first bad entry: a row that is not square,
+# and infinities, which the stream does not check.
+STREAMED_ARRAY_TEXTS = [
+    ("one-row kraus", json.dumps([[[0.5, 0.0]] * 5]), "matrix[0] must be a list of 1 complex entries"),
+    ("ket overflow",
+     _overflowed_spec([[0.6, 0.0], [_SENTINEL, 0.8]], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+     "states[0].ket[1][0] is not finite"),
+    ("matrix overflow",
+     _overflowed_spec([[0.6, 0.0], [0.0, 0.8]], [[[0.5, 0.0], [0.0, 0.0]], [[_SENTINEL, 0.0], [0.5, 0.0]]]),
+     "states[1].matrix[1][0][0] is not finite"),
+]
+
+
+@pytest.mark.parametrize("case, text, message", STREAMED_ARRAY_TEXTS,
+                         ids=[case for case, _, _ in STREAMED_ARRAY_TEXTS])
+@pytest.mark.parametrize("chunk", [None, 3], ids=lambda c: f"chunk-{c}")
+def test_streamed_arrays_are_named_as_lists_are(tmp_path, case, text, message, chunk):
+    path = tmp_path / "damaged.json"
+    path.write_text(text, encoding="utf-8")
+    load = load_kraus if case == "one-row kraus" else read_spec
+    streamed, whole = streamed_and_whole(load, str(path), chunk)
+    assert streamed == whole == ("SpecError", message)
