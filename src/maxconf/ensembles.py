@@ -170,6 +170,11 @@ class Ensemble:
     def n_states(self) -> int:
         return len(self.states)
 
+    def _member(self, j: int) -> int:
+        if not 0 <= j < self.n_states:  # -1 would read the last member
+            raise ValueError(f"member index {j} outside [0, {self.n_states})")
+        return j
+
     def factor(self, j: int) -> np.ndarray:
         """Member j's d x r_j factor F_j, rho_j = F_j F_j^dagger."""
         return self.states.factor(j)
@@ -217,7 +222,7 @@ class Ensemble:
         space is never split by roundoff.  Made on first use and kept beside
         support; the bipartite route never reads it.
         """
-        if self._tops[j] is None:
+        if self._tops[self._member(j)] is None:
             g = self._stacked_svd[1][j]
             if g.shape[1] == 1:
                 self._tops[j] = (float(np.vdot(g, g).real), _readonly(g))

@@ -9,9 +9,9 @@ Gram matrix formed here.  hermitian_in_place() is the one check of a
 caller's operator: finite, square, Hermitian.  A PSD matrix is held as a
 factor F, F F^dagger rebuilt by gram(): _kept_factor() makes it at the kept
 rank of the matrix's eigvalsh spectrum, from the matrix's own columns (one
-eigh only on fallback).  An effect is read, as a matrix or as such a
-factor, only by sandwich() and outcome_probability(), which decides when a
-conditional given it exists.
+eigh only on fallback).  A caller's effect, a matrix or a factor pair
+(W, t), is checked by checked_effect() and read only by sandwich() and
+outcome_probability(), which decides when a conditional given it exists.
 """
 
 from __future__ import annotations
@@ -138,7 +138,25 @@ def gram(f: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return _readonly(_symmetrized(m))
 
 
-def sandwich(effect, a: np.ndarray, diagonal: bool = False, checked: bool = False) -> np.ndarray:
+def checked_effect(effect, d: int, name: str):
+    """A caller's effect on a d-dimensional system, checked once: the factor
+    pair (W, t) of t W W^dagger needs a finite matrix W and a finite t >= 0,
+    and comes back as (W, float(t)); a matrix comes back as a copy checked by
+    hermitian_in_place.  Either must have d rows."""
+    pair = isinstance(effect, tuple)
+    if pair:
+        w, t = effect
+        effect = as_matrix(_require_finite(w, name)), float(_require_finite(t, name))
+        if effect[1] < 0.0:
+            raise ValueError(f"{name} has a negative scale t = {effect[1]!r}")
+    else:
+        effect = hermitian_in_place(np.array(effect, dtype=np.complex128), name)
+    if len(effect[0] if pair else effect) != d:
+        raise ValueError(f"{name} must have {d} rows")
+    return effect
+
+
+def sandwich(effect, a: np.ndarray, diagonal: bool = False) -> np.ndarray:
     """a^T E^* a^*, the conjugate of a^dagger E a, for an effect E on the
     left system that a's rows index; with diagonal, the real part of its
     diagonal, one entry per column of a.
@@ -146,18 +164,9 @@ def sandwich(effect, a: np.ndarray, diagonal: bool = False, checked: bool = Fals
     E comes as a d x d matrix or as the factor pair (W, t) of E = t W W^dagger,
     read as t X^T X^* with X = W^dagger a, so that E is never formed.  This and
     outcome_probability's norm are the two places where the forms differ.
-    checked marks a caller's effect: a matrix is validated, on a copy, by
-    hermitian_in_place, a pair's W and t must be finite, and either form must
-    act on the left system.
+    A caller's effect is checked first, by checked_effect.
     """
-    pair = isinstance(effect, tuple)
-    if checked and pair:
-        effect = tuple(_require_finite(x, "effect") for x in effect)
-    elif checked:
-        effect = hermitian_in_place(np.array(effect, dtype=np.complex128), "effect")
-    if checked and len(effect[0] if pair else effect) != len(a):
-        raise ValueError("effect must act on the left system")
-    if not pair:
+    if not isinstance(effect, tuple):
         if diagonal:
             g = effect @ a
             return (a.real * g.real + a.imag * g.imag).sum(axis=0)  # Re a_c^dagger (E a_c)

@@ -17,10 +17,10 @@ stacked SVD's V^dagger (Ensemble.top), and the bound is attained by
 W_j W_j^dagger with W_j = U diag(1/s) T_j, T_j the top left singular space
 of G_j.  Scaling an effect changes outcome probabilities but never its
 confidence, so one overall scale t completes the collection into a
-measurement with an inconclusive remainder.  The completed measurement
-hands out effect k as its factor pair (W_k, t), takes every trace as
-t ||W_k^dagger F_i||^2 (linalg.sandwich), and keeps the fail effect as its
-only d x d matrix.
+measurement with an inconclusive remainder.  A measurement (POM) is
+always complete: it takes and hands out effect k as its factor pair
+(W_k, t), takes every trace as t ||W_k^dagger F_i||^2 (linalg.sandwich),
+and keeps the fail effect as its only d x d matrix.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .linalg import (
-    _kept_factor,
     _readonly,
     _require_finite,
+    as_matrix,
+    checked_effect,
     frobenius,
     gram,
     hermitian_in_place,
@@ -54,11 +55,38 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
-def _checked_fail(total: np.ndarray, fail) -> np.ndarray | None:
-    """POM's checks against total, the sum of the effects: a fail effect is
-    finite, Hermitian (made so in place) and PSD and completes them to the
-    identity; without one they must not exceed it."""
-    if fail is not None:
+@dataclass(frozen=True, eq=False)
+class POM:
+    """Probability operator measurement: labelled effects and the fail effect
+    that completes them.
+
+    effects holds (label, (W_k, t_k)), effect k as the factor pair of
+    E_k = t_k W_k W_k^dagger (linalg.gram makes the matrix): the form
+    POM.effects hands out, so POM(pom.effects, pom.fail) rebuilds pom.  Each
+    pair must pass linalg.checked_effect at the fail effect's dimension.  The
+    constructor keeps read-only complex128 copies of each W_k and of fail, so
+    the caller's arrays stay writable and as they were.
+    """
+
+    effects: tuple
+    fail: np.ndarray
+
+    def __post_init__(self):
+        fail = as_matrix(np.array(self.fail, dtype=np.complex128))
+        effects, total = [], 0.0
+        for label, e in self.effects:
+            name = f"effect {label}"
+            if not isinstance(e, tuple):
+                raise ValueError(f"{name} must be a factor pair (W, t)")
+            w, t = checked_effect(e, len(fail), name)
+            w = _readonly(np.array(w, dtype=np.complex128))
+            total += gram(w, t)
+            effects.append((int(label), (w, t)))
+        self._adopt(tuple(effects), total, fail)
+
+    def _adopt(self, effects: tuple, total, fail: np.ndarray) -> "POM":
+        """Keep effects and fail, a complex128 array the POM owns, once fail is finite,
+        Hermitian (made so in place) and PSD and completes total, the effects' sum, to I."""
         fail = _readonly(hermitian_in_place(fail, "fail effect"))
         if not within_psd_slack(np.linalg.eigvalsh(fail)[0], 1.0):
             raise ValueError("fail effect is not positive semidefinite")
@@ -66,60 +94,9 @@ def _checked_fail(total: np.ndarray, fail) -> np.ndarray | None:
         residual.flat[:: len(fail) + 1] -= 1.0
         if frobenius(residual) > _COMPLETENESS_TOL:
             raise ValueError("effects plus fail do not resolve the identity")
-    elif np.linalg.eigvalsh(total)[-1] > 1.0 + _COMPLETENESS_TOL:
-        raise ValueError("effects exceed the identity")
-    return fail
-
-
-@dataclass(frozen=True, eq=False)
-class POM:
-    """Probability operator measurement: labelled effects plus optional fail.
-
-    effects is a sequence of (label, matrix) pairs.  Each effect must be
-    finite and PSD (within the slack at scale 1) and the effects must sum
-    to at most the identity; when fail is present they must resolve it
-    within 1e-9.
-
-    The constructor validates a copy of each matrix it is given, so the
-    caller's arrays stay as they were.  It keeps effect k as the factor
-    pair (W_k, t) of E_k = t W_k W_k^dagger: W_k its factor at the rank of
-    the eigvalsh that checks it (linalg._kept_factor), and t = 1.  The POM that
-    complete_pom returns holds the factors it built.  Either way effects is
-    a tuple of (label, (W_k, t)) and fail a read-only d x d matrix or None;
-    linalg.gram(W_k, t) makes an effect matrix.
-    """
-
-    effects: tuple
-    fail: np.ndarray | None = None
-
-    def __post_init__(self):
-        effects, total = [], None
-        for label, e in self.effects:
-            h = hermitian_in_place(np.array(e, dtype=np.complex128), f"effect {label}")
-            if total is None:
-                total = np.zeros_like(h)
-            elif h.shape != total.shape:
-                raise ValueError("effects must share one dimension")
-            vals = np.linalg.eigvalsh(h)
-            if not within_psd_slack(vals[0], 1.0):
-                raise ValueError(f"effect {label} is not positive semidefinite")
-            total += h
-            effects.append((int(label), (_kept_factor(h, vals), 1.0)))
-        fail = None if self.fail is None else np.array(self.fail, dtype=np.complex128)
-        if total is None:
-            if fail is None:
-                raise ValueError("a measurement needs at least one effect")
-            total = np.zeros_like(fail)
-        self._set(tuple(effects), _checked_fail(total, fail))
-
-    def _set(self, effects: tuple, fail) -> "POM":
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "fail", fail)
         return self
-
-    @property
-    def complete(self) -> bool:
-        return self.fail is not None
 
 
 def _stacked_factors(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +107,13 @@ def _stacked_factors(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 
 def outcome_table(ens: Ensemble, pom: POM) -> np.ndarray:
     """Tr(rho_i E_k), one row per member and one column per effect, the
-    fail effect last when there is one, taken through the member factors,
-    one contiguous column at a time: column-major, as sums over members read it."""
+    fail effect last, taken through the member factors, one contiguous
+    column at a time: column-major, as sums over members read it.  Each
+    effect's label must name a member of ens."""
+    for label, _ in pom.effects:
+        ens._member(label)
     f, starts = _stacked_factors(ens)
-    outcomes = [e for _, e in pom.effects] + ([] if pom.fail is None else [pom.fail])
+    outcomes = [e for _, e in pom.effects] + [pom.fail]
     table = np.empty((ens.n_states, len(outcomes)), order="F")
     for k, e in enumerate(outcomes):
         np.add.reduceat(sandwich(e, f, diagonal=True), starts, out=table[:, k])
@@ -154,14 +134,15 @@ def _posterior(numer: float, denom: float, effect, j: int) -> float:
 def confidence_of(ens: Ensemble, effect, j: int) -> float:
     """Posterior probability of state j given the outcome tied to `effect`:
     a d x d matrix, or the factor pair (W, t) of t W W^dagger in which
-    POM.effects hands out an effect.
+    POM.effects hands out an effect, checked by linalg.checked_effect.
 
     Invariant under rescaling of the effect.  Raises when the outcome
     probability Tr(rho effect) is too small for the conditional to exist.
     """
+    effect = checked_effect(effect, ens.dim, "effect")
     f, starts = _stacked_factors(ens)
-    joint = ens.priors * np.add.reduceat(sandwich(effect, f, diagonal=True, checked=True), starts)
-    return _posterior(joint[j], joint.sum(), effect, j)
+    joint = ens.priors * np.add.reduceat(sandwich(effect, f, diagonal=True), starts)
+    return _posterior(joint[ens._member(j)], joint.sum(), effect, j)
 
 
 def max_confidence(ens: Ensemble, j: int) -> float:
@@ -191,7 +172,9 @@ def complete_pom(ens: Ensemble) -> POM:
     fail = np.eye(ens.dim, dtype=np.complex128)
     fail -= total
     effects = tuple((j, (f, t)) for j, f in enumerate(factors))
-    return object.__new__(POM)._set(effects, _checked_fail(total, fail))
+    # Not the constructor: it would copy every W_j and the fail effect and rebuild total one
+    # gram at a time, nearly doubling a pom report's peak (12.3 effects, not 6.5, at d=32 n=64).
+    return object.__new__(POM)._adopt(effects, total, fail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +198,6 @@ class ConfidenceReport:
 
 def confidence_report(ens: Ensemble, pom: POM) -> ConfidenceReport:
     """Bounds, achieved confidences and outcome probabilities, from one outcome_table."""
-    if not pom.complete:
-        raise ValueError("report requires a complete measurement")
     joint = outcome_table(ens, pom) * ens.priors[:, None]  # p_i Tr(rho_i E_k)
     prob = joint.sum(axis=0)
     records = []
@@ -290,8 +271,6 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     sorted edges label 2^53 + ceil(c 2^53), gives every (label, outcome) cell of a block as one
     run, _KEY_LABELS labels at a time: O(block) memory, whatever the trials, members and outcomes.
     """
-    if not pom.complete:
-        raise ValueError("simulation requires a complete measurement")
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= seed < 1 << 64:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ensembles import BipartiteState
-from .linalg import frobenius, hermitize, outcome_probability, sandwich
+from .linalg import checked_effect, frobenius, hermitize, outcome_probability, sandwich
 
 
 def conditional_diagonals(bs: BipartiteState, basis: np.ndarray, effects) -> list[tuple[float, np.ndarray, float]]:
@@ -35,7 +35,7 @@ def conditional_diagonals(bs: BipartiteState, basis: np.ndarray, effects) -> lis
 
     An effect is a d x d matrix or the factor pair (W, t) of Pi = t W W^dagger,
     the form in which a measurement hands out its effects (POM.effects),
-    checked as linalg.sandwich checks a caller's.  Each costs two diagonal
+    checked by linalg.checked_effect.  Each costs two diagonal
     sandwiches, of A and of Z = A - (A B^*) B^T, formed once, for
     Q A^T = Z^T.  Raises when an outcome is too improbable for a conditional
     (linalg.outcome_probability).
@@ -44,7 +44,8 @@ def conditional_diagonals(bs: BipartiteState, basis: np.ndarray, effects) -> lis
     z = a - (a @ basis.conj()) @ basis.T
     readings = []
     for effect in effects:
-        diagonal = sandwich(effect, a, diagonal=True, checked=True)
+        effect = checked_effect(effect, len(a), "effect")
+        diagonal = sandwich(effect, a, diagonal=True)
         p = outcome_probability(float(diagonal.sum()), effect)
         outside = float(sandwich(effect, z, diagonal=True).sum())
         readings.append((p, diagonal / p, max(outside / p, 0.0)))
@@ -69,12 +70,10 @@ def marginal_invariance(bs: BipartiteState, pom) -> float:
     """Frobenius deviation between the outcome-averaged right state and the marginal.
 
     Sums the unnormalized conditionals over every effect the measurement
-    carries (fail included when present), so zero-probability outcomes are
-    harmless.  Complete measurements must come out at most 1e-10; a
-    measurement missing its fail element reports the weight it dropped.
-    Each effect enters through its factor pair and the fail effect through
-    its matrix.
+    carries, fail included, so zero-probability outcomes are harmless; it
+    must come out at most 1e-10.  Each effect enters through its factor pair
+    and the fail effect through its matrix.
     """
-    outcomes = [e for _, e in pom.effects] + ([] if pom.fail is None else [pom.fail])
+    outcomes = [e for _, e in pom.effects] + [pom.fail]
     total = sum(sandwich(e, bs.amplitudes) for e in outcomes)
     return frobenius(hermitize(total) - bs.right_marginal())

@@ -149,30 +149,21 @@ class _Stream:
 
     def matrix(self):
         """A matrix's value.  A list is decoded one row at a time, and each
-        row of [re, im] pairs (_pairs) fills the next row of a float array of
-        shape (k, k, 2), k the first row's length, grown as rows arrive.  A
-        row that breaks that form (a true, false, null or string in its
-        text, another length, not pairs of numbers, a row past the k-th), or
-        fewer than k rows, leaves the matrix a list for the per-entry
-        walkers: the rows filled, as arrays, then the rest as decoded."""
+        row whose text has no literal or string (see _decoded) is converted
+        to a float array of [re, im] pairs (_pairs).  When every row converts
+        to k pairs, k the number of rows, they are stacked into one array of
+        shape (k, k, 2); otherwise the rows, arrays or as decoded, are left
+        a list for the per-entry walkers."""
         if self.peek() != "[":
             return self.value()
-        arr, n, rows = None, 0, []  # rows [0, n) filled, then the rows after a break
+        rows = []
         for _ in self._items():
             row, plain = self._decoded()
-            r = _pairs(row) if plain and not rows else None
-            if r is not None and arr is None:
-                arr = np.empty((1,) + r.shape)
-            if r is not None and r.shape == arr.shape[1:] and n < len(r):
-                if n == len(arr):  # doubled as rows arrive: k pairs in a row do not make k rows
-                    arr = np.concatenate((arr, np.empty((min(n, len(r) - n),) + r.shape)))
-                arr[n] = r
-                n += 1
-            else:
-                rows.append(row)
-        if n and not rows and n == arr.shape[1]:
-            return arr
-        return (list(arr[:n]) if n else []) + rows
+            r = _pairs(row) if plain else None
+            rows.append(row if r is None else r)
+        if rows and all(isinstance(r, np.ndarray) and r.shape == (len(rows), 2) for r in rows):
+            return np.stack(rows)
+        return rows
 
     def object(self, fields):
         """The object at the next character.  Its `key` field is read by

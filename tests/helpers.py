@@ -67,8 +67,8 @@ def effect_matrices(pom) -> list:
 
 
 def outcome_matrices(pom) -> list:
-    """The matrices of pom's effects, then its fail effect when it has one."""
-    return [e for _, e in effect_matrices(pom)] + ([] if pom.fail is None else [pom.fail])
+    """The matrices of pom's effects, then its fail effect."""
+    return [e for _, e in effect_matrices(pom)] + [pom.fail]
 
 
 def bell_state() -> BipartiteState:

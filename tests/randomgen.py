@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from maxconf.ensembles import BipartiteState, Ensemble
-from maxconf.linalg import hermitize
+from maxconf.linalg import gram, hermitize
 from maxconf.measurement import POM
 from maxconf.transforms import KrausOperator
 
@@ -84,14 +84,14 @@ def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_complete_pom(rng: np.random.Generator, dim: int, n_outcomes: int) -> POM:
-    """Complete measurement: Wishart pieces whitened by their sum, last piece the fail."""
-    pieces = [random_density(rng, dim, dim) for _ in range(n_outcomes + 1)]
-    total = hermitize(sum(pieces))
-    lam, v = np.linalg.eigh(total)
+    """Complete measurement: Wishart pieces g g^dagger whitened by their sum
+    S, effect k the factor pair (S^{-1/2} g_k, 1), the last piece the fail."""
+    pieces = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+              for _ in range(n_outcomes + 1)]
+    lam, v = np.linalg.eigh(hermitize(sum(g @ g.conj().T for g in pieces)))
     w = (v / np.sqrt(lam)) @ v.conj().T
-    effects = tuple((k, hermitize(w @ p @ w)) for k, p in enumerate(pieces[:-1]))
-    fail = hermitize(w @ pieces[-1] @ w)
-    return POM(effects, fail)
+    effects = tuple((k, (w @ g, 1.0)) for k, g in enumerate(pieces[:-1]))
+    return POM(effects, gram(w @ pieces[-1]))
 
 
 def random_kraus(rng: np.random.Generator, dim: int, rank: int | None = None,

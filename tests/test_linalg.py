@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from maxconf.linalg import (
     _kept_factor,
     as_matrix,
+    checked_effect,
     gram,
     hermitian_in_place,
     hermitize,
@@ -77,20 +80,18 @@ class TestNonFiniteOperands:
         with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
             hermitian_in_place(np.array([[1.0, bad], [0.0, 1.0]], dtype=complex), "effect")
         with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
-            sandwich(np.array([[1.0, bad], [0.0, 1.0]]), np.eye(2, dtype=complex), checked=True)
+            checked_effect(np.array([[1.0, bad], [0.0, 1.0]]), 2, "effect")
 
     @pytest.mark.parametrize("pair", [
         (np.array([[np.nan], [1.0]]), 1.0),
         (np.array([[np.inf], [1.0]]), 1.0),
         (np.array([[1.0], [0.0]]), np.nan),
         (np.array([[1.0], [0.0]]), np.inf),
-    ], ids=["nan-W", "inf-W", "nan-t", "inf-t"])
+        (np.array([[1.0], [0.0]]), -np.inf),
+    ], ids=["nan-W", "inf-W", "nan-t", "inf-t", "minus-inf-t"])
     def test_a_factor_pair_is_rejected_when_checked(self, pair):
-        a = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
-            sandwich(pair, a, checked=True)
-        with pytest.raises(ValueError, match="^effect has a non-finite entry$"):
-            sandwich(pair, a, diagonal=True, checked=True)
+        with pytest.raises(ValueError, match="^effect 3 has a non-finite entry$"):
+            checked_effect(pair, 2, "effect 3")
 
 
 class TestHermitianInPlace:
@@ -125,16 +126,38 @@ class TestHermitize:
             assert m.tobytes() == before.tobytes()
 
 
-class TestSandwich:
+class TestCheckedEffect:
     def test_a_checked_matrix_leaves_the_callers_array_as_it_is(self):
         rng = np.random.default_rng(16)
         e = random_psd(rng, 3, 2)
         e[0, 1] += 1e-13  # Hermitian within tolerance, but not exactly
         before = e.copy()
         a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        checked = sandwich(e, a, checked=True)
+        checked = sandwich(checked_effect(e, 3, "effect"), a)
         assert e.tobytes() == before.tobytes()
         assert checked.tobytes() == sandwich(hermitize(e), a).tobytes()
+
+    def test_a_pair_comes_back_with_its_own_factor_and_a_float_scale(self):
+        w = np.ones((3, 2), dtype=complex)
+        checked_w, t = checked_effect((w, 2), 3, "effect")
+        assert checked_w is w and type(t) is float and t == 2.0
+        assert checked_effect((w, 0.0), 3, "effect")[1] == 0.0  # the zero effect is PSD
+
+    @pytest.mark.parametrize("t", [-1e-300, -0.5, -np.float64(2.0)])
+    def test_a_negative_scale_is_rejected(self, t):
+        # t W W^dagger is negative for any W != 0, whatever a fail effect makes up
+        with pytest.raises(ValueError, match=f"^effect 0 has a negative scale t = {re.escape(repr(float(t)))}$"):
+            checked_effect((np.eye(2), t), 2, "effect 0")
+
+    @pytest.mark.parametrize("effect", [np.eye(3), (np.ones((3, 1)), 1.0), (np.ones((1, 2)), 1.0)],
+                             ids=["matrix", "pair", "pair-of-one-row"])
+    def test_a_row_count_other_than_the_dimension_is_rejected(self, effect):
+        with pytest.raises(ValueError, match="^effect must have 2 rows$"):
+            checked_effect(effect, 2, "effect")
+
+    def test_a_factor_that_is_not_a_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="^expected a matrix, got array of dimension 1$"):
+            checked_effect((np.ones(2), 1.0), 2, "effect")
 
 
 def support_of(m):

@@ -247,13 +247,6 @@ class TestConfidenceReport:
             total = rep.inconclusive_probability + sum(r[3] for r in rep.records)
             assert abs(total - 1.0) <= 1e-9
 
-    def test_requires_complete_pom(self):
-        ens = trine()
-        pom = complete_pom(ens)
-        bare = POM(effect_matrices(pom), None)
-        with pytest.raises(ValueError, match="complete"):
-            confidence_report(ens, bare)
-
     @pytest.mark.parametrize("prob, inconclusive, message", [
         (1.5, -0.5, "probability for state 0 out of range: 1.5"),
         (-0.5, 1.5, "probability for state 0 out of range: -0.5"),
@@ -270,12 +263,10 @@ class TestConfidenceReport:
 class TestOutcomeTable:
     def test_matches_traces_against_the_formed_effects(self):
         # Tr(rho_i E_k) through the factors, for complete_pom's effects and for
-        # a POM the public constructor factored, fail column last.
+        # a POM the public constructor took, fail column last.
         rng = np.random.default_rng(36)
         for ens in ensemble_suite(210, 12):
-            poms = (complete_pom(ens), random_complete_pom(rng, ens.dim, 3),
-                    POM(((0, random_effect(rng, ens.dim)),)))
-            for pom in poms:
+            for pom in (complete_pom(ens), random_complete_pom(rng, ens.dim, ens.n_states)):
                 expected = [[real_trace(rho @ e) for e in outcome_matrices(pom)] for rho in ens.states]
                 table = outcome_table(ens, pom)
                 assert table.shape == (ens.n_states, len(outcome_matrices(pom)))
@@ -296,8 +287,9 @@ def sampler_case(name):
     # sqrt(0.25) and so on), whose running sum rounds above 1.0 before the
     # last (fail) outcome
     ens = Ensemble(3, tuple(np.diag(row) for row in np.eye(3)), np.full(3, 1.0 / 3.0))
-    effects = [np.diag([0.25, 0.5, 0.2]), np.diag([0.45, 0.25, 0.3]), np.diag([0.3, 0.25, 0.5])]
-    pom = POM(tuple(enumerate(effects)), np.eye(3) - effects[0] - effects[1] - effects[2])
+    effects = np.array([[0.25, 0.5, 0.2], [0.45, 0.25, 0.3], [0.3, 0.25, 0.5]])
+    pom = POM(tuple((k, (np.diag(np.sqrt(e)), 1.0)) for k, e in enumerate(effects)),
+              np.diag(1.0 - effects[0] - effects[1] - effects[2]))
     prob = np.clip(outcome_table(ens, pom)[0], 0.0, None)
     assert np.cumsum(prob / prob.sum())[-2] > 1.0
     return ens, pom
@@ -444,12 +436,6 @@ class TestSimulate:
         sim = simulate_measurement(ens, pom, 7777, 5)
         assert sum(sim.outcome_counts) == 7777
 
-    def test_incomplete_pom_rejected(self):
-        ens = trine()
-        pom = complete_pom(ens)
-        with pytest.raises(ValueError, match="complete"):
-            simulate_measurement(ens, POM(effect_matrices(pom), None), 100, 0)
-
     def test_trials_must_be_positive(self):
         ens = trine()
         with pytest.raises(ValueError, match="trials"):
@@ -476,33 +462,34 @@ class TestSimulate:
                 assert abs(sim.conditional_frequencies[k] - predicted) <= 4.0 * sigma + 1e-12
 
 
+FIXTURES = ["trine", "worked_example", "near_parallel", "tiny_prior", "negative_roundoff"]
+
+
+def half(d=2, bad=None):
+    """The factor pair of I/2 on d dimensions, W = I / sqrt(2), its last
+    diagonal entry replaced by bad when given."""
+    w = np.eye(d) / np.sqrt(2.0)
+    if bad is not None:
+        w[-1, -1] = bad
+    return w, 1.0
+
+
 class TestPomValidation:
-    def test_rejects_non_psd_effect(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            POM(((0, np.diag([1.0, -0.2])),), None)
+    def test_rejects_a_matrix_effect(self):
+        with pytest.raises(ValueError, match=r"^effect 0 must be a factor pair \(W, t\)$"):
+            POM(((0, 0.5 * np.eye(2)),), 0.5 * np.eye(2))
+        with pytest.raises(ValueError, match=r"^effect 1 must be a factor pair \(W, t\)$"):
+            POM(((0, half()), (1, [np.eye(2) / np.sqrt(2.0), 1.0])), np.zeros((2, 2)))
 
-    def test_rejects_effects_exceeding_identity(self):
-        with pytest.raises(ValueError, match="exceed"):
-            POM(((0, np.eye(2)), (1, 0.5 * np.eye(2))), None)
-
-    def test_rejects_bad_completion(self):
-        with pytest.raises(ValueError, match="identity"):
-            POM(((0, 0.5 * np.eye(2)),), 0.25 * np.eye(2))
-
-    def test_needs_some_effect(self):
-        with pytest.raises(ValueError, match="at least one"):
-            POM((), None)
-
-    def test_rejects_effects_of_different_dimensions(self):
-        with pytest.raises(ValueError, match="^effects must share one dimension$"):
-            POM(((0, 0.5 * np.eye(2)), (1, 0.5 * np.eye(3))), None)
-
-    def test_rejects_a_fail_effect_that_is_not_psd(self):
-        with pytest.raises(ValueError, match="^fail effect is not positive semidefinite$"):
-            POM(((0, np.diag([1.2, 0.5])),), np.diag([-0.2, 0.5]))
+    @pytest.mark.parametrize("t", [-0.5, -1e-300])
+    def test_rejects_a_negative_scale_that_the_fail_effect_would_make_up(self, t):
+        # -0.5 I plus a fail effect of 1.5 I resolves the identity, but the
+        # effect is negative
+        with pytest.raises(ValueError, match=f"^effect 0 has a negative scale t = {re.escape(repr(t))}$"):
+            POM(((0, (np.eye(2), t)),), (1.0 - t) * np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_a_non_finite_effect_before_decomposing(self, monkeypatch, bad):
+    def test_rejects_a_non_finite_factor_or_scale_before_decomposing(self, monkeypatch, bad):
         # every comparison with NaN is false, so only an explicit check stops it
         eigh = np.linalg.eigh
 
@@ -513,32 +500,70 @@ class TestPomValidation:
         monkeypatch.setattr(np.linalg, "eigh", finite_only)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: finite_only(m)[0])
         with pytest.raises(ValueError, match="^effect 0 has a non-finite entry$"):
-            POM(((0, [[bad, 0.0], [0.0, 1.0]]),), None)
+            POM(((0, half(bad=bad)),), np.eye(2) / 2)
         with pytest.raises(ValueError, match="^effect 1 has a non-finite entry$"):
-            POM(((0, 0.25 * np.eye(2)), (1, np.diag([0.25, bad]))), np.eye(2) / 2)
+            POM(((0, half()), (1, (np.eye(2), bad))), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="^fail effect has a non-finite entry$"):
-            POM(((0, 0.5 * np.eye(2)),), [[0.5, bad], [bad, 0.5]])
-
-    def test_an_effect_keeps_its_factor_at_the_kept_rank(self):
-        # the 1e-14 eigenvalue is under the rank cutoff, as for a state
-        pom = POM(((0, np.diag([1.0, 1e-14])),), np.diag([0.0, 1.0 - 1e-14]))
-        (w, t), = [e for _, e in pom.effects]
-        assert w.shape == (2, 1) and t == 1.0
-
-    def test_an_effect_is_checked_by_eigvalsh_alone(self, monkeypatch):
-        def refused(m):
-            raise AssertionError("eigh called")
-
-        monkeypatch.setattr(np.linalg, "eigh", refused)
-        pom = POM(((0, 0.5 * np.eye(3)), (1, np.diag([0.5, 0.25, 0.0]))), np.diag([0.0, 0.25, 0.5]))
-        assert [w.shape for _, (w, _) in pom.effects] == [(3, 3), (3, 2)]
+            POM(((0, half()),), [[0.5, bad], [bad, 0.5]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_effect_is_named_before_its_shape(self, bad):
+    def test_a_non_finite_factor_is_named_before_its_rows(self, bad):
         with pytest.raises(ValueError, match="^effect 0 has a non-finite entry$"):
-            POM(((0, [[bad, 0.0, 0.0], [0.0, 1.0, 0.0]]),), None)
-        with pytest.raises(ValueError, match="^effect 1 has a non-finite entry$"):
-            POM(((0, 0.5 * np.eye(2)), (1, np.diag([0.25, 0.25, bad]))), None)
+            POM(((0, half(3, bad)),), np.eye(2))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rejects_a_factor_whose_rows_are_not_the_fail_effects_dimension(self, rows):
+        with pytest.raises(ValueError, match="^effect 1 must have 2 rows$"):
+            POM(((0, half()), (1, (np.ones((rows, 1)), 0.25))), 0.25 * np.eye(2))
+
+    def test_rejects_bad_completion(self):
+        with pytest.raises(ValueError, match="^effects plus fail do not resolve the identity$"):
+            POM(((0, half()),), 0.25 * np.eye(2))
+
+    def test_rejects_a_fail_effect_that_is_not_psd(self):
+        with pytest.raises(ValueError, match="^fail effect is not positive semidefinite$"):
+            POM(((0, (np.diag(np.sqrt([1.2, 0.5])), 1.0)),), np.diag([-0.2, 0.5]))
+
+    def test_decomposes_the_fail_effect_alone(self, monkeypatch):
+        # each effect is PSD by construction; one eigvalsh checks the fail effect
+        calls = []
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an effect was decomposed")
+
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        pom = POM(((0, (np.eye(3), 0.5)), (1, (np.diag([1.0, 0.5, 0.0])[:, :2], 0.5))),
+                  np.diag([0.0, 0.375, 0.5]))
+        assert calls == [(3, 3)]
+        assert [(w.shape, t) for _, (w, t) in pom.effects] == [((3, 3), 0.5), ((3, 2), 0.5)]
+
+
+class TestMemberIndex:
+    """A member index outside [0, n) is an error that names it; -1 does not
+    read the last member."""
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_every_entry_point_rejects_it(self, j):
+        ens = worked(0.5, 0.25)
+        message = f"^member index {j} outside \\[0, 2\\)$"
+        with pytest.raises(ValueError, match=message):
+            ens.top(j)
+        with pytest.raises(ValueError, match=message):
+            max_confidence(ens, j)
+        with pytest.raises(ValueError, match=message):
+            confidence_of(ens, np.eye(2), j)
+        pom = complete_pom(ens)
+        (_, pair), rest = pom.effects[0], pom.effects[1:]
+        relabelled = POM(((j, pair),) + rest, pom.fail)
+        with pytest.raises(ValueError, match=message):
+            outcome_table(ens, relabelled)
+        with pytest.raises(ValueError, match=message):
+            confidence_report(ens, relabelled)
+        with pytest.raises(ValueError, match=message):
+            simulate_measurement(ens, relabelled, 10, 0)
 
 
 class TestCompletePomKeepsEveryCheck:
@@ -552,7 +577,7 @@ class TestCompletePomKeepsEveryCheck:
         bound, vectors = ens.top(1)
         ens.__dict__["_tops"][1] = (bound, np.full_like(vectors, bad))
         with pytest.raises(ValueError) as public:
-            POM(((0, 0.25 * np.eye(2)), (1, np.diag([0.25, bad]))), None)
+            POM(((0, half()), (1, half(bad=bad))), np.zeros((2, 2)))
         with pytest.raises(ValueError) as owned, np.errstate(invalid="ignore"):
             complete_pom(ens)
         assert str(public.value) == str(owned.value) == "effect 1 has a non-finite entry"
@@ -576,36 +601,35 @@ class TestCompletePomKeepsEveryCheck:
                 total += e
             assert np.linalg.norm(total - np.eye(ens.dim)) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: read_spec("fixtures/trine.json").ensemble,
-            lambda: read_spec("fixtures/worked_example.json").ensemble,
-            lambda: read_spec("fixtures/near_parallel.json").ensemble,
-            lambda: random_ensemble(np.random.default_rng(41), 6, [1, 3, 2, 1, 4]),
-        ],
-        ids=["trine", "worked_example", "near_parallel", "seeded-mixed"],
-    )
-    def test_public_constructor_accepts_the_result(self, make):
-        pom = complete_pom(make())
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_the_public_constructor_rebuilds_the_result_bit_for_bit(self, name):
+        ens = read_spec(f"fixtures/{name}.json").ensemble
+        pom = complete_pom(ens)
         assert not pom.fail.flags.writeable
         for _, (w, _) in pom.effects:
             assert not w.flags.writeable
-        again = POM(effect_matrices(pom), pom.fail)  # refactored by eigh: equal up to roundoff
-        assert [label for label, _ in again.effects] == [label for label, _ in pom.effects]
-        for e, e_again in zip(outcome_matrices(pom), outcome_matrices(again)):
-            assert np.abs(e - e_again).max() <= 1e-14 * max(1.0, np.abs(e).max())
+        again = POM(pom.effects, pom.fail)
+        assert again.fail is not pom.fail and again.fail.tobytes() == pom.fail.tobytes()
+        for (label, (w, t)), (label_again, (w_again, t_again)) in zip(pom.effects, again.effects, strict=True):
+            assert (label_again, t_again) == (label, t)
+            assert w_again is not w and not w_again.flags.writeable and w_again.tobytes() == w.tobytes()
+        assert outcome_table(ens, again).tobytes() == outcome_table(ens, pom).tobytes()
+        report, report_again = confidence_report(ens, pom), confidence_report(ens, again)
+        assert report_again.records == report.records
+        assert report_again.inconclusive_probability == report.inconclusive_probability
 
     def test_public_constructor_leaves_the_callers_arrays_alone(self):
-        effect = np.array([[0.5, 1e-12], [0.0, 0.5]], dtype=np.complex128)
-        fail = np.eye(2, dtype=np.complex128) - effect
-        before = effect.copy(), fail.copy()
-        pom = POM(((0, effect),), fail)
-        assert effect.flags.writeable and fail.flags.writeable
-        assert np.array_equal(effect, before[0]) and np.array_equal(fail, before[1])
-        stored = gram(*pom.effects[0][1])
-        assert np.array_equal(stored, stored.conj().T)
-        assert np.abs(stored - hermitize(effect)).max() <= 1e-15
+        w = np.array([[0.5, 1e-12], [0.0, 0.5]], dtype=np.complex128)
+        fail = np.eye(2, dtype=np.complex128) - w @ w.conj().T
+        fail[0, 1] += 1e-13  # Hermitian within tolerance, but not exactly
+        before = w.copy(), fail.copy()
+        pom = POM(((0, (w, 1.0)),), fail)
+        assert w.flags.writeable and fail.flags.writeable
+        assert np.array_equal(w, before[0]) and np.array_equal(fail, before[1])
+        stored, _ = pom.effects[0][1]
+        assert stored is not w and np.array_equal(stored, w) and not stored.flags.writeable
+        assert np.array_equal(pom.fail, pom.fail.conj().T)
+        assert np.abs(pom.fail - hermitize(fail)).max() <= 1e-15
 
 
 def eager_complete_pom(ens):

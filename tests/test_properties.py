@@ -1,8 +1,11 @@
-"""Property suite over the edge families, against an independent oracle.
+"""Property suite over the edge families, against independent oracles.
 
-The oracle is the top generalized eigenvalue of the pencil (p_j rho_j, rho)
+One oracle is the top generalized eigenvalue of the pencil (p_j rho_j, rho)
 (Croke et al., PRL 96, 070401, 2006), taken from scipy, which maxconf never
-imports.  Examples are derandomized, so every run draws the same ensembles.
+imports; it needs a well-conditioned rho.  The other takes the bound in 40
+digits from mpmath on the kept support, so it also covers a rank-deficient
+average and near-parallel pairs.  Examples are derandomized, so every run
+draws the same ensembles.
 
 The families are: overcomplete pure and mixed members, one prior possibly
 scaled down to anywhere from 1e-4 to 1e-12; linearly independent pure
@@ -54,6 +57,11 @@ def scipy_linalg():
     return pytest.importorskip("scipy.linalg")
 
 
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
 def _state(rng, dim, rank):
     if rank == 1:
         k = random_ket(rng, dim)
@@ -96,9 +104,10 @@ def independent(draw):
 
 
 @st.composite
-def near_parallel(draw):
-    """Two equiprobable qubit kets theta rad apart, turned by a random unitary."""
-    theta = 10.0 ** draw(st.floats(-7.0, -1.0))
+def near_parallel(draw, top=-1.0):
+    """Two equiprobable qubit kets theta rad apart, turned by a random
+    unitary, theta from 1e-7 to 10^top."""
+    theta = 10.0 ** draw(st.floats(-7.0, top))
     u = random_unitary(np.random.default_rng(draw(SEEDS)), 2)
     kets = [u @ np.array([1.0, 0.0]), u @ np.array([np.cos(theta), np.sin(theta)])]
     return Ensemble.from_pure(kets, [0.5, 0.5])
@@ -185,6 +194,48 @@ def test_bounds_lie_between_the_prior_and_one_and_match_the_oracle(scipy_linalg,
         if full_rank:
             oracle = scipy_linalg.eigh(ens.priors[j] * ens.states[j], rho, eigvals_only=True)[-1]
             assert abs(bound - oracle) <= TOL
+
+
+def _oracle_bounds(mpmath, ens):
+    """Each member's bound in 40 digits on the kept support: rho, summed as
+    p_j F_j F_j^dagger from the member factors, its top r eigenpairs
+    (lambda, Q), r = Ensemble.support.rank, and the top eigenvalue of
+    G G^dagger, G = diag(1/sqrt(lambda)) Q^dagger sqrt(p_j) F_j."""
+    with mpmath.workdps(40):
+        factors = [mpmath.matrix(ens.factor(j).tolist()) for j in range(ens.n_states)]
+        priors = [mpmath.mpf(float(p)) for p in ens.priors]
+        rho = mpmath.zeros(ens.dim)
+        for p, f in zip(priors, factors):
+            rho += p * (f * f.H)
+        lam, q = mpmath.eigh(rho)  # ascending
+        kept = range(ens.dim - ens.support.rank, ens.dim)
+        whiten = mpmath.matrix([[mpmath.conj(q[i, k]) / mpmath.sqrt(lam[k]) for i in range(ens.dim)]
+                                for k in kept])
+        bounds = []
+        for p, f in zip(priors, factors):
+            g = whiten * f * mpmath.sqrt(p)
+            bounds.append(float(max(mpmath.eigh(g * g.H, eigvals_only=True))))  # no index -1 in mpmath
+    return bounds
+
+
+# Where scipy's pencil needs rho positive definite: a rank-deficient average,
+# and near-parallel pairs closer than about 6e-5 rad.
+ORACLE_FAMILIES = {
+    "rank-deficient": rank_deficient(),
+    "near-parallel-below-6e-5": near_parallel(top=float(np.log10(6e-5))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_bounds_match_the_40_digit_oracle(mpmath, family):
+    # A tiny bound is accurate in absolute terms only, so the tolerance is absolute.
+    @settings(SETTINGS, max_examples=40)
+    @given(ORACLE_FAMILIES[family])
+    def check(ens):
+        for j, oracle in enumerate(_oracle_bounds(mpmath, ens)):
+            assert abs(max_confidence(ens, j) - oracle) <= 1e-12
+
+    check()
 
 
 @SETTINGS

@@ -165,9 +165,9 @@ def test_verify_reads_each_outcome_from_two_diagonal_sandwiches_and_forms_no_eff
         formed.append(f.shape)
         return real_gram(f, scale)
 
-    def counted_sandwich(effect, a, diagonal=False, checked=False):
+    def counted_sandwich(effect, a, diagonal=False):
         sandwiches.append((diagonal, bool(in_marginal)))
-        return real_sandwich(effect, a, diagonal=diagonal, checked=checked)
+        return real_sandwich(effect, a, diagonal=diagonal)
 
     def marked_marginal(bs, pom):
         in_marginal.append(True)
