@@ -34,12 +34,12 @@ from .linalg import (
     _kept_factor,
     _readonly,
     _require_finite,
+    _symmetrized,
     as_matrix,
     fix_phase,
     frobenius,
     gram,
     hermitian_in_place,
-    hermitize,
     kept_svd,
     real_trace,
     within_psd_slack,
@@ -190,9 +190,10 @@ class Ensemble:
         """[sqrt(p_1) F_1, ..., sqrt(p_n) F_n], whose Gram matrix is the average."""
         return np.hstack([np.sqrt(p) * self.factor(j) for j, p in enumerate(self.priors)])
 
-    @cached_property
+    @property
     def average(self) -> np.ndarray:
-        """The mixture sum_i p_i rho_i actually handed to the measurement."""
+        """The mixture sum_i p_i rho_i actually handed to the measurement,
+        made from the factors on each read, so no d x d matrix outlives it."""
         return gram(self.stacked())
 
     @cached_property
@@ -258,10 +259,12 @@ class BipartiteState:
         object.__setattr__(self, "index_sets", sets)
 
     def left_marginal(self) -> np.ndarray:
-        return hermitize(self.amplitudes @ self.amplitudes.conj().T)
+        """A A^dagger, made exactly Hermitian: a fresh array the caller may overwrite."""
+        return _symmetrized(self.amplitudes @ self.amplitudes.conj().T)
 
     def right_marginal(self) -> np.ndarray:
-        return hermitize(self.amplitudes.T @ self.amplitudes.conj())
+        """A^T A^*, made exactly Hermitian: a fresh array the caller may overwrite."""
+        return _symmetrized(self.amplitudes.T @ self.amplitudes.conj())
 
 
 @dataclass(frozen=True, eq=False)

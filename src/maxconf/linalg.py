@@ -62,10 +62,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_matrix(m) -> np.ndarray:
+def as_matrix(m, name: str | None = None) -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of dimension {arr.ndim}")
+        what = f"{name} must be a matrix" if name else "expected a matrix"
+        raise ValueError(f"{what}, got array of dimension {arr.ndim}")
     return arr
 
 
@@ -141,10 +142,13 @@ def gram(f: np.ndarray, scale: float = 1.0) -> np.ndarray:
 def checked_effect(effect, d: int, name: str):
     """A caller's effect on a d-dimensional system, checked once: the factor
     pair (W, t) of t W W^dagger needs a finite matrix W and a finite t >= 0,
-    and comes back as (W, float(t)); a matrix comes back as a copy checked by
-    hermitian_in_place.  Either must have d rows."""
+    and comes back as (W, float(t)); a tuple of another length is not one.  A
+    matrix comes back as a copy checked by hermitian_in_place.  Either must
+    have d rows."""
     pair = isinstance(effect, tuple)
     if pair:
+        if len(effect) != 2:
+            raise ValueError(f"{name} must be a factor pair (W, t)")
         w, t = effect
         effect = as_matrix(_require_finite(w, name)), float(_require_finite(t, name))
         if effect[1] < 0.0:
@@ -164,7 +168,8 @@ def sandwich(effect, a: np.ndarray, diagonal: bool = False) -> np.ndarray:
     E comes as a d x d matrix or as the factor pair (W, t) of E = t W W^dagger,
     read as t X^T X^* with X = W^dagger a, so that E is never formed.  This and
     outcome_probability's norm are the two places where the forms differ.
-    A caller's effect is checked first, by checked_effect.
+    A caller's effect is checked first, by checked_effect.  The result is a
+    fresh array, which the caller may overwrite.
     """
     if not isinstance(effect, tuple):
         if diagonal:
@@ -175,7 +180,9 @@ def sandwich(effect, a: np.ndarray, diagonal: bool = False) -> np.ndarray:
     x = w.conj().T @ a
     if diagonal:
         return t * (x.real ** 2 + x.imag ** 2).sum(axis=0)
-    return t * (x.T @ x.conj())
+    m = x.T @ x.conj()
+    m *= t
+    return m
 
 
 def outcome_probability(p: float, effect) -> float:

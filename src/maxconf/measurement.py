@@ -72,7 +72,7 @@ class POM:
     fail: np.ndarray
 
     def __post_init__(self):
-        fail = as_matrix(np.array(self.fail, dtype=np.complex128))
+        fail = as_matrix(np.array(self.fail, dtype=np.complex128), "fail effect")
         effects, total = [], 0.0
         for label, e in self.effects:
             name = f"effect {label}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ensembles import BipartiteState
-from .linalg import checked_effect, frobenius, hermitize, outcome_probability, sandwich
+from .linalg import _symmetrized, checked_effect, frobenius, outcome_probability, sandwich
 
 
 def conditional_diagonals(bs: BipartiteState, basis: np.ndarray, effects) -> list[tuple[float, np.ndarray, float]]:
@@ -72,8 +72,13 @@ def marginal_invariance(bs: BipartiteState, pom) -> float:
     Sums the unnormalized conditionals over every effect the measurement
     carries, fail included, so zero-probability outcomes are harmless; it
     must come out at most 1e-10.  Each effect enters through its factor pair
-    and the fail effect through its matrix.
+    and the fail effect through its matrix.  Each sandwich is added into the
+    first in place, so one R x R sum and one term are alive at a time.
     """
     outcomes = [e for _, e in pom.effects] + [pom.fail]
-    total = sum(sandwich(e, bs.amplitudes) for e in outcomes)
-    return frobenius(hermitize(total) - bs.right_marginal())
+    total = sandwich(outcomes[0], bs.amplitudes)
+    for e in outcomes[1:]:
+        total += sandwich(e, bs.amplitudes)
+    total = _symmetrized(total)
+    total -= bs.right_marginal()
+    return frobenius(total)

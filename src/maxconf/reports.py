@@ -101,14 +101,22 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     bs = purify(ens)
     basis = allowed_subspace(bs)
     sd = schmidt(bs)
-    pom = complete_pom(ens)
 
+    # each gap's matrix is made once, written over in place, and dropped once its norm is read
     gaps = {}
-    gaps["purification_residual"] = frobenius(bs.left_marginal() - ens.average)
+    m = bs.left_marginal()
+    m -= ens.average
+    gaps["purification_residual"] = frobenius(m)
     u = sd.left_vectors  # against U_k U_k^dagger A, the amplitudes on the kept Schmidt space
-    gaps["schmidt_reconstruction"] = frobenius(sd.reconstruct() - u @ (u.conj().T @ bs.amplitudes))
+    m = sd.reconstruct()
+    m -= u @ (u.conj().T @ bs.amplitudes)
+    gaps["schmidt_reconstruction"] = frobenius(m)
     v = sd.right_vectors
-    gaps["projector_gap"] = frobenius(v @ v.conj().T - basis @ basis.conj().T)
+    m = v @ v.conj().T
+    m -= basis @ basis.conj().T
+    gaps["projector_gap"] = frobenius(m)
+    del m, u, v, sd
+    pom = complete_pom(ens)
     gaps["marginal_deviation"] = marginal_invariance(bs, pom)
 
     rep = confidence_report(ens, pom)

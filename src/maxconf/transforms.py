@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import BipartiteState, Ensemble, SchmidtDecomposition, schmidt
-from .linalg import _require_finite, as_matrix, hermitize, kept, kept_svd
+from .linalg import _require_finite, _symmetrized, as_matrix, kept, kept_svd
 from .measurement import max_confidence
 
 _WEIGHT_TOL = 1e-10
@@ -144,6 +144,12 @@ def concentrate(bs: BipartiteState) -> ConcentrationResult:
     lam, v = sch.coefficients, sch.left_vectors
     lam_min = float(lam[-1])  # at most 1 / D, so lambda_min * D is a probability up to roundoff
     a = KrausOperator(np.sqrt(lam_min) * ((v / np.sqrt(lam)) @ v.conj().T))
-    fail = hermitize(np.eye(v.shape[0]) - lam_min * ((v / lam) @ v.conj().T))
+    # I - lambda_min rho^{-1} in one array: 0 - x, then + 1 on the diagonal, rounds as I - x
+    # does and keeps its signs of zero
+    fail = (v / lam) @ v.conj().T
+    fail *= lam_min
+    np.subtract(0.0, fail, out=fail)
+    fail.flat[:: len(fail) + 1] += 1.0
+    fail = _symmetrized(fail)
     post = BipartiteState(v @ sch.right_vectors.T / np.sqrt(sch.rank), bs.index_sets)
     return ConcentrationResult(a, min(lam_min * lam.size, 1.0), fail, post, sch)

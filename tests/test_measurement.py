@@ -56,6 +56,11 @@ class TestConfidenceOf:
         with pytest.raises(ValueError, match="out of range"):
             confidence_of(ens, np.diag([1.0, -0.5]), 0)
 
+    def test_a_tuple_that_is_not_a_pair_is_named(self):
+        ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^effect must be a factor pair \(W, t\)$"):
+            confidence_of(ens, (np.eye(2),), 0)
+
     def test_zero_probability_outcome_rejected(self):
         ens = Ensemble.from_pure(
             [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])], [0.5, 0.5]
@@ -480,6 +485,15 @@ class TestPomValidation:
             POM(((0, 0.5 * np.eye(2)),), 0.5 * np.eye(2))
         with pytest.raises(ValueError, match=r"^effect 1 must be a factor pair \(W, t\)$"):
             POM(((0, half()), (1, [np.eye(2) / np.sqrt(2.0), 1.0])), np.zeros((2, 2)))
+
+    def test_rejects_a_tuple_effect_that_is_not_a_pair(self):
+        w, t = half()
+        with pytest.raises(ValueError, match=r"^effect 0 must be a factor pair \(W, t\)$"):
+            POM(((0, (w, t, 1)),), np.eye(2) / 2)
+
+    def test_names_a_fail_effect_that_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="^fail effect must be a matrix, got array of dimension 0$"):
+            POM(((0, half()),), None)
 
     @pytest.mark.parametrize("t", [-0.5, -1e-300])
     def test_rejects_a_negative_scale_that_the_fail_effect_would_make_up(self, t):

@@ -29,7 +29,10 @@ every effect once peaks at under 7 effects' bytes for up to 2d members,
 where holding them all cost n + 7.  simulate builds its outcome table
 from the factors, with no stacked copy of the states or the effects, and
 fills that one table a column at a time, where a list of columns and its
-copies held 3x.
+copies held 3x.  verify makes each d x d and R x R matrix it checks once,
+in place, and drops it once read, R the total member rank, so it peaks
+under 8 matrices of side max(d, R), where copies of each gap and a Python
+sum of the R x R sandwiches took 8.6 to 9.5.
 """
 
 import contextlib
@@ -43,6 +46,7 @@ import pytest
 from maxconf import SpecError, cli, specio
 from maxconf.linalg import gram
 from maxconf.measurement import complete_pom, outcome_table, simulate_measurement
+from maxconf.reports import verify_report
 from maxconf.specio import load_kraus, matrix_to_json, read_spec
 
 from randomgen import random_ensemble, random_kraus, random_members
@@ -67,6 +71,8 @@ COMPLETE_POM_PEAK_IN_EFFECTS = 7.0
 SIMULATE_PEAK_PER_STATE_BYTE = 0.25
 # outcome_table against the table's bytes: the table and one column's temporaries.
 OUTCOME_TABLE_PEAK_PER_TABLE_BYTE = 1.3
+# verify_report on a fresh ensemble, in units of one complex max(d, R) x max(d, R) matrix.
+VERIFY_PEAK_IN_MATRICES = 8.0
 
 
 def _spec_file(ens, path):
@@ -264,3 +270,18 @@ def test_complete_pom_holds_one_copy_of_each_effect():
         tracemalloc.stop()
     size = (ens.n_states + 1) * ens.dim * ens.dim * np.dtype(np.complex128).itemsize
     assert peak <= COMPLETE_POM_PEAK_PER_EFFECT_BYTE * size, f"complete_pom: {peak / size:.2f}x"
+
+
+@pytest.mark.parametrize("dim, ranks", [(32, [4] * 16), (64, [1, 4] * 8)], ids=["R>d", "R<d"])
+def test_verify_report_peaks_at_a_few_matrices(dim, ranks):
+    ens = random_ensemble(np.random.default_rng(2), dim, ranks)
+    tracemalloc.start()
+    try:
+        _, ok = verify_report(ens, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    side = max(dim, sum(ranks))
+    one = side * side * np.dtype(np.complex128).itemsize
+    assert ok
+    assert peak <= VERIFY_PEAK_IN_MATRICES * one, f"verify_report peaks at {peak / one:.2f} matrices"

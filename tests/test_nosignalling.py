@@ -20,7 +20,7 @@ from maxconf.nosignalling import (
     marginal_invariance,
 )
 
-from randomgen import ensemble_suite, random_effect
+from randomgen import ensemble_suite, random_effect, random_ensemble
 from helpers import (
     bell_state,
     trine,
@@ -261,3 +261,15 @@ class TestMarginalInvariance:
             bs = purify(ens)
             pom = random_complete_pom(rng, ens.dim, 3)
             assert marginal_invariance(bs, pom) <= 1e-10
+
+    def test_the_in_place_sum_is_the_plain_sum_bit_for_bit(self):
+        # the expression it replaced: a Python sum of each outcome's sandwich,
+        # t X^T X^* or A^T F^* A^*, made Hermitian, less the made-Hermitian marginal
+        wide = random_ensemble(np.random.default_rng(9), 6, [4, 4, 3])
+        for ens in ensemble_suite(308, 10) + [wide]:
+            bs, pom = purify(ens), complete_pom(ens)
+            a = bs.amplitudes
+            terms = [t * ((w.conj().T @ a).T @ (w.conj().T @ a).conj()) for _, (w, t) in pom.effects]
+            total = sum(terms + [a.T @ pom.fail.conj() @ a.conj()])
+            expected = float(np.linalg.norm(hermitize(total) - hermitize(a.T @ a.conj())))
+            assert marginal_invariance(bs, pom) == expected

@@ -6,8 +6,9 @@ trees keep matrices as complex arrays until they are printed, and both
 renderers print them exactly as their plain() form, the nested [re, im]
 pairs the library returns.  Text output is pinned byte for byte: by stored
 sha256 on the fixtures, and against the original text renderer (kept below
-as the reference) on a seeded d=16 ensemble, whose last digits depend on
-the BLAS build and so cannot be pinned by hash.
+as the reference) on a seeded d=16 ensemble.  The seeded specs' last digits
+depend on the BLAS build, so their verify and concentrate hashes, text and
+machine, hold for the numpy build they were taken with.
 """
 
 import hashlib
@@ -17,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxconf import read_spec, reports
+from maxconf import allowed_subspace, purify, read_spec, reports, schmidt
 from maxconf.cli import main
+from maxconf.linalg import frobenius, gram, hermitize
 from maxconf.specio import load_kraus, matrix_to_json
 
 from randomgen import random_ensemble
@@ -99,10 +101,19 @@ def inputs(tmp_path_factory):
         ],
     }
     filter16 = matrix_to_json(np.diag(np.linspace(1.0, 0.5, 16)))
+    wide = random_ensemble(np.random.default_rng(25), 8, [4] * 4)
+    d8_rank16 = {
+        "dimension": 8,
+        "states": [
+            {"prior": float(p), "matrix": matrix_to_json(rho)}
+            for p, rho in zip(wide.priors, wide.states)
+        ],
+    }
     return {
         "worked_example": ("fixtures/worked_example.json", filter2),
         "trine": ("fixtures/trine.json", filter2),
         "d16": (_write(root / "d16.json", d16), _write(root / "filter16.json", filter16)),
+        "d8_rank16": (_write(root / "d8_rank16.json", d8_rank16), None),  # no transform runs on it
     }
 
 
@@ -167,6 +178,54 @@ def test_machine_output_keeps_sorted_keys_and_two_space_structure(capsys, inputs
 def test_text_output_bytes_are_pinned(capsys, inputs, spec, command):
     out = _stdout(capsys, _argv(inputs, spec, command, "text"))
     assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[(spec, command)]
+
+
+# sha256 of `maxconf <command> <spec> --output <form>` on the seeded specs:
+# d16 (eight members of ranks 1 and 2, total rank R = 12 < d) and d8_rank16
+# (four rank-4 members, R = 16 > d).  Taken with numpy 2.4 and its bundled
+# OpenBLAS; another BLAS may move their last digits.  verify and concentrate
+# build their d x d and R x R intermediates in place, so these pin that each
+# in-place step adds and scales in the order the plain expressions did.
+SEEDED_SHA256 = {
+    ("d16", "verify", "text"):
+        "d6ac589f2c50200b3c4852b7ca0979f3c4e616d71fc4fa56532ee305f21628eb",
+    ("d16", "verify", "machine"):
+        "4559d8c139ced755032c158e1d23a7918179ea25107af98b35b30b9d650ceacd",
+    ("d16", "concentrate", "text"):
+        "900fa41db6651e01882e5b1636406d9d348d9b88a974dc3b0ddfe83e2a111ac6",
+    ("d16", "concentrate", "machine"):
+        "8c734fe3bbba36e68404df8777010cc99582e9bbb9d1ae07fc61183a36ab7d70",
+    ("d8_rank16", "verify", "text"):
+        "2598433016ac4b08c6798afdf5f50840cbfff3684c09e1ae4156fa8dd2586c07",
+    ("d8_rank16", "verify", "machine"):
+        "8f901ee2a7d090e8643d30adc920a7f5838b1ebd435fc6beee6ddab0484b7a4b",
+    ("d8_rank16", "concentrate", "text"):
+        "88f6ac562d68f20ba36e63d84f427ab30f7922328c0cc1350cecbbafa5fe1cc3",
+    ("d8_rank16", "concentrate", "machine"):
+        "642d8715818cfaf514682aaae1e34af0adb55028fa4f4be7c94e106f1d773cfc",
+}
+
+
+@pytest.mark.parametrize("spec, command, output", sorted(SEEDED_SHA256))
+def test_seeded_output_bytes_are_pinned(capsys, inputs, spec, command, output):
+    out = _stdout(capsys, _argv(inputs, spec, command, output))
+    assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_SHA256[(spec, command, output)]
+
+
+@pytest.mark.parametrize("spec", ["d16", "d8_rank16"])
+def test_verify_gaps_are_the_plain_expressions_bit_for_bit(inputs, spec):
+    # on any BLAS: the gaps verify builds in place against the expressions they replaced
+    ens = read_spec(inputs[spec][0]).ensemble
+    bs = purify(ens)
+    basis, sd = allowed_subspace(bs), schmidt(bs)
+    a, u, v = bs.amplitudes, sd.left_vectors, sd.right_vectors
+    expected = {
+        "purification_residual": frobenius(hermitize(a @ a.conj().T) - gram(ens.stacked())),
+        "schmidt_reconstruction": frobenius(sd.reconstruct() - u @ (u.conj().T @ a)),
+        "projector_gap": frobenius(v @ v.conj().T - basis @ basis.conj().T),
+    }
+    checks = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)[0]["checks"]
+    assert {name: checks[name] for name in expected} == expected
 
 
 # verify's machine output as printed while the allowed subspace was whitened

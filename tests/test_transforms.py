@@ -231,6 +231,17 @@ class TestConcentrate:
                 assert abs(max_confidence(flat, j) - before) <= 1e-9
                 assert abs(confidence_of(flat, flat.states[j], j) - before) <= 1e-9
 
+    def test_the_fail_effect_is_the_plain_expression_bit_for_bit(self):
+        # built in place, it keeps every bit and sign of zero of I - lambda_min rho^{-1} made Hermitian
+        for ens in ensemble_suite(408, 10) + [random_ensemble(np.random.default_rng(10), 8, [4] * 4)]:
+            bs = purify(ens)
+            sch = schmidt(bs)
+            if sch.rank < 2:
+                continue
+            lam, v = sch.coefficients, sch.left_vectors
+            expected = hermitize(np.eye(len(v)) - float(lam[-1]) * ((v / lam) @ v.conj().T))
+            assert concentrate(bs).fail_effect.tobytes() == expected.tobytes()
+
     def test_ensemble_purifications_flatten(self):
         for ens in ensemble_suite(407, 10):
             bs = purify(ens)
