@@ -1,24 +1,12 @@
 """Discrimination ensembles and their bipartite companions.
 
-An Ensemble is a finite set of density operators with strictly positive
-prior probabilities.  Every ensemble has a canonical two-party picture:
-a pure state
-
-    |Psi> = sum_i sqrt(beta_i) |beta_i>_L |i>_R
-
-whose left marginal is the average state sum_i p_i rho_i and whose right
-index labels are grouped into one contiguous block sigma(j) per ensemble
-member, with sum over i in sigma(j) of beta_i |beta_i><beta_i| = p_j rho_j.
-Conditioned on a right-side index in sigma(j), the left system holds rho_j
-with probability p_j, so measurements on the left realize discrimination
-of the ensemble while the right side keeps the record.
-
-An Ensemble holds member j as its factor F_j, rho_j = F_j F_j^dagger: a ket
-is its own factor, and a matrix, read from a spec or given to the
-constructor, is factored by pivoted Cholesky at the rank its eigvalsh check
-found (linalg._kept_factor).  support (one SVD of the stacked factors) and
-top(j) are made once, on first use, for the measurement route; the
-bipartite route computes its own, from the factors (purify) and a QR.
+Every ensemble has a canonical two-party picture, a pure state
+|Psi> = sum_i sqrt(beta_i) |beta_i>_L |i>_R whose left marginal is the
+average state and whose right labels form one contiguous block sigma(j)
+per member, with sum over i in sigma(j) of beta_i |beta_i><beta_i| = p_j rho_j.
+A measurement on the left discriminates the ensemble while the right side
+keeps the record.  README's Library says how each member is held as its
+factor and which decompositions each side makes.
 """
 
 from __future__ import annotations
@@ -45,6 +33,7 @@ from .linalg import (
     within_psd_slack,
 )
 
+# Unit trace: a member's trace, or a Schmidt spectrum's sum, may miss 1 by this much.
 _TRACE_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
@@ -96,14 +85,10 @@ class _States(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """States rho_i with priors p_i on a d-dimensional system, validated on construction.
-
-    The constructor checks a copy of each state (eigvalsh, which gives its
-    rank) and factors it at once by pivoted Cholesky, with one eigh on
-    fallback (_checked_state), as read_spec does.  read_spec, apply_kraus
-    and from_pure hand over factors with _of.  states is a read-only
-    sequence rebuilt from the factors, so it can differ from the input by
-    the eigenvalues the rank rule drops.
+    """States rho_i with priors p_i on a d-dimensional system, held as
+    factors (README's Library).  The constructor checks and factors each
+    state by _checked_state, as read_spec does; read_spec, apply_kraus and
+    from_pure hand over factors with _of.
     """
 
     dim: int
@@ -215,13 +200,10 @@ class Ensemble:
         return [None] * self.n_states
 
     def top(self, j: int) -> tuple:
-        """Member j's bound C_j = sigma_max(G_j)^2, unclamped, and T_j.
-
-        G_j is member j's whitened block from the stacked SVD.  T_j is G_j
-        for a pure member, otherwise the left singular vectors whose squared
-        singular values are within 1e-9 relative of C_j, so a degenerate top
-        space is never split by roundoff.  Made on first use and kept beside
-        support; the bipartite route never reads it.
+        """Member j's bound C_j = sigma_max(G_j)^2, unclamped, and T_j, as
+        README's Library gives them; a mixed member's T_j takes the squared
+        singular values within _DEGENERACY_TOL relative of C_j, so a
+        degenerate top space is never split by roundoff.
         """
         if self._tops[self._member(j)] is None:
             g = self._stacked_svd[1][j]
@@ -236,12 +218,9 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Pure two-party state given by its amplitude matrix.
-
-    amplitudes[a, i] is the coefficient of |a>_L |i>_R, so its shape gives
-    both dimensions.  index_sets partitions the right-side labels into one
-    tuple per ensemble member.
-    """
+    """Pure two-party state: amplitudes[a, i] is the coefficient of
+    |a>_L |i>_R, and index_sets partitions the right-side labels into one
+    tuple per ensemble member."""
 
     amplitudes: np.ndarray
     index_sets: tuple
@@ -269,11 +248,7 @@ class BipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Schmidt form of a bipartite pure state.
-
-    coefficients are the squared singular values of the amplitude matrix,
-    descending, summing to 1 for a normalized state; column m of
-    left_vectors / right_vectors carries the m-th Schmidt pair, so
+    """Schmidt form of a bipartite pure state, as README's Library gives it:
     sum_m sqrt(coefficients[m]) left[:, m] right[:, m]^T rebuilds the
     amplitude matrix.
     """
@@ -286,7 +261,7 @@ class SchmidtDecomposition:
         lam = _require_finite(np.array(self.coefficients, dtype=np.float64), "Schmidt spectrum")
         if np.any(lam <= 0.0):
             raise ValueError("Schmidt coefficients must be positive")
-        if abs(lam.sum() - 1.0) > 1e-10:
+        if abs(lam.sum() - 1.0) > _TRACE_TOL:
             raise ValueError(f"Schmidt coefficients sum to {float(lam.sum())!r}")
         object.__setattr__(self, "coefficients", _readonly(lam))
         for name in ("left", "right"):
@@ -304,12 +279,9 @@ class SchmidtDecomposition:
 
 
 def purify(ens: Ensemble) -> BipartiteState:
-    """Canonical purification of an ensemble, from the member factors.
-
-    Each member contributes one contiguous block of right-side labels, in
-    ensemble order: a pure member the column sqrt(p_j) F_j, phase fixed
-    (largest-magnitude entry real positive), a mixed member the columns U S
-    of kept_svd(sqrt(p_j) F_j), one per kept eigenvalue of p_j rho_j.  Raw
+    """Canonical purification of an ensemble, from the member factors: one
+    contiguous block of right-side labels per member, in ensemble order,
+    each made as README's Library gives it (fix_phase, kept_svd).  Raw
     factors would make verify repeat the measurement route's products.
     """
     blocks = []
@@ -331,23 +303,15 @@ def purify(ens: Ensemble) -> BipartiteState:
 
 
 def schmidt(bs: BipartiteState) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the amplitude matrix.
-
-    Only the kept squared singular values (linalg.kept) are Schmidt
-    coefficients, so the rank is the support rank of the left marginal.
-    """
+    """Schmidt decomposition via SVD of the amplitude matrix, cut by the rank rule."""
     u, s, vh = kept_svd(bs.amplitudes)
     return SchmidtDecomposition(s * s, u, vh.T)
 
 
 def allowed_subspace(bs: BipartiteState) -> np.ndarray:
     """Orthonormal basis B, read-only R x D, of the right-side subspace
-    reachable by left measurements.
-
-    The span of the right Schmidt vectors, the column space of A^T, found
-    apart from the Schmidt SVD: B = Q U_kept, from a Householder QR
-    A^T = Q R and kept_svd(R), whose singular values are A's, so D is the
-    Schmidt rank and B B^dagger the projector onto the subspace.
+    reachable by left measurements: B = Q U_kept from a QR A^T = Q R and
+    kept_svd(R), apart from the Schmidt SVD (README's Library).
     Conditional right states of any outcome live inside it; that
     containment is what stops the left party from signalling.
     """

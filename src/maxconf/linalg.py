@@ -1,17 +1,10 @@
 """Dense complex linear algebra shared by every other module.
 
-Operators are plain numpy arrays (complex128, row major).  Bipartite
-operators use the left-major composite index: basis state |a>_L |i>_R
-sits at row a * R + i, R the right-side dimension.  kept() alone decides
-which eigenvalues count as zero, kept_svd() cuts every SVD by it, and
-within_psd_slack() decides what counts as positive; no rank is read off a
-Gram matrix formed here.  hermitian_in_place() is the one check of a
-caller's operator: finite, square, Hermitian.  A PSD matrix is held as a
-factor F, F F^dagger rebuilt by gram(): _kept_factor() makes it at the kept
-rank of the matrix's eigvalsh spectrum, from the matrix's own columns (one
-eigh only on fallback).  A caller's effect, a matrix or a factor pair
-(W, t), is checked by checked_effect() and read only by sandwich() and
-outcome_probability(), which decides when a conditional given it exists.
+Operators are complex128 numpy arrays.  Each rule of README's Conventions
+is decided here once: the rank by kept(), positivity by within_psd_slack(),
+a caller's operator by hermitian_in_place(), and whether a conditional
+exists by outcome_probability().  A caller's effect, a matrix or a factor
+pair (W, t), is read only by sandwich() and outcome_probability().
 """
 
 from __future__ import annotations
@@ -23,6 +16,8 @@ import numpy as np
 
 # Rank: kept() keeps the entries of a spectrum above RANK_TOL times the largest.
 RANK_TOL = 1e-12
+# Tolerance verify and transform compare their residuals with, unless a caller supplies one.
+DEFAULT_TOLERANCE = 1e-9
 # Relative Frobenius deviation tolerated before a matrix is rejected
 # as non-Hermitian.
 HERMITICITY_TOL = 1e-9
@@ -72,11 +67,6 @@ def as_matrix(m, name: str | None = None) -> np.ndarray:
 
 def frobenius(m) -> float:
     return float(np.linalg.norm(m))
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m^dagger) / 2, as a new complex128 array."""
-    return _symmetrized(np.array(m, dtype=np.complex128))
 
 
 def hermitian_in_place(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -133,7 +123,7 @@ def _kept_factor(h: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def gram(f: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """hermitize(scale * f f^dagger), read-only complex128, with one d x d temporary."""
+    """The Hermitian part of scale * f f^dagger, read-only complex128, with one d x d temporary."""
     m = (f @ f.conj().T).astype(np.complex128, copy=False)
     m *= scale
     return _readonly(_symmetrized(m))

@@ -1,26 +1,12 @@
 """Maximum-confidence measurements.
 
 The confidence of outcome omega_j is the posterior probability that the
-prepared state really was rho_j:
-
-    P(rho_j | omega_j) = p_j Tr(rho_j Pi_j) / Tr(rho Pi_j),
-
-with rho = sum_i p_i rho_i.  Over all effects this is bounded by
-
-    C_j = gamma_max(p_j rho^{-1/2} rho_j rho^{-1/2})
-
-with inverses restricted to the support of rho (Croke et al., PRL 96,
-070401, 2006).  With rho_j = F_j F_j^dagger and (s^2, U) the support of
-rho, C_j = sigma_max(G_j)^2 for the whitened block
-G_j = diag(1/s) U^dagger sqrt(p_j) F_j, which is member j's columns of the
-stacked SVD's V^dagger (Ensemble.top), and the bound is attained by
-W_j W_j^dagger with W_j = U diag(1/s) T_j, T_j the top left singular space
-of G_j.  Scaling an effect changes outcome probabilities but never its
-confidence, so one overall scale t completes the collection into a
-measurement with an inconclusive remainder.  A measurement (POM) is
-always complete: it takes and hands out effect k as its factor pair
-(W_k, t), takes every trace as t ||W_k^dagger F_i||^2 (linalg.sandwich),
-and keeps the fail effect as its only d x d matrix.
+prepared state really was rho_j, P(rho_j | omega_j) = p_j Tr(rho_j Pi_j) /
+Tr(rho Pi_j) with rho = sum_i p_i rho_i.  Over all effects it is at most
+C_j = gamma_max(p_j rho^{-1/2} rho_j rho^{-1/2}), inverses on the support of
+rho (Croke et al., PRL 96, 070401, 2006).  README's Library says how the
+bound, its effect and the completed measurement are read off the member
+factors.
 """
 
 from __future__ import annotations
@@ -44,7 +30,7 @@ from .linalg import (
 )
 
 _COMPLETENESS_TOL = 1e-9
-# Roundoff tolerated outside [0, 1] on a confidence before it is an error.
+# Roundoff tolerated outside [0, 1] on a probability or confidence before it is an error.
 _UNIT_SLACK = 1e-10
 # Trials sampled per block, so memory stays flat in the number of trials.
 _SAMPLE_CHUNK = 1 << 13
@@ -61,11 +47,8 @@ class POM:
     that completes them.
 
     effects holds (label, (W_k, t_k)), effect k as the factor pair of
-    E_k = t_k W_k W_k^dagger (linalg.gram makes the matrix): the form
-    POM.effects hands out, so POM(pom.effects, pom.fail) rebuilds pom.  Each
-    pair must pass linalg.checked_effect at the fail effect's dimension.  The
-    constructor keeps read-only complex128 copies of each W_k and of fail, so
-    the caller's arrays stay writable and as they were.
+    E_k = t_k W_k W_k^dagger, each checked by linalg.checked_effect at the
+    fail effect's dimension.  README's Library gives the rest of the contract.
     """
 
     effects: tuple
@@ -257,15 +240,9 @@ def _draws(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> SimulationResult:
-    """Sample prepared labels and outcomes, counting correct identifications.
-
-    Sampling is inverse-CDF over cumulative probabilities: first the
-    prepared label from the priors, then the outcome from Tr(rho_i Pi_k)
-    in effect order with fail last (outcome_table), one uniform pair per
-    trial.  Trial i draws SplitMix64's outputs 2i (label) and 2i + 1
-    (outcome) of seed, an integer in [0, 2^64), each shifted to m < 2^53 of
-    u = m 2^-53 (_draws), so counts depend on (seed, trials) alone, on any
-    platform and however the trials are blocked.
+    """Sample prepared labels and outcomes, counting correct identifications,
+    by the rule in README's Conventions: the label from the priors, then the
+    outcome from outcome_table's row, from draws 2i and 2i + 1 of _draws.
     Trials run in blocks of _SAMPLE_CHUNK.  As a uniform u = m 2^-53 passes the edge c
     exactly when m >= ceil(c 2^53), one sort of the keys label 2^53 + m, located among the
     sorted edges label 2^53 + ceil(c 2^53), gives every (label, outcome) cell of a block as one

@@ -6,16 +6,9 @@ purification, the right system holds
     rho_{R|omega} = Tr_L[ |Psi><Psi| (Pi tensor I) ] / P(omega)
                   = A^T Pi^* A^* / P(omega)
 
-in terms of the amplitude matrix A.  Whatever Pi is chosen, rho_{R|omega}
-stays inside the allowed subspace, the span of the right Schmidt vectors
-with orthonormal basis B (ensembles.allowed_subspace), and the
-outcome-averaged right state equals the unmeasured right marginal.  The
-confidence of outcome j is the weight of rho_{R|j} on the index block
-sigma(j), which is how the measurement-side bound reappears as a geometric
-statement about one subspace.  Every such weight is a sum over a diagonal,
-so no conditional is formed: the diagonal of A^T Pi^* A^* gives P(omega)
-and the weights, and that of Z^T Pi^* Z^*, with Z = A - (A B^*) B^T the
-amplitudes outside the subspace, gives the weight outside it.
+in terms of the amplitude matrix A.  Whatever Pi is, rho_{R|omega} stays
+inside the allowed subspace and the outcome-averaged right state equals
+the unmeasured right marginal; README's Library says how each is read.
 """
 
 from __future__ import annotations
@@ -33,10 +26,8 @@ def conditional_diagonals(bs: BipartiteState, basis: np.ndarray, effects) -> lis
     right side, and its weight Tr(Q rho_{R|Pi} Q) outside the subspace that
     basis B spans, Q = I - B B^dagger.
 
-    An effect is a d x d matrix or the factor pair (W, t) of Pi = t W W^dagger,
-    the form in which a measurement hands out its effects (POM.effects),
-    checked by linalg.checked_effect.  Each costs two diagonal
-    sandwiches, of A and of Z = A - (A B^*) B^T, formed once, for
+    An effect is a d x d matrix or a factor pair (W, t), checked by
+    linalg.checked_effect.  Z = A - (A B^*) B^T is formed once, for
     Q A^T = Z^T.  Raises when an outcome is too improbable for a conditional
     (linalg.outcome_probability).
     """
@@ -53,12 +44,9 @@ def conditional_diagonals(bs: BipartiteState, basis: np.ndarray, effects) -> lis
 
 
 def bound_bipartite(bs: BipartiteState, basis: np.ndarray, j: int) -> float:
-    """Maximum confidence for member j read off the allowed subspace's basis B.
-
-    The largest eigenvalue of P_D Pi_sigma P_D, with P_D = B B^dagger and
-    Pi_sigma the projector onto the block sigma(j), is the top squared
-    singular value of B's rows on sigma(j); a single right label i gives
-    the squared norm of row i, <i| P_D |i>.
+    """Maximum confidence for member j read off the allowed subspace's basis B:
+    the largest eigenvalue of P_D Pi_sigma P_D, P_D = B B^dagger, is the top
+    squared singular value of B's rows on sigma(j), for one row its squared norm.
     """
     rows = basis[list(bs.index_sets[j])]
     if len(rows) == 1:
@@ -70,10 +58,11 @@ def marginal_invariance(bs: BipartiteState, pom) -> float:
     """Frobenius deviation between the outcome-averaged right state and the marginal.
 
     Sums the unnormalized conditionals over every effect the measurement
-    carries, fail included, so zero-probability outcomes are harmless; it
-    must come out at most 1e-10.  Each effect enters through its factor pair
-    and the fail effect through its matrix.  Each sandwich is added into the
-    first in place, so one R x R sum and one term are alive at a time.
+    carries, fail included, so zero-probability outcomes are harmless;
+    verify compares it with its one tolerance.  Each effect enters through
+    its factor pair and the fail effect through its matrix.  Each sandwich
+    is added into the first in place, so one R x R sum and one term are
+    alive at a time.
     """
     outcomes = [e for _, e in pom.effects] + [pom.fail]
     total = sandwich(outcomes[0], bs.amplitudes)

@@ -8,17 +8,9 @@ the array: pom_tree's effects are made only when they are reached, one at
 a time.  plain() gives the library's JSON form of a tree, with every array
 as nested [re, im] pairs (specio.matrix_to_json); pom_report and
 concentrate_report return that form.  Both renderers print an array leaf
-one row at a time, with exactly the bytes of its plain form.
-
-The machine rendering is canonical JSON: sorted keys, a two-space indent
-for the structure, and each row of a numeric array (each row of a matrix,
-each [re, im] pair of a vector) on one line.  The text rendering walks the
-same tree and prints every number with its full shortest round-trip
-representation, so both carry identical numeric values.  Both renderers
-return the output as an iterator of string pieces, each made as it is
-taken, which the command line writes in order, so the output is never held
-whole: an array leaf goes out one row at a time.  Both are byte-identical
-for identical inputs.
+one row at a time, with exactly the bytes of its plain form.  Both return
+the output as an iterator of string pieces, each made as it is taken; the
+bytes they print are given in README's Command line section.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .ensembles import purify, allowed_subspace, schmidt
-from .linalg import frobenius, gram
+from .linalg import DEFAULT_TOLERANCE, frobenius, gram  # DEFAULT_TOLERANCE is re-exported
 from .measurement import (
     complete_pom,
     confidence_report,
@@ -40,8 +32,6 @@ from .measurement import (
 from .nosignalling import bound_bipartite, conditional_diagonals, marginal_invariance
 from .specio import matrix_to_json
 from .transforms import apply_kraus, concentrate, monotonicity_check
-
-DEFAULT_TOLERANCE = 1e-9
 
 
 def _kind(ens, j: int) -> str:

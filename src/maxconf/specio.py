@@ -1,19 +1,5 @@
-"""Reading and writing the JSON ensemble-spec format.
+"""Reading and writing the JSON ensemble-spec format of README's File formats.
 
-A spec file looks like
-
-    {
-      "dimension": 2,
-      "states": [
-        {"prior": 0.5, "matrix": [[[0.5, 0.0], [0.0, 0.0]],
-                                  [[0.0, 0.0], [0.5, 0.0]]]},
-        {"prior": 0.5, "ket": [[0.7071067811865476, 0.0],
-                               [0.7071067811865476, 0.0]]}
-      ],
-      "tolerance": 1e-9
-    }
-
-Complex numbers are [re, im] pairs, matrices row-major nested lists.
 A file is streamed: it is read in chunks of _READ_CHUNK characters, the
 root object and each member of the states array are tokenized field by
 field, and each matrix (a member's, a Kraus file's root matrix or a bare
@@ -27,16 +13,10 @@ rows arrays.  The per-entry readers (_vector, _matrix) view a finite float
 array of the right shape as complex and walk anything else entry by entry
 to name its first bad value.  numpy reads true as 1.0, so the rule is per
 value: a ket or matrix row whose own text holds a true or false literal
-stays a list, and a literal elsewhere changes nothing.
-Kets are normalized on load (a warning fires when the correction exceeds
-1e-6) and are their own factors; priors are checked to sum to 1 within
-1e-9 and then renormalized exactly.  Matrices are checked (Hermitian,
-positive semidefinite, unit trace) and factored by the constructor's own
-routine (ensembles._checked_state) as their objects close, and a failed
-check is reported under the member's field path.  The optional tolerance
-field overrides the verification default unless the command line sets
-one.  NaN and infinities are rejected: in a ket or a Kraus matrix by the
-per-entry readers, in a member matrix first by its checks as it closes.
+stays a list, and a literal elsewhere changes nothing.  A matrix member is
+checked and factored by the constructor's own routine
+(ensembles._checked_state) as its object closes, and a failed check is
+reported under the member's field path.
 """
 
 from __future__ import annotations
@@ -225,13 +205,7 @@ def _not_json(path):
 
 
 def _load_json(path):
-    """The parsed document.
-
-    The file is streamed (see _Stream), so its text is never held whole.
-    Every well-formed ket or matrix whose text holds no literal or string
-    arrives as a float array of [re, im] pairs (see _Stream.ket and
-    _Stream.matrix).
-    """
+    """The parsed document, streamed as the module docstring says."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:

@@ -4,10 +4,7 @@ A single operation element A maps the ensemble member rho_i to
 A rho_i A^dagger / Tr(rho_i A^dagger A) with the priors reweighted by the
 per-state success probabilities.  Local filtering can never raise any
 maximum confidence, and leaves every one unchanged when A is invertible
-on the support of the average state.  concentrate flattens the Schmidt
-spectrum of a bipartite state with the filter A = sqrt(lambda_min) rho^{-1/2}
-on its left marginal rho, at success probability lambda_min * D.
-Ranks follow linalg.kept: an element's rank is the support rank of A^dagger A.
+on the support of the average state.
 """
 
 from __future__ import annotations
@@ -17,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import BipartiteState, Ensemble, SchmidtDecomposition, schmidt
-from .linalg import _require_finite, _symmetrized, as_matrix, kept, kept_svd
-from .measurement import max_confidence
+from .linalg import DEFAULT_TOLERANCE, _require_finite, _symmetrized, as_matrix, kept, kept_svd
+from .measurement import _UNIT_SLACK, max_confidence
 
-_WEIGHT_TOL = 1e-10
 _ANNIHILATION_FLOOR = 1e-14
-_EQUALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +57,7 @@ def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
     t = np.array([np.vdot(af, af).real for af in images])  # Tr(rho_i A^dagger A)
     weights = ens.priors * t
     success = float(weights.sum())
-    if success > 1.0 + _WEIGHT_TOL:
+    if success > 1.0 + _UNIT_SLACK:
         raise ValueError(f"operation element overweights the ensemble: Tr(rho A^+A) = {success!r}")
     factors = []
     for i, (af, t_i) in enumerate(zip(images, t)):
@@ -90,7 +85,7 @@ class MonotonicityRecord:
         return self.verdict != "violated"
 
 
-def monotonicity_check(ens: Ensemble, transformed: Ensemble, tol: float = _EQUALITY_TOL) -> tuple:
+def monotonicity_check(ens: Ensemble, transformed: Ensemble, tol: float = DEFAULT_TOLERANCE) -> tuple:
     """Confirm filtering cannot raise any member's confidence; one record per member.
 
     transformed is apply_kraus(ens, kraus)[0]; the element is full rank on
@@ -128,15 +123,13 @@ class ConcentrationResult:
 
 
 def concentrate(bs: BipartiteState) -> ConcentrationResult:
-    """Flatten the Schmidt spectrum by filtering the left system with
-    A = sqrt(lambda_min) rho^{-1/2}, rho the left marginal: A^dagger A plus
-    the fail effect resolves the identity, and the fail effect has one zero
-    direction per multiplicity of lambda_min.  On success (probability
-    lambda_min * D) the state becomes maximally entangled across its
-    original Schmidt rank D.  The amplitude matrix is the left marginal's
-    factor, so its Schmidt decomposition (schmidt, one SVD) gives the
-    support (lambda, U) and the post-state U V^T / sqrt(D), exactly flat;
-    the result keeps it as `before`.  Product states cannot be concentrated.
+    """Flatten the Schmidt spectrum with the filter README's Library gives:
+    A^dagger A plus the fail effect resolves the identity, and the fail
+    effect has one zero direction per multiplicity of lambda_min.  The
+    amplitude matrix is the left marginal's factor, so its Schmidt
+    decomposition (schmidt, one SVD) gives the support (lambda, U) and the
+    post-state U V^T / sqrt(D), exactly flat.  Product states cannot be
+    concentrated.
     """
     sch = schmidt(bs)
     if sch.rank < 2:

@@ -9,9 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from maxconf.ensembles import BipartiteState, Ensemble
-from maxconf.linalg import gram, hermitize
+from maxconf.linalg import _symmetrized, gram
 from maxconf.measurement import POM
 from maxconf.transforms import KrausOperator
+
+
+def hermitize(m) -> np.ndarray:
+    """Hermitian part (m + m^dagger) / 2, as a new complex128 array: the
+    reference that gram, sandwich and the fail effects are compared with."""
+    return _symmetrized(np.array(m, dtype=np.complex128))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -15,10 +15,10 @@ from maxconf import (
     schmidt,
 )
 from maxconf.ensembles import StateError, _checked_state
-from maxconf.linalg import fix_phase, hermitize, kept, kept_svd
+from maxconf.linalg import fix_phase, kept, kept_svd
 from maxconf.specio import matrix_to_json
 
-from randomgen import ensemble_suite, random_bipartite, random_members, random_unitary
+from randomgen import ensemble_suite, hermitize, random_bipartite, random_members, random_unitary
 from helpers import (
     bell_state,
     trine,

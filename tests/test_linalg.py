@@ -9,11 +9,12 @@ from maxconf.linalg import (
     checked_effect,
     gram,
     hermitian_in_place,
-    hermitize,
     kept,
     kept_svd,
     sandwich,
 )
+
+from randomgen import hermitize
 
 
 def random_psd(rng, dim, rank):

@@ -14,11 +14,18 @@ from maxconf import (
     max_confidence,
     simulate_measurement,
 )
-from maxconf.linalg import gram, hermitize, kept, real_trace
+from maxconf.linalg import gram, kept, real_trace
 from maxconf.measurement import _SAMPLE_CHUNK, _draws, outcome_table
 from maxconf.specio import read_spec
 
-from randomgen import ensemble_suite, random_complete_pom, random_effect, random_ensemble, random_unitary
+from randomgen import (
+    ensemble_suite,
+    hermitize,
+    random_complete_pom,
+    random_effect,
+    random_ensemble,
+    random_unitary,
+)
 from helpers import effect_matrices, outcome_matrices, trine, trine_kets, worked, worked_bound
 from splitmix import one_shot_sample, splitmix64, uniforms
 

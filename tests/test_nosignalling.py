@@ -13,14 +13,14 @@ from maxconf import (
     purify,
     reports,
 )
-from maxconf.linalg import gram, hermitize, sandwich
+from maxconf.linalg import gram, sandwich
 from maxconf.nosignalling import (
     bound_bipartite,
     conditional_diagonals,
     marginal_invariance,
 )
 
-from randomgen import ensemble_suite, random_effect, random_ensemble
+from randomgen import ensemble_suite, hermitize, random_effect, random_ensemble
 from helpers import (
     bell_state,
     trine,

@@ -20,10 +20,10 @@ import pytest
 
 from maxconf import allowed_subspace, purify, read_spec, reports, schmidt
 from maxconf.cli import main
-from maxconf.linalg import frobenius, gram, hermitize
+from maxconf.linalg import frobenius, gram
 from maxconf.specio import load_kraus, matrix_to_json
 
-from randomgen import random_ensemble
+from randomgen import hermitize, random_ensemble
 from helpers import ARRAY_TREES, array_leaves, rendered
 
 COMMANDS = ("bound", "pom", "verify", "concentrate", "transform")

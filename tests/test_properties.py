@@ -238,6 +238,21 @@ def test_bounds_match_the_40_digit_oracle(mpmath, family):
     check()
 
 
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_pom_attains_the_40_digit_oracle_bound(mpmath, family):
+    # The optimal effect attains the bound, so the oracle's bound is the reference
+    # for each achieved confidence, at the same absolute tolerance.  It runs the
+    # oracle again, so it takes half the bound test's examples.
+    @settings(SETTINGS, max_examples=20)
+    @given(ORACLE_FAMILIES[family])
+    def check(ens):
+        oracle = _oracle_bounds(mpmath, ens)
+        for label, _, achieved, _ in confidence_report(ens, complete_pom(ens)).records:
+            assert abs(achieved - oracle[label]) <= 1e-12
+
+    check()
+
+
 @SETTINGS
 @given(ENSEMBLES)
 def test_the_completed_measurement_attains_every_bound_at_the_largest_scale(ens):

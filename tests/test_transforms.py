@@ -12,11 +12,12 @@ from maxconf import (
     purify,
     schmidt,
 )
-from maxconf.linalg import hermitize, kept, real_trace
+from maxconf.linalg import kept, real_trace
 from maxconf.measurement import confidence_of
 
 from randomgen import (
     ensemble_suite,
+    hermitize,
     random_ensemble,
     random_kraus,
     random_unitary,
