@@ -239,14 +239,23 @@ def _draws(seed: int, start: int, count: int) -> np.ndarray:
     return z
 
 
+def _integer_edges(cum: np.ndarray) -> np.ndarray:
+    """ceil(c 2^53), in place, for rows of cumulative sums c clamped at 1.0 and ended at 1.0:
+    u = m 2^-53 is at or past c exactly when m >= ceil(c 2^53), and no m < 2^53 reaches 2^53."""
+    np.minimum(cum, 1.0, out=cum)
+    cum[..., -1] = 1.0
+    cum *= float(1 << _MANTISSA_BITS)
+    return np.ceil(cum, out=cum).astype(np.uint64)
+
+
 def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> SimulationResult:
     """Sample prepared labels and outcomes, counting correct identifications,
     by the rule in README's Conventions: the label from the priors, then the
     outcome from outcome_table's row, from draws 2i and 2i + 1 of _draws.
-    Trials run in blocks of _SAMPLE_CHUNK.  As a uniform u = m 2^-53 passes the edge c
-    exactly when m >= ceil(c 2^53), one sort of the keys label 2^53 + m, located among the
-    sorted edges label 2^53 + ceil(c 2^53), gives every (label, outcome) cell of a block as one
-    run, _KEY_LABELS labels at a time: O(block) memory, whatever the trials, members and outcomes.
+    Both draws are compared on integers with the edges of _integer_edges.  Trials run in
+    blocks of _SAMPLE_CHUNK; one sort of the keys label 2^53 + m of a block, _KEY_LABELS
+    labels at a time, places the edges label 2^53 + ceil(c 2^53) among them: cell k holds
+    the keys in [edge k-1, edge k), so its count is the difference of their positions.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -255,24 +264,16 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     prob = np.clip(outcome_table(ens, pom), 0.0, None)  # prob[i, k] = Tr(rho_i Pi_k)
     n_out = prob.shape[1]
     prob /= prob.sum(axis=1, keepdims=True)
-
-    cum_priors = np.cumsum(ens.priors)
-    # Roundoff can push a partial sum above 1.0 before the last outcome;
-    # clamping keeps each row sorted for the search and, as every uniform
-    # is below 1, moves no outcome.
-    cum = np.minimum(np.cumsum(prob, axis=1, out=prob), 1.0, out=prob)
-    cum[:, -1] = 1.0
-    cum *= float(1 << _MANTISSA_BITS)
-    edges = np.ceil(cum, out=cum).astype(np.uint64)
-    del prob, cum
+    label_edges = _integer_edges(np.cumsum(ens.priors))
+    edges = _integer_edges(np.cumsum(prob, axis=1, out=prob))
+    del prob
     edges += (np.arange(ens.n_states, dtype=np.uint64) % _KEY_LABELS << _MANTISSA_BITS)[:, None]
     edges = edges.reshape(-1)  # each window of _KEY_LABELS rows sorted
     window_size = _KEY_LABELS * n_out
     joint = np.zeros(ens.n_states * n_out, dtype=np.int64)
     for start in range(0, trials, _SAMPLE_CHUNK):
         m = _draws(seed, 2 * start, 2 * min(_SAMPLE_CHUNK, trials - start)).reshape(-1, 2)
-        keys = np.searchsorted(cum_priors, m[:, 0] * 2.0 ** -_MANTISSA_BITS, side="right")
-        np.minimum(keys, ens.n_states - 1, out=keys)
+        keys = np.searchsorted(label_edges, m[:, 0], side="right")
         window = keys // _KEY_LABELS
         keys -= window * _KEY_LABELS  # the label within its window
         keys = keys.view(np.uint64)
@@ -283,12 +284,9 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
         for w in range(-(-ens.n_states // _KEY_LABELS)):
             block = keys[window == w]
             block.sort()
-            base = w * window_size
-            cells = np.searchsorted(edges[base:base + window_size], block, side="right")
+            cells = slice(w * window_size, (w + 1) * window_size)
+            joint[cells] += np.diff(np.searchsorted(block, edges[cells], side="left"), prepend=0)
             del block
-            ends = np.flatnonzero(cells != np.append(cells[1:], -1))
-            joint[base + cells[ends]] += np.diff(ends, prepend=-1)
-            del cells
         del keys, window
 
     joint = joint.reshape(ens.n_states, n_out)

@@ -45,16 +45,20 @@ class KrausOperator:
 def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
     """Transformed ensemble plus the overall success probability.
 
-    Member i's factor is A F_i / sqrt(t_i), t_i = ||A F_i||^2, reduced to its
-    kept directions by a thin SVD when it has several columns.  Raises when
-    the element overweights the ensemble (Tr(rho A^dagger A) > 1 beyond
-    slack) or annihilates a member.
+    Member i's factor is A U U^dagger F_i / sqrt(t_i), t_i = ||A U U^dagger F_i||^2,
+    with U = ens.support.eigenvectors, so the element never acts on directions
+    the rank rule dropped; a thin SVD reduces it to its kept directions when it
+    has several columns.  The priors are normalized by sum_i p_i t_i, and the
+    success probability is that sum clamped at 1.  Raises when the element
+    overweights the ensemble (the sum exceeds 1 beyond slack) or annihilates a member.
     """
     a = kraus.matrix
     if a.shape != (ens.dim, ens.dim):
         raise ValueError("operation element dimension mismatch")
-    images = [a @ ens.factor(i) for i in range(ens.n_states)]
-    t = np.array([np.vdot(af, af).real for af in images])  # Tr(rho_i A^dagger A)
+    basis = ens.support.eigenvectors
+    a_basis, basis_h = a @ basis, basis.conj().T
+    images = [a_basis @ (basis_h @ ens.factor(i)) for i in range(ens.n_states)]
+    t = np.array([np.vdot(af, af).real for af in images])  # Tr(P rho_i P A^dagger A), P = U U^dagger
     weights = ens.priors * t
     success = float(weights.sum())
     if success > 1.0 + _UNIT_SLACK:
@@ -67,7 +71,7 @@ def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
             u, sv, _ = kept_svd(af)
             af = u * sv
         factors.append(af / np.sqrt(t_i))
-    return Ensemble._of(ens.dim, tuple(factors), weights / success), success
+    return Ensemble._of(ens.dim, tuple(factors), weights / success), min(success, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

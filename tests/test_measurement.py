@@ -15,7 +15,7 @@ from maxconf import (
     simulate_measurement,
 )
 from maxconf.linalg import gram, kept, real_trace
-from maxconf.measurement import _SAMPLE_CHUNK, _draws, outcome_table
+from maxconf.measurement import _SAMPLE_CHUNK, _draws, _integer_edges, outcome_table
 from maxconf.specio import read_spec
 
 from randomgen import (
@@ -368,6 +368,25 @@ class TestSimulate:
         stream = [x >> 11 for x in splitmix64(seed, 3 * _SAMPLE_CHUNK)]
         for start, count in ((0, 1), (5, 3), (_SAMPLE_CHUNK - 1, _SAMPLE_CHUNK + 2)):
             assert _draws(seed, start, count).tolist() == stream[start:start + count]
+
+    @pytest.mark.parametrize("cum", [
+        np.cumsum([0.1] * 10),  # last entry 0.9999999999999999, below 1
+        np.array([0.25, 0.7, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -52]),  # a partial sum above 1
+        np.array([3, 1 << 52, (1 << 53) - 1, 1 << 53]) * 2.0 ** -53,  # dyadic k 2^-53
+        np.array([1e-300, 0.5, 1.0]),
+        np.array([1.0 / 3.0, 2.0 / 3.0, 1.0]),
+        np.cumsum(np.random.default_rng(26).dirichlet(np.ones(7))),
+    ], ids=["tenths", "overshoot", "dyadic", "1e-300", "thirds", "random"])
+    def test_integer_edges_place_every_draw_as_the_float_rule_does(self, cum):
+        # u = m 2^-53 against a cumulative c, with the last outcome taking
+        # whatever lies past the end, at the draws on either side of each edge
+        edges = _integer_edges(cum.copy())
+        # the edges of one row stay below the keys of the next
+        assert edges[-1] == 1 << 53 and edges.max() == 1 << 53
+        m = np.unique(np.concatenate([edges - 1, edges, edges + 1]))
+        m = m[m < 1 << 53]
+        expected = np.minimum(np.searchsorted(cum, m * 2.0 ** -53, side="right"), cum.size - 1)
+        assert np.searchsorted(edges, m, side="right").tolist() == expected.tolist()
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_seed_outside_sixty_four_bits_is_rejected(self, seed):

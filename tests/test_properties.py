@@ -20,7 +20,7 @@ family: each bound's dual certificate, no signalling for random complete
 measurements, filters that never raise a bound (and move none when
 invertible), concentration at lambda_min * D, and simulated frequencies
 inside their 3-sigma bands.  The filter properties run family by family,
-so the family they fail on is pinned as a strict xfail on its own.
+so a family they fail on can be pinned as a strict xfail on its own.
 """
 
 import numpy as np
@@ -325,18 +325,9 @@ def test_no_measurement_on_the_left_signals_to_the_right(ens, seed, outcomes):
 
 
 # The rank rule merges near-parallel members whose average has an eigenvalue
-# under 1e-12 of the largest, so each bound is its prior, and a filter
-# re-weights the priors by O(theta): two kets 1e-7 rad apart read 0.5 before
-# and 0.5000000249 after random_kraus(default_rng(0), 2, min_singular=0.2).
-FILTER_FAMILIES = [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="a filter re-weights the priors of members the rank rule merges"))
-    if name == "near-parallel" else name
-    for name in sorted(FAMILIES)
-]
-
-
-@pytest.mark.parametrize("family", FILTER_FAMILIES)
+# under 1e-12 of the largest, so each bound is its prior; a filter acts on
+# the kept support only, so it cannot re-weight the merged members' priors.
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_a_filter_never_raises_a_bound(family):
     @SETTINGS
     @given(FAMILIES[family], SEEDS)
@@ -350,7 +341,7 @@ def test_a_filter_never_raises_a_bound(family):
     check()
 
 
-@pytest.mark.parametrize("family", FILTER_FAMILIES)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_a_filter_invertible_on_the_support_moves_no_bound(family):
     @SETTINGS
     @given(FAMILIES[family], SEEDS)

@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from maxconf import Ensemble, complete_pom, confidence_of, read_spec, reports
+from maxconf import Ensemble, complete_pom, confidence_of, reports
 from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
@@ -143,15 +143,20 @@ def test_verify_passes_when_a_tiny_member_lies_under_the_rank_cutoff(capsys, tmp
     assert code == 0, report["exceeded"]
 
 
-def test_transform_of_the_near_parallel_fixture():
-    # the filter lifts the average's dropped eigenvalue (2.5e-13) above the
-    # rank cutoff; a bound after it read 1.0001205640422055 and raised
-    ens = read_spec("fixtures/near_parallel.json").ensemble
-    kraus = random_kraus(np.random.default_rng(12), ens.dim, min_singular=0.3)
-    report, _ = reports.transform_report(ens, kraus, reports.DEFAULT_TOLERANCE)
+def test_transform_of_the_near_parallel_fixture(capsys, tmp_path):
+    # the filter would lift the average's dropped eigenvalue (2.5e-13) above
+    # the rank cutoff and so raise both bounds to 1.0; acting on the kept
+    # support only, it leaves the merged members at their priors
+    kraus = random_kraus(np.random.default_rng(12), 2, min_singular=0.3)
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps(matrix_to_json(kraus.matrix)))
+    code = main(["transform", "fixtures/near_parallel.json", "--kraus", str(path), "--output", "machine"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
     for state in report["states"]:
+        assert state["verdict"] == "invariant"
         assert abs(state["confidence_before"] - 0.5) <= 1e-12
-        assert abs(state["confidence_after"] - 1.0) <= 1e-10
+        assert abs(state["confidence_after"] - 0.5) <= 1e-12
 
 
 def _numbers(node, key):

@@ -10,6 +10,7 @@ from maxconf import (
     max_confidence,
     monotonicity_check,
     purify,
+    reports,
     schmidt,
 )
 from maxconf.linalg import kept, real_trace
@@ -108,6 +109,16 @@ class TestApplyKraus:
                 for p, rho in zip(ens.priors, ens.states)
             )
             assert abs(p_succ - expected) <= 1e-10
+
+    def test_success_probability_never_exceeds_one(self):
+        # a unitary keeps every weight, and sum_i p_i Tr(rho_i A^dagger A)
+        # rounded above 1, up to 1.0000000000000007, on 57 of these 300 draws
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            ens = random_ensemble(rng, 4, [1, 2, 3])
+            kraus = KrausOperator(random_unitary(rng, 4))
+            report, _ = reports.transform_report(ens, kraus, reports.DEFAULT_TOLERANCE)
+            assert report["success_probability"] <= 1.0
 
     def test_annihilated_member_rejected(self):
         ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.5, 0.5])
