@@ -253,9 +253,9 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     by the rule in README's Conventions: the label from the priors, then the
     outcome from outcome_table's row, from draws 2i and 2i + 1 of _draws.
     Both draws are compared on integers with the edges of _integer_edges.  Trials run in
-    blocks of _SAMPLE_CHUNK; one sort of the keys label 2^53 + m of a block, _KEY_LABELS
-    labels at a time, places the edges label 2^53 + ceil(c 2^53) among them: cell k holds
-    the keys in [edge k-1, edge k), so its count is the difference of their positions.
+    blocks of _SAMPLE_CHUNK; one sort of the keys label 2^53 + m, located among the sorted
+    edges label 2^53 + ceil(c 2^53), gives every (label, outcome) cell of a block as one
+    run, _KEY_LABELS labels at a time: O(block) memory, whatever the trials, members and outcomes.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -284,9 +284,12 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
         for w in range(-(-ens.n_states // _KEY_LABELS)):
             block = keys[window == w]
             block.sort()
-            cells = slice(w * window_size, (w + 1) * window_size)
-            joint[cells] += np.diff(np.searchsorted(block, edges[cells], side="left"), prepend=0)
+            base = w * window_size
+            cells = np.searchsorted(edges[base:base + window_size], block, side="right")
             del block
+            ends = np.flatnonzero(cells != np.append(cells[1:], -1))
+            joint[base + cells[ends]] += np.diff(ends, prepend=-1)
+            del cells
         del keys, window
 
     joint = joint.reshape(ens.n_states, n_out)

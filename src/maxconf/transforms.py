@@ -1,10 +1,12 @@
 """Local filtering of ensembles and entanglement concentration.
 
 A single operation element A maps the ensemble member rho_i to
-A rho_i A^dagger / Tr(rho_i A^dagger A) with the priors reweighted by the
-per-state success probabilities.  Local filtering can never raise any
-maximum confidence, and leaves every one unchanged when A is invertible
-on the support of the average state.
+A P rho_i P A^dagger / Tr(P rho_i P A^dagger A), with P the projector onto
+the average's kept support, and reweights the priors by those per-state
+success probabilities; a member that lies wholly in the directions the
+rank rule dropped (P rho_i P = 0) is mapped to A rho_i A^dagger instead.
+Local filtering can never raise any maximum confidence, and leaves every
+one unchanged when A is invertible on the support of the average state.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from .linalg import DEFAULT_TOLERANCE, _require_finite, _symmetrized, as_matrix,
 from .measurement import _UNIT_SLACK, max_confidence
 
 _ANNIHILATION_FLOOR = 1e-14
+
+
+def _weight(image: np.ndarray) -> float:
+    """||A F||^2, the trace of the image's state."""
+    return np.vdot(image, image).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,25 +54,30 @@ def apply_kraus(ens: Ensemble, kraus: KrausOperator) -> tuple[Ensemble, float]:
 
     Member i's factor is A U U^dagger F_i / sqrt(t_i), t_i = ||A U U^dagger F_i||^2,
     with U = ens.support.eigenvectors, so the element never acts on directions
-    the rank rule dropped; a thin SVD reduces it to its kept directions when it
-    has several columns.  The priors are normalized by sum_i p_i t_i, and the
+    the rank rule dropped; a member whose image on U is annihilated keeps its
+    whole image A F_i.  A thin SVD reduces the factor to its kept directions when it
+    has several columns.  The priors are normalized by sum_i p_i t_i, which
+    differs from Tr(rho A^dagger A) only by the dropped eigenvalues, and the
     success probability is that sum clamped at 1.  Raises when the element
-    overweights the ensemble (the sum exceeds 1 beyond slack) or annihilates a member.
+    overweights the ensemble (the sum exceeds 1 beyond slack) or annihilates
+    a member (A F_i = 0, whatever its part on U).
     """
     a = kraus.matrix
     if a.shape != (ens.dim, ens.dim):
         raise ValueError("operation element dimension mismatch")
     basis = ens.support.eigenvectors
     a_basis, basis_h = a @ basis, basis.conj().T
+    wholes = [a @ ens.factor(i) for i in range(ens.n_states)]
     images = [a_basis @ (basis_h @ ens.factor(i)) for i in range(ens.n_states)]
-    t = np.array([np.vdot(af, af).real for af in images])  # Tr(P rho_i P A^dagger A), P = U U^dagger
+    images = [af if _weight(af) > _ANNIHILATION_FLOOR else whole for af, whole in zip(images, wholes)]
+    t = np.array([_weight(af) for af in images])  # Tr(P rho_i P A^dagger A), P = U U^dagger
     weights = ens.priors * t
     success = float(weights.sum())
     if success > 1.0 + _UNIT_SLACK:
         raise ValueError(f"operation element overweights the ensemble: Tr(rho A^+A) = {success!r}")
     factors = []
-    for i, (af, t_i) in enumerate(zip(images, t)):
-        if t_i <= _ANNIHILATION_FLOOR:
+    for i, (whole, af, t_i) in enumerate(zip(wholes, images, t)):
+        if _weight(whole) <= _ANNIHILATION_FLOOR:
             raise ValueError(f"operation element annihilates state {i}")
         if af.shape[1] > 1:
             u, sv, _ = kept_svd(af)

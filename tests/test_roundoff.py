@@ -159,6 +159,27 @@ def test_transform_of_the_near_parallel_fixture(capsys, tmp_path):
         assert abs(state["confidence_after"] - 0.5) <= 1e-12
 
 
+def test_transform_keeps_a_member_wholly_under_the_rank_cutoff(capsys, tmp_path):
+    # The average's 1e-13 eigenvalue is dropped, so |1> has no weight on the
+    # kept support |0>; the identity must still leave it as it was, with its
+    # prior counted in the success probability, not annihilate it.
+    spec = tmp_path / "tiny_ket.json"
+    spec.write_text(json.dumps({"dimension": 2, "states": [
+        {"prior": 1 - 1e-13, "ket": [[1.0, 0.0], [0.0, 0.0]]},
+        {"prior": 1e-13, "ket": [[0.0, 0.0], [1.0, 0.0]]},
+    ]}))
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(matrix_to_json(np.eye(2))))
+    code = main(["transform", str(spec), "--kraus", str(path), "--output", "machine"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["success_probability"] == 1.0
+    for state in report["states"]:
+        assert state["verdict"] == "invariant"
+        assert state["prior_after"] == state["prior_before"]
+        assert state["confidence_after"] == state["confidence_before"]
+
+
 def _numbers(node, key):
     """Every value stored under `key` anywhere in a report."""
     if isinstance(node, dict):
