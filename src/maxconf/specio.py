@@ -120,28 +120,29 @@ class _Stream:
     def value(self):
         return self._decoded()[0]
 
-    def ket(self):
-        """A ket's value, as a float array of [re, im] pairs when its text
-        has no literal or string (see _decoded) and it converts (_pairs)."""
+    def pairs(self):
+        """The next value (a ket or a matrix row), as a float array of
+        [re, im] pairs when its text has no literal or string (see _decoded)
+        and it converts (_pairs); otherwise as decoded."""
         value, plain = self._decoded()
         arr = _pairs(value) if plain else None
         return value if arr is None else arr
 
-    def matrix(self):
-        """A matrix's value.  A list is decoded one row at a time, and each
-        row whose text has no literal or string (see _decoded) is converted
-        to a float array of [re, im] pairs (_pairs).  When every row converts
-        to k pairs, k the number of rows, they are stacked into one array of
-        shape (k, k, 2); otherwise the rows, arrays or as decoded, are left
-        a list for the per-entry walkers."""
+    def array(self, element):
+        """The array at the next character, each element read by element();
+        any other value as one value()."""
         if self.peek() != "[":
             return self.value()
-        rows = []
-        for _ in self._items():
-            row, plain = self._decoded()
-            r = _pairs(row) if plain else None
-            rows.append(row if r is None else r)
-        if rows and all(isinstance(r, np.ndarray) and r.shape == (len(rows), 2) for r in rows):
+        return [element() for _ in self._items()]
+
+    def matrix(self):
+        """A matrix's value, its rows read by pairs().  When every row
+        converts to k pairs, k the number of rows, they are stacked into one
+        array of shape (k, k, 2); otherwise the rows, arrays or as decoded,
+        are left a list for the per-entry walkers."""
+        rows = self.array(self.pairs)
+        if (isinstance(rows, list) and rows
+                and all(isinstance(r, np.ndarray) and r.shape == (len(rows), 2) for r in rows)):
             return np.stack(rows)
         return rows
 
@@ -160,10 +161,7 @@ class _Stream:
     def members(self):
         """The states array: each member object tokenized field by field and
         factored as it closes (_factored)."""
-        if self.peek() != "[":
-            return self.value()
-        return [_factored(self.object(_MEMBER_FIELDS) if self.peek() == "{" else self.value())
-                for _ in self._items()]
+        return self.array(lambda: _factored(self.object(_MEMBER_FIELDS) if self.peek() == "{" else self.value()))
 
     def _items(self, close="]"):
         """Stop at each element of the array (or, with close "}", each field
@@ -187,7 +185,7 @@ class _Stream:
         return doc
 
 
-_MEMBER_FIELDS = {"ket": _Stream.ket, "matrix": _Stream.matrix}
+_MEMBER_FIELDS = {"ket": _Stream.pairs, "matrix": _Stream.matrix}
 _ROOT_FIELDS = {"states": _Stream.members, "matrix": _Stream.matrix}
 
 
