@@ -53,7 +53,9 @@ def _checked_state(h: np.ndarray) -> np.ndarray:
     """A member's checks on a square complex array the caller owns: finite,
     Hermitian (made exactly so in place), PSD within the slack at its trace,
     unit trace.  Returns its factor at the rank of the eigvalsh that checks
-    it (linalg._kept_factor).  Raises ValueError; the caller names the member.
+    it (linalg._kept_factor), rescaled to unit trace, so the trace slack that
+    a dropped eigenvalue balanced is not kept.  Raises ValueError; the caller
+    names the member.
     """
     try:
         hermitian_in_place(h)
@@ -64,7 +66,8 @@ def _checked_state(h: np.ndarray) -> np.ndarray:
         raise ValueError(f"is not positive semidefinite (most negative eigenvalue {float(vals[0])!r})")
     if abs(real_trace(h) - 1.0) > _TRACE_TOL:
         raise ValueError(f"has trace {real_trace(h)!r}, expected 1")
-    return _kept_factor(h, vals)
+    f = _kept_factor(h, vals)
+    return _readonly(f / np.sqrt(np.vdot(f, f).real))
 
 
 class _States(Sequence):

@@ -27,6 +27,8 @@ PSD_TOL = 1e-10
 # A conditional given an outcome is undefined at or below this probability
 # relative to the effect's Frobenius norm, so rescaling an effect never decides it.
 CONDITIONAL_TOL = 1e-14
+# verify reads the fail outcome only when the inconclusive probability is above this.
+FAIL_OUTCOME_TOL = 1e-12
 
 
 def kept(spectrum: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .ensembles import purify, allowed_subspace, schmidt
-from .linalg import DEFAULT_TOLERANCE, frobenius, gram  # DEFAULT_TOLERANCE is re-exported
+from .linalg import DEFAULT_TOLERANCE, FAIL_OUTCOME_TOL, frobenius, gram  # DEFAULT_TOLERANCE is re-exported
 from .measurement import (
     complete_pom,
     confidence_report,
@@ -110,7 +110,7 @@ def verify_report(ens, tolerance: float) -> tuple[dict, bool]:
     gaps["marginal_deviation"] = marginal_invariance(bs, pom)
 
     rep = confidence_report(ens, pom)
-    fail = rep.inconclusive_probability > 1e-12
+    fail = rep.inconclusive_probability > FAIL_OUTCOME_TOL
     # each effect through its factor pair, the fail effect when reported:
     # two diagonal sandwiches per outcome, no effect matrix or conditional made
     effects = [e for _, e in pom.effects] + ([pom.fail] if fail else [])

@@ -145,13 +145,15 @@ class TestFactoredStates:
 
     def test_a_member_with_an_admitted_negative_eigenvalue_is_factored_by_eigh(self):
         # Pivoted Cholesky would leave the -5e-11 direction's Schur complement,
-        # larger than RANK_TOL, out of the trace; eigh drops exactly it.
+        # larger than RANK_TOL, out of the trace; eigh drops exactly it, and
+        # the kept factor is rescaled to unit trace.
         u = random_unitary(np.random.default_rng(62), 3)
         rho = u @ np.diag([0.5, 0.5 + 5e-11, -5e-11]) @ u.conj().T
         public = Ensemble(3, (rho, np.eye(3) / 3), np.array([0.5, 0.5]))
         vals, vecs = np.linalg.eigh(hermitize(rho))
         keep = kept(vals)
-        assert public.factor(0).tobytes() == (vecs[:, keep] * np.sqrt(vals[keep])).tobytes()
+        f = vecs[:, keep] * np.sqrt(vals[keep])
+        assert public.factor(0).tobytes() == (f / np.sqrt(np.vdot(f, f).real)).tobytes()
         assert public.state_ranks == (2, 3)
 
     @pytest.mark.parametrize("bad, message", BAD_STATES,

@@ -58,17 +58,20 @@ SPECS = ("worked_example", "trine", "d16")
 # both against its reference sampler).  worked_example transform moved by
 # at most 3.3e-16 per number (a confidence_after 0.9999999999999998 -> 1.0
 # among them) when filters came to act on the kept support, A U U^dagger F_i.
+# Every worked_example hash moved, by at most 4.4e-16 per number, when a
+# matrix member came to be rescaled to unit trace after its rank cut
+# (test_parity.py pins how far each fixture's numbers moved).
 TEXT_SHA256 = {
     ("worked_example", "bound"):
-        "cab17462d55cefe0e7e1fb290c4b4dc068c79ff14270c64d556b3399d0b1ed4c",
+        "983adc65ae734a5afd8245842966be8efca4df61b320f90cbea7078e1da7c13d",
     ("worked_example", "pom"):
-        "b3beccfa9d8b72c9c540449686ecf9e27727a5da64d409fbdd4c9274259665d9",
+        "29110933f25d12c40f72a9e71c52d67ee6c6df0f55d0667839b7597548c158c9",
     ("worked_example", "verify"):
-        "f0c02a584f1b5eefb46bdb7c471dd32ff010d9940ac596a4673b244f398ab3e9",
+        "3aef84286a2d092adf85175021c7766e9009accd60a6f168640514987ab44c0e",
     ("worked_example", "concentrate"):
-        "35b39382707276235e3a551b388a2052b60c69cf13f1d18462f1050f348b29a0",
+        "e4e09e8d758a7ec952cd72a7c1c67ffef1c03714a5e7daa2a4a06fbe5b0744ad",
     ("worked_example", "transform"):
-        "4223d2bc5b71fef4ee4fa18fd675f7b0db3c42dda924bd162a9ae8608fbff214",
+        "a700c400246231dc3c1c2b1fb64f67d1512f0bfcaed701c4dc0391a704fa1a18",
     ("trine", "bound"):
         "38eb15e395bf1feee6f223f877fa92e15a3d5de4114b3cb7486355e7805e5399",
     ("trine", "pom"):
@@ -188,23 +191,25 @@ def test_text_output_bytes_are_pinned(capsys, inputs, spec, command):
 # OpenBLAS; another BLAS may move their last digits.  verify and concentrate
 # build their d x d and R x R intermediates in place, so these pin that each
 # in-place step adds and scales in the order the plain expressions did.
+# All eight moved in their last digits when a matrix member came to be
+# rescaled to unit trace after its rank cut.
 SEEDED_SHA256 = {
     ("d16", "verify", "text"):
-        "d6ac589f2c50200b3c4852b7ca0979f3c4e616d71fc4fa56532ee305f21628eb",
+        "735274c5fdaa575ca8cd6e45f55209d8d6f6ebfde69b3a477f5898723a6cf4d7",
     ("d16", "verify", "machine"):
-        "4559d8c139ced755032c158e1d23a7918179ea25107af98b35b30b9d650ceacd",
+        "47918993639feeaf56460d6704e4feeff07b3e3aed8ff011ede0bb9b81874296",
     ("d16", "concentrate", "text"):
-        "900fa41db6651e01882e5b1636406d9d348d9b88a974dc3b0ddfe83e2a111ac6",
+        "9611536f2008f258fb709299242e028a815bdc3b6633f11dc8a5a0b5b8baafdc",
     ("d16", "concentrate", "machine"):
-        "8c734fe3bbba36e68404df8777010cc99582e9bbb9d1ae07fc61183a36ab7d70",
+        "0593d7df42245cc3865ac28b9b0d5193b0c688ed875db9c760045980adca8e1e",
     ("d8_rank16", "verify", "text"):
-        "2598433016ac4b08c6798afdf5f50840cbfff3684c09e1ae4156fa8dd2586c07",
+        "715e8e96796f1c77da68de783f0184441547e13a7598444b7bbe86fc3165bf72",
     ("d8_rank16", "verify", "machine"):
-        "8f901ee2a7d090e8643d30adc920a7f5838b1ebd435fc6beee6ddab0484b7a4b",
+        "e1b0736557fdf3928ddf55e0e9ce1f53986d1bac6cddaa4a34b84a171eef784b",
     ("d8_rank16", "concentrate", "text"):
-        "88f6ac562d68f20ba36e63d84f427ab30f7922328c0cc1350cecbbafa5fe1cc3",
+        "3bfb2225085d5be4511eb49c5d7c48947b2648621f61391f51e1844376fdcd0f",
     ("d8_rank16", "concentrate", "machine"):
-        "642d8715818cfaf514682aaae1e34af0adb55028fa4f4be7c94e106f1d773cfc",
+        "18d9921defd5fe5c9d9bd15b0389250c87d3a37a71aacdca423fa76f5ec8d332",
 }
 
 
@@ -282,13 +287,14 @@ def test_text_output_matches_the_reference_renderer(capsys, inputs, command):
 
 
 # sha256 of json.dumps(<command>_report(fixture), sort_keys=True), as built
-# from the factors; worked_example's mixed member by pivoted Cholesky, and
-# concentrate's purification from the member factors.
+# from the factors; worked_example's mixed member by pivoted Cholesky,
+# rescaled to unit trace, and concentrate's purification from the member
+# factors.
 REPORT_SHA256 = {
     ("worked_example", "pom"):
-        "4ffdbb928717cb5d2491f503ee6b014b6b9e35311d5496c78f9da790d24fb2c1",
+        "42a569830ab827e1a180a6cffe97c28445910bf1c553387f42cfb85a627dd988",
     ("worked_example", "concentrate"):
-        "7e85c06f70da63da00468ea08a5ff24face2d076c4928194395eeb42af92dbc6",
+        "d85babc214a2a2eb3fbd182d3fddd6b171f3175ee435bfbf0c1e5fee2eb84360",
     ("trine", "pom"):
         "2e6adf9a036d9492068759f8d60148c49e66eed6da04c13b075c73cbe02a1755",
     ("trine", "concentrate"):

@@ -12,13 +12,14 @@ scaled down to anywhere from 1e-4 to 1e-12; linearly independent pure
 members; near-parallel pairs at a random orientation, at any angle from
 1e-7 to 1e-1 rad; a member whose whitened top eigenspace is degenerate of
 multiplicity 2 or 3; a rank-deficient average; and a qutrit member with an
-eigenvalue as negative as the PSD slack admits beside a pure member on
+eigenvalue nearly as negative as the PSD slack admits beside a pure member on
 its null space.
 
 Besides bound, pom and verify, the paper's own claims run over every
 family: each bound's dual certificate, no signalling for random complete
 measurements, filters that never raise a bound (and move none when
-invertible), concentration at lambda_min * D, and simulated frequencies
+invertible), concentration at lambda_min * D, the maximum confidence as
+what concentrating and then measuring gives, and simulated frequencies
 inside their 3-sigma bands.  The filter properties run family by family,
 so a family they fail on can be pinned as a strict xfail on its own.
 """
@@ -33,12 +34,14 @@ from maxconf import (
     complete_pom,
     concentrate,
     conditional_diagonals,
+    confidence_of,
     confidence_report,
     marginal_invariance,
     max_confidence,
     monotonicity_check,
     purify,
     reports,
+    schmidt,
 )
 from maxconf.linalg import PSD_TOL
 
@@ -150,10 +153,12 @@ def rank_deficient(draw):
 
 @st.composite
 def negative_roundoff(draw):
-    """diag(1/2, 1/2 + eps, -eps) with eps up to the PSD slack of 1e-10, and a
-    pure member on its -eps direction, in a random basis: the factor drops
-    the negative eigenvalue, so both bounds are 1."""
-    eps = 10.0 ** draw(st.floats(-13.0, -10.0))
+    """diag(1/2, 1/2 + eps, -eps) with eps up to 0.99 of the PSD slack of
+    1e-10, and a pure member on its -eps direction, in a random basis: the
+    factor drops the negative eigenvalue, so both bounds are 1.  The random
+    basis moves -eps by roundoff, 8e-18 at eps = 1e-10, so eps at the slack
+    itself is rejected for some bases."""
+    eps = 10.0 ** draw(st.floats(-13.0, float(np.log10(0.99 * PSD_TOL))))
     rng = np.random.default_rng(draw(SEEDS))
     u = random_unitary(rng, 3)
     states = (_embedded(u, np.diag([0.5, 0.5 + eps, -eps])), _embedded(u, np.diag([0.0, 0.0, 1.0])))
@@ -219,10 +224,13 @@ def _oracle_bounds(mpmath, ens):
 
 
 # Where scipy's pencil needs rho positive definite: a rank-deficient average,
-# and near-parallel pairs closer than about 6e-5 rad.
+# and near-parallel pairs closer than about 6e-5 rad.  And the qutrit member
+# whose factor drops a negative eigenvalue and is rescaled to unit trace, so
+# its members are checked at 1e-12, not at the pencil's 1e-9.
 ORACLE_FAMILIES = {
     "rank-deficient": rank_deficient(),
     "near-parallel-below-6e-5": near_parallel(top=float(np.log10(6e-5))),
+    "negative-roundoff": negative_roundoff(),
 }
 
 
@@ -371,6 +379,45 @@ def test_concentration_flattens_the_schmidt_spectrum_at_lambda_min_times_rank(en
     flat = np.linalg.svd(result.post_state.amplitudes, compute_uv=False) ** 2
     assert np.abs(flat[:rank] - 1.0 / rank).max() <= TOL
     assert np.all(flat[rank:] <= 1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_bound_is_what_concentrating_then_measuring_gives(family):
+    # The filter A = sqrt(lambda_min) rho^{-1/2} of concentrate(purify(ens)),
+    # applied to the ensemble, leaves the average flat, Pi_D / D, so each
+    # filtered bound is D p'_j lambda_max(rho'_j), and it is C_j; the
+    # composed effect A^dagger V'_j V'_j^dagger A, V'_j the top singular
+    # vector of the filtered factor, attains C_j on the ensemble itself.
+    # A is formed through rho^{-1/2}, and its condition number is
+    # sqrt(cond), cond = lambda_max / lambda_min of rho on its support, so
+    # each route through it loses digits in proportion: a tiny prior or a
+    # near-parallel pair takes cond to 1e12, and those examples need a bound
+    # of about 1e-10 where a well-conditioned one needs 1e-14.  Over 600
+    # examples per family every error stayed within 32 eps sqrt(cond).
+    tol_per_cond = 64 * np.finfo(float).eps
+
+    @SETTINGS
+    @given(FAMILIES[family])
+    def check(ens):
+        bs = purify(ens)
+        if schmidt(bs).rank < 2:
+            return  # a product state cannot be concentrated
+        res = concentrate(bs)
+        filtered, p = apply_kraus(ens, res.kraus)
+        lam = res.before.coefficients
+        rank, tol = lam.size, tol_per_cond * np.sqrt(lam[0] / lam[-1])
+        assert abs(p - res.success_probability) <= tol
+        u = ens.support.eigenvectors
+        assert np.abs(filtered.average - u @ u.conj().T / rank).max() <= tol
+        for j in range(ens.n_states):
+            bound = max_confidence(ens, j)
+            v, s, _ = np.linalg.svd(filtered.factor(j), full_matrices=False)
+            assert abs(rank * filtered.priors[j] * s[0] ** 2 - bound) <= tol
+            assert abs(max_confidence(filtered, j) - bound) <= tol
+            composed = (res.kraus.matrix.conj().T @ v[:, :1], 1.0)
+            assert abs(confidence_of(ens, composed, j) - bound) <= tol
+
+    check()
 
 
 SIMULATION_SEEDS = (0, 1, 2)

@@ -10,7 +10,7 @@ import pytest
 
 import maxconf
 from maxconf import confidence_of, max_confidence, measurement, specio
-from maxconf.linalg import CONDITIONAL_TOL, PSD_TOL, RANK_TOL
+from maxconf.linalg import CONDITIONAL_TOL, FAIL_OUTCOME_TOL, PSD_TOL, RANK_TOL
 from maxconf.reports import DEFAULT_TOLERANCE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,6 +44,7 @@ RULES = {
     "rank": (rf"counts as nonzero when it is above ({NUMBER}) times the largest", RANK_TOL),
     "PSD slack": (rf"most negative eigenvalue is at least ({NUMBER}) times its scale", -PSD_TOL),
     "undefined conditional": (rf"at most ({NUMBER}) times the effect's Frobenius norm", CONDITIONAL_TOL),
+    "fail outcome": (rf"when the inconclusive probability is above ({NUMBER})", FAIL_OUTCOME_TOL),
     "default tolerance": (rf"`--tolerance <real>` \(default ({NUMBER});", DEFAULT_TOLERANCE),
     "[0, 1] clamp": (rf"outside by at most ({NUMBER});", measurement._UNIT_SLACK),
     "completeness": (rf"sum to the identity within ({NUMBER})\.", measurement._COMPLETENESS_TOL),
