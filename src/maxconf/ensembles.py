@@ -53,9 +53,8 @@ def _checked_state(h: np.ndarray) -> np.ndarray:
     """A member's checks on a square complex array the caller owns: finite,
     Hermitian (made exactly so in place), PSD within the slack at its trace,
     unit trace.  Returns its factor at the rank of the eigvalsh that checks
-    it (linalg._kept_factor), rescaled to unit trace, so the trace slack that
-    a dropped eigenvalue balanced is not kept.  Raises ValueError; the caller
-    names the member.
+    it (linalg._kept_factor), rescaled to unit trace.  Raises ValueError;
+    the caller names the member.
     """
     try:
         hermitian_in_place(h)

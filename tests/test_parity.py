@@ -86,15 +86,15 @@ def machine_output(inputs, spec, command) -> tuple:
     return code, json.loads(out.getvalue()) if code in (0, 1) else err.getvalue()
 
 
-def differences(doc, before, path=""):
-    """Paths where doc differs from before: a float by more than TOL,
+def differences(doc, before, path="", tol=TOL):
+    """Paths where doc differs from before: a float by more than tol,
     anything else at all."""
     if isinstance(before, dict) and isinstance(doc, dict) and doc.keys() == before.keys():
-        return [p for key in before for p in differences(doc[key], before[key], f"{path}.{key}")]
+        return [p for key in before for p in differences(doc[key], before[key], f"{path}.{key}", tol)]
     if isinstance(before, list) and isinstance(doc, list) and len(doc) == len(before):
-        return [p for k, (a, b) in enumerate(zip(doc, before)) for p in differences(a, b, f"{path}[{k}]")]
+        return [p for k, (a, b) in enumerate(zip(doc, before)) for p in differences(a, b, f"{path}[{k}]", tol)]
     if type(before) is float and type(doc) in (float, int):
-        return [] if abs(doc - before) <= TOL else [f"{path}: {before!r} -> {doc!r}"]
+        return [] if abs(doc - before) <= tol else [f"{path}: {before!r} -> {doc!r}"]
     return [] if doc == before and type(doc) is type(before) else [f"{path}: {before!r} -> {doc!r}"]
 
 
@@ -215,20 +215,6 @@ def printed(ens) -> dict:
     return out
 
 
-def moves(doc, before, path=""):
-    """path -> |doc - before| for every float; anything else must be equal."""
-    if isinstance(before, dict):
-        assert doc.keys() == before.keys(), path
-        return {p: m for key in before for p, m in moves(doc[key], before[key], f"{path}.{key}").items()}
-    if isinstance(before, list):
-        assert len(doc) == len(before), path
-        return {p: m for k, (a, b) in enumerate(zip(doc, before)) for p, m in moves(a, b, f"{path}[{k}]").items()}
-    if type(before) is float:
-        return {path: abs(doc - before)}
-    assert doc == before, path
-    return {}
-
-
 @pytest.mark.parametrize("spec", ["negative_roundoff", "worked_example", "trine", "near_parallel",
                                   "tiny_prior", "d16", "d5-kets"])
 def test_the_unit_trace_rescale_moves_only_negative_roundoffs_slack(inputs, spec):
@@ -236,10 +222,9 @@ def test_the_unit_trace_rescale_moves_only_negative_roundoffs_slack(inputs, spec
     rescaled, as_it_came = (printed(ens) for ens in cut_as_it_came(path))
     worst = 5e-11 if spec == "negative_roundoff" else 2e-15
     for command, doc in rescaled.items():
-        moved = moves(doc, as_it_came[command])
-        assert max(moved.values(), default=0.0) <= worst, command
-        expected = RESCALE_MOVES.get(command, set()) if spec == "negative_roundoff" else set()
-        assert {p for p, m in moved.items() if m > 1e-14} == expected, command
+        assert differences(doc, as_it_came[command], tol=worst) == []
+        moved = {d.split(": ")[0] for d in differences(doc, as_it_came[command])}
+        assert moved == (RESCALE_MOVES.get(command, set()) if spec == "negative_roundoff" else set()), command
 
 
 def test_negative_roundoff_verifies_at_1e_13_once_rescaled():
