@@ -11,10 +11,10 @@ from maxconf import (
     confidence_of,
     max_confidence,
     purify,
+    read_spec,
     reports,
 )
 from maxconf.linalg import frobenius, gram, sandwich
-from maxconf.specio import read_spec
 from maxconf.nosignalling import (
     bound_bipartite,
     conditional_diagonals,

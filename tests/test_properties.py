@@ -226,7 +226,7 @@ def _oracle_bounds(mpmath, ens):
 # Where scipy's pencil needs rho positive definite: a rank-deficient average,
 # and near-parallel pairs closer than about 6e-5 rad.  And the qutrit member
 # whose factor drops a negative eigenvalue and is rescaled to unit trace, so
-# its members are checked at 1e-12, not at the pencil's 1e-9.
+# that its bounds are checked at 1e-12, not at the pencil's 1e-9.
 ORACLE_FAMILIES = {
     "rank-deficient": rank_deficient(),
     "near-parallel-below-6e-5": near_parallel(top=float(np.log10(6e-5))),
@@ -394,7 +394,7 @@ def test_the_bound_is_what_concentrating_then_measuring_gives(family):
     # near-parallel pair takes cond to 1e12, and those examples need a bound
     # of about 1e-10 where a well-conditioned one needs 1e-14.  Over 600
     # examples per family every error stayed within 32 eps sqrt(cond).
-    tol_per_cond = 64 * np.finfo(float).eps
+    roundoff = 64 * np.finfo(float).eps
 
     @SETTINGS
     @given(FAMILIES[family])
@@ -405,7 +405,7 @@ def test_the_bound_is_what_concentrating_then_measuring_gives(family):
         res = concentrate(bs)
         filtered, p = apply_kraus(ens, res.kraus)
         lam = res.before.coefficients
-        rank, tol = lam.size, tol_per_cond * np.sqrt(lam[0] / lam[-1])
+        rank, tol = lam.size, roundoff * np.sqrt(lam[0] / lam[-1])
         assert abs(p - res.success_probability) <= tol
         u = ens.support.eigenvectors
         assert np.abs(filtered.average - u @ u.conj().T / rank).max() <= tol
