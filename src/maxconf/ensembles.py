@@ -38,7 +38,7 @@ _TRACE_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
 # Squared singular values within this relative distance of the top one share its space.
-_DEGENERACY_TOL = 1e-9
+_DEGENERACY_TOL = 1e-12
 
 
 class StateError(ValueError):

@@ -22,6 +22,7 @@ from randomgen import (
     ensemble_suite,
     hermitize,
     random_complete_pom,
+    random_density,
     random_effect,
     random_ensemble,
     random_unitary,
@@ -159,6 +160,17 @@ class TestOptimalEffect:
                 e = pom.effects[j][1]
                 gap = abs(confidence_of(ens, e, j) - max_confidence(ens, j))
                 assert gap <= 1e-9
+
+    def test_a_member_beside_a_prior_of_3e_10_attains_its_bound(self):
+        # rho is member 0's state to 3e-10, so member 0's three whitened squared
+        # singular values all lie within 1e-9 relative of its bound, yet are
+        # distinct; an effect on all three attained their weighted mean,
+        # 4.9e-10 short of the bound.
+        rng = np.random.default_rng(34)
+        states = (random_density(rng, 3, 3), random_density(rng, 3, 3))
+        ens = Ensemble(3, states, np.array([1.0 - 3e-10, 3e-10]))
+        for label, _, achieved, _ in confidence_report(ens, complete_pom(ens)).records:
+            assert abs(achieved - max_confidence(ens, label)) <= 1e-13
 
     def test_effects_are_psd(self):
         for ens in ensemble_suite(207, 10):

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import maxconf
-from maxconf import confidence_of, max_confidence, measurement, specio
-from maxconf.linalg import CONDITIONAL_TOL, FAIL_OUTCOME_TOL, PSD_TOL, RANK_TOL
+from maxconf import confidence_of, ensembles, max_confidence, measurement, specio
+from maxconf.linalg import CONDITIONAL_TOL, FAIL_OUTCOME_TOL, HERMITICITY_TOL, PSD_TOL, RANK_TOL
 from maxconf.reports import DEFAULT_TOLERANCE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,6 +50,9 @@ RULES = {
     "completeness": (rf"sum to the identity within ({NUMBER})\.", measurement._COMPLETENESS_TOL),
     "prior sum": (rf"priors must sum to 1 within ({NUMBER})", specio._PRIOR_SUM_TOL),
     "ket renormalization warning": (rf"a warning fires if the correction exceeds ({NUMBER})", specio._KET_NORM_WARN),
+    "Hermiticity": (rf"\|\|m - m\^dagger\|\|_F at most ({NUMBER}) times \|\|m\|\|_F", HERMITICITY_TOL),
+    "unit trace": (rf"its trace within ({NUMBER}) of 1", ensembles._TRACE_TOL),
+    "top singular space": (rf"every squared singular value within ({NUMBER}) relative of C_j", ensembles._DEGENERACY_TOL),
 }
 
 
