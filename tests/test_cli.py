@@ -375,13 +375,24 @@ class TestErrors:
         assert '"inconclusive_probability"' in out and '"states"' not in out
 
 
+def _numbers(node, key):
+    """Every value stored under `key` anywhere in a report."""
+    if isinstance(node, dict):
+        return [v for k, v in node.items() if k == key] + [x for v in node.values() for x in _numbers(v, key)]
+    if isinstance(node, list):
+        return [x for v in node for x in _numbers(v, key)]
+    return []
+
+
 class TestOneCutoffPolicy:
     """Every subcommand agrees on what is positive and what has rank."""
 
     @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.1, 0.9)])
     @pytest.mark.parametrize("neg", [7e-11, 9.9e-11])
     def test_member_within_the_psd_slack_passes_every_route(self, capsys, tmp_path, neg, priors):
-        # diag(0.5, 0.5 + neg, -neg) is within the slack, and so is p_0 times it
+        # diag(0.5, 0.5 + neg, -neg) is within the slack, and so is p_0 times
+        # it; before its factor dropped -neg, the bound read 1.00000000045 and
+        # every command but concentrate exited 2
         spec = tmp_path / "slack.json"
         spec.write_text(json.dumps({
             "dimension": 3,
@@ -390,11 +401,21 @@ class TestOneCutoffPolicy:
                 {"prior": priors[1], "matrix": matrix_to_json(np.diag([0.0, 0.0, 1.0]))},
             ],
         }))
-        for command in ("bound", "verify", "concentrate"):
-            code, out, err = run(capsys, command, str(spec), "--output", "machine")
+        kraus = tmp_path / "filter.json"
+        kraus.write_text(json.dumps(matrix_to_json(np.diag([1.0, 0.5, 0.75]))))
+        for command in ("bound", "pom", "verify", "simulate", "concentrate", "transform"):
+            extra = ["--kraus", str(kraus)] if command == "transform" else []
+            code, out, err = run(capsys, command, str(spec), "--output", "machine", *extra)
             assert code == 0, err
+            doc = json.loads(out)
+            values = [x for key in ("bound", "confidence", "expected_confidence", "confidence_before",
+                                    "confidence_after") for x in _numbers(doc, key)]
+            assert values or command == "concentrate"
+            assert all(0.0 <= x <= 1.0 for x in values)
+            if command in ("bound", "pom"):
+                assert _numbers(doc, "bound") == [1.0, 1.0]
             if command == "verify":
-                assert json.loads(out)["status"] == "pass"
+                assert doc["status"] == "pass"
 
     def test_filter_singular_within_the_cutoff_decreases_confidence(self, capsys, tmp_path):
         # s = 1e-8 enters the rank rule as s^2 = 1e-16, under the cutoff, so the

@@ -100,6 +100,29 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
+    # Each rule at README's figure for it: passed at 0.99 of it, refused at 1.01.
+    EDGES = {
+        "unit trace": (lambda x: Ensemble(2, (np.diag([0.5, 0.5 + x]),), [1.0]), 1e-10, "has trace"),
+        "PSD slack": (lambda x: Ensemble(2, (np.diag([1.0 + x, -x]),), [1.0]), 1e-10, "not positive semidefinite"),
+        "prior sum": (lambda x: Ensemble.from_pure([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5 + x]), 1e-12, "priors sum"),
+        "two-party norm": (lambda x: BipartiteState(np.eye(2) * (1.0 + x) / np.sqrt(2.0), ((0,), (1,))), 1e-12,
+                           "state norm"),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(EDGES))
+    def test_each_rule_decides_at_its_figure(self, rule):
+        build, figure, message = self.EDGES[rule]
+        build(0.99 * figure)
+        with pytest.raises(ValueError, match=message):
+            build(1.01 * figure)
+
+    @pytest.mark.parametrize("eps, columns", [(1.5e-13, 2), (1.5e-11, 1)])
+    def test_a_top_space_takes_every_value_within_1e_12_relative(self, eps, columns):
+        # member 0's two whitened top values differ by about 2 eps / 3 relative
+        ens = Ensemble(3, (np.diag([0.5 * (1 + eps), 0.5 * (1 - eps), 0.0]), np.diag([0.25, 0.25, 0.5])),
+                       [0.5, 0.5])
+        assert ens.top(0)[1].shape == (3, columns)
+
 
 BAD_STATES = [
     (np.diag([1.5, -0.5]), "state 1 is not positive semidefinite (most negative eigenvalue -0.5)"),
@@ -298,12 +321,6 @@ class TestSchmidt:
             sd = schmidt(bs)
             spectrum = np.linalg.eigvalsh(bs.left_marginal())[::-1][: sd.rank]
             assert np.abs(sd.coefficients - spectrum).max() <= 1e-10
-
-    def test_reconstructs_amplitudes(self):
-        for ens in ensemble_suite(104, 15):
-            bs = purify(ens)
-            sd = schmidt(bs)
-            assert np.linalg.norm(sd.reconstruct() - bs.amplitudes) <= 1e-9
 
     def test_invariant_under_right_relabelling(self):
         rng = np.random.default_rng(22)

@@ -86,6 +86,13 @@ class TestConfidenceOf:
         for effect in ((w, scale * t), gram(w, scale * t)):
             assert abs(confidence_of(ens, effect, 0) - 2 / 3) <= 1e-12
 
+    def test_a_conditional_exists_above_1e_14_times_the_effects_norm(self):
+        # on |0>, diag(a, 1) has outcome probability a and a norm within 1e-28 of 1
+        ens = Ensemble.from_pure([np.array([1.0, 0.0])], [1.0])
+        assert confidence_of(ens, np.diag([1.01e-14, 1.0]), 0) == 1.0
+        with pytest.raises(ValueError, match="conditional undefined"):
+            confidence_of(ens, np.diag([0.99e-14, 1.0]), 0)
+
     def test_an_effect_orthogonal_to_the_support_is_undefined_at_any_scale(self):
         ens = Ensemble.from_pure([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])], [0.5, 0.5])
         w = np.array([[0.0], [0.0], [1.0]], dtype=complex)
@@ -113,28 +120,6 @@ class TestMaxConfidence:
         assert abs(max_confidence(ens, 0) - 1.0) <= 1e-12
         assert abs(max_confidence(ens, 1) - 1.0) <= 1e-12
 
-    def test_pure_and_mixed_formulas_agree_on_rank_one(self):
-        # evaluate both branch formulas directly on pure members
-        for ens in ensemble_suite(203, 20):
-            lam, v = np.linalg.eigh(ens.average)
-            v, lam = v[:, kept(lam)], lam[kept(lam)]
-            rinv = (v / lam) @ v.conj().T
-            s = (v / np.sqrt(lam)) @ v.conj().T
-            for j in range(ens.n_states):
-                if not ens.is_pure(j):
-                    continue
-                via_trace = ens.priors[j] * np.trace(ens.states[j] @ rinv).real
-                x = ens.priors[j] * (s @ ens.states[j] @ s)
-                via_eig = np.linalg.eigvalsh((x + x.conj().T) / 2)[-1]
-                assert abs(via_trace - via_eig) <= 1e-10
-                assert abs(max_confidence(ens, j) - via_trace) <= 1e-10
-
-    def test_result_range(self):
-        for ens in ensemble_suite(204, 30):
-            for j in range(ens.n_states):
-                c = max_confidence(ens, j)
-                assert ens.priors[j] - 1e-10 <= c <= 1.0 + 1e-10
-
     def test_linearly_independent_members_reach_exactly_one(self):
         ens = Ensemble.from_pure([np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])], [0.5, 0.5])
         pom = complete_pom(ens)
@@ -142,25 +127,8 @@ class TestMaxConfidence:
             assert max_confidence(ens, label) == 1.0
             assert 0.0 <= confidence_of(ens, e, label) <= 1.0
 
-    def test_no_effect_beats_the_bound(self):
-        rng = np.random.default_rng(32)
-        for ens in ensemble_suite(205, 25):
-            bounds = [max_confidence(ens, j) for j in range(ens.n_states)]
-            for _ in range(40):
-                e = random_effect(rng, ens.dim)
-                for j in range(ens.n_states):
-                    assert confidence_of(ens, e, j) <= bounds[j] + 1e-9
-
 
 class TestOptimalEffect:
-    def test_achieves_the_bound(self):
-        for ens in ensemble_suite(206, 25):
-            pom = complete_pom(ens)
-            for j in range(ens.n_states):
-                e = pom.effects[j][1]
-                gap = abs(confidence_of(ens, e, j) - max_confidence(ens, j))
-                assert gap <= 1e-9
-
     def test_a_member_beside_a_prior_of_3e_10_attains_its_bound(self):
         # rho is member 0's state to 3e-10, so member 0's three whitened squared
         # singular values all lie within 1e-9 relative of its bound, yet are
@@ -171,13 +139,6 @@ class TestOptimalEffect:
         ens = Ensemble(3, states, np.array([1.0 - 3e-10, 3e-10]))
         for label, _, achieved, _ in confidence_report(ens, complete_pom(ens)).records:
             assert abs(achieved - max_confidence(ens, label)) <= 1e-13
-
-    def test_effects_are_psd(self):
-        for ens in ensemble_suite(207, 10):
-            pom = complete_pom(ens)
-            for j in range(ens.n_states):
-                vals = np.linalg.eigvalsh(gram(*pom.effects[j][1]))
-                assert vals[0] >= -1e-10 * max(vals[-1], 1.0)
 
     def test_worked_example_directions(self):
         p, q = 0.4, 0.7
@@ -212,22 +173,6 @@ class TestCompletePom:
             total = sum(outcome_matrices(pom))
             assert np.linalg.norm(total - np.eye(ens.dim)) <= 1e-9
             assert np.linalg.eigvalsh(pom.fail)[0] >= -1e-12
-
-    def test_every_outcome_still_attains_its_bound(self):
-        for ens in ensemble_suite(209, 15):
-            pom = complete_pom(ens)
-            for label, e in pom.effects:
-                gap = abs(confidence_of(ens, e, label) - max_confidence(ens, label))
-                assert gap <= 1e-9
-
-    def test_scale_is_maximal(self):
-        # pushing the common scale any higher drives the fail effect negative
-        for ens in ensemble_suite(210, 10):
-            dirs = [gram(w) for _, (w, _) in complete_pom(ens).effects]  # unscaled W_j W_j^dagger
-            total = sum(dirs)
-            t = 1.0 / np.linalg.eigvalsh((total + total.conj().T) / 2)[-1]
-            grown = np.eye(ens.dim) - (t * 1.001) * total
-            assert np.linalg.eigvalsh((grown + grown.conj().T) / 2)[0] < -1e-12
 
     def test_symmetric_unambiguous_two_state_limit(self):
         # equiprobable pure states with real overlap cos(2 theta): the
@@ -571,6 +516,12 @@ class TestPomValidation:
     def test_rejects_bad_completion(self):
         with pytest.raises(ValueError, match="^effects plus fail do not resolve the identity$"):
             POM(((0, half()),), 0.25 * np.eye(2))
+
+    def test_completeness_is_checked_at_1e_9(self):
+        effects = ((0, (np.array([[1.0], [0.0]]), 1.0)),)
+        POM(effects, np.diag([0.0, 1.0 + 0.99e-9]))
+        with pytest.raises(ValueError, match="do not resolve the identity"):
+            POM(effects, np.diag([0.0, 1.0 + 1.01e-9]))
 
     def test_rejects_a_fail_effect_that_is_not_psd(self):
         with pytest.raises(ValueError, match="^fail effect is not positive semidefinite$"):

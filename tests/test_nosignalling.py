@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -9,17 +10,18 @@ from maxconf import (
     allowed_subspace,
     complete_pom,
     confidence_of,
-    max_confidence,
     purify,
     read_spec,
     reports,
 )
+from maxconf.cli import main
 from maxconf.linalg import frobenius, gram, sandwich
 from maxconf.nosignalling import (
     bound_bipartite,
     conditional_diagonals,
     marginal_invariance,
 )
+from maxconf.specio import matrix_to_json
 
 from randomgen import ensemble_suite, hermitize, random_effect, random_ensemble
 from helpers import (
@@ -137,14 +139,6 @@ class TestConfidenceBipartite:
 
 
 class TestBoundBipartite:
-    def test_matches_left_side_bound(self):
-        for ens in ensemble_suite(303, 20):
-            bs = purify(ens)
-            b = allowed_subspace(bs)
-            for j in range(ens.n_states):
-                pair = bound_bipartite(bs, b, j)
-                assert abs(pair - max_confidence(ens, j)) <= 1e-9
-
     def test_orthogonal_supports_give_unit_bounds(self):
         # when the total rank fills the right side the allowed subspace is
         # everything, so every label can be identified with certainty
@@ -168,14 +162,6 @@ class TestBoundBipartite:
 
 
 class TestLeakage:
-    def test_conditional_states_stay_in_allowed_subspace(self):
-        rng = np.random.default_rng(42)
-        for ens in ensemble_suite(304, 15):
-            bs = purify(ens)
-            effects = [random_effect(rng, ens.dim) for _ in range(8)]
-            for _, _, leakage in conditional_diagonals(bs, allowed_subspace(bs), effects):
-                assert leakage <= 1e-10
-
     def test_forbidden_direction_has_full_leakage(self):
         for p in (0.3, 0.7):
             for q in (0.2, 0.6):
@@ -183,6 +169,21 @@ class TestLeakage:
                 perp = worked_perp(p, q)
                 leakage = 1.0 - np.linalg.norm(b.conj().T @ perp) ** 2  # Tr(Q |perp><perp| Q)
                 assert abs(leakage - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("fixture", ["near_parallel", "negative_roundoff", "tiny_prior", "trine",
+                                         "worked_example"])
+    def test_verify_reads_no_leakage_above_1e_18_on_a_fixture(self, fixture):
+        # Tr(Q rho Q) with Q = I - B B^dagger formed read 5.6e-17 on near_parallel.
+        report, _ = reports.verify_report(read_spec(f"fixtures/{fixture}.json").ensemble, reports.DEFAULT_TOLERANCE)
+        fail = report["checks"]["fail_leakage"]
+        assert max([state["leakage"] for state in report["states"]] + [fail or 0.0]) <= 1e-18
+
+    @pytest.mark.parametrize("theta, read", [(3e-12, True), (3e-13, False)])
+    def test_the_fail_outcome_is_read_above_an_inconclusive_probability_of_1e_12(self, theta, read):
+        # two equiprobable kets of overlap sin(theta): the inconclusive probability is the overlap
+        ens = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([np.sin(theta), np.cos(theta)])], [0.5, 0.5])
+        report, ok = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
+        assert ok and (report["checks"]["fail_leakage"] is not None) == read
 
     def test_subspace_leakage_traces_every_conditional(self):
         # verify's leakage is the weight of each conclusive outcome's
@@ -208,7 +209,7 @@ class TestLeakage:
         # Tr(Z^dagger F Z) is ||Z||_F^2 itself, and since 0 <= F <= I it can
         # never exceed it: a leakage less the dropped weight reads roundoff on
         # every input.  tiny-mixed is I/3 at prior 2.4e-12 beside |0>
-        # (test_roundoff.py's strict xfail), 1.6e-12 on both sides;
+        # (the strict xfail below), 1.6e-12 on both sides;
         # near_parallel drops 2.5e-13, under verify's fail-outcome gate.
         if spec == "tiny-mixed":
             ens = Ensemble(3, (np.eye(3) / 3, np.diag([1.0, 0.0, 0.0])), np.array([2.4e-12, 1 - 2.4e-12]))
@@ -264,26 +265,29 @@ class TestLeakage:
                 confidence_of(ens, effect, 0)
 
 
-class TestMarginalInvariance:
-    def test_complete_pom_cannot_signal(self):
-        for ens in ensemble_suite(305, 15):
-            bs = purify(ens)
-            pom = complete_pom(ens)
-            assert marginal_invariance(bs, pom) <= 1e-10
+@pytest.mark.xfail(strict=True,
+                   reason="the rank rule drops the tiny member's directions that the fail outcome lies in")
+def test_verify_passes_when_a_tiny_member_lies_under_the_rank_cutoff(capsys, tmp_path):
+    # Member 0 is I/3 at prior 2.4e-12 beside the ket |0> at 1 - 2.4e-12.
+    # The average's eigenvalues of 8e-13 fall under 1e-12 of the largest and
+    # are dropped, so bound prints 8e-13 for member 0, below its prior, and
+    # the fail outcome, of probability 1.6e-12 (above verify's 1e-12 gate),
+    # lies wholly outside the allowed subspace: fail_leakage prints 1.0.
+    spec = tmp_path / "tiny_mixed.json"
+    spec.write_text(json.dumps({"dimension": 3, "states": [
+        {"prior": 2.4e-12, "matrix": matrix_to_json(np.eye(3) / 3)},
+        {"prior": 1 - 2.4e-12, "ket": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    ]}))
+    code = main(["verify", str(spec), "--output", "machine"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0, report["exceeded"]
 
+
+class TestMarginalInvariance:
     def test_bell_projective(self):
         bs = bell_state()
         pom = POM(((0, (np.array([[1.0], [0.0]]), 1.0)),), np.diag([0.0, 1.0]))
         assert marginal_invariance(bs, pom) <= 1e-12
-
-    def test_random_complete_poms_cannot_signal(self):
-        from randomgen import random_complete_pom
-
-        rng = np.random.default_rng(43)
-        for ens in ensemble_suite(306, 10):
-            bs = purify(ens)
-            pom = random_complete_pom(rng, ens.dim, 3)
-            assert marginal_invariance(bs, pom) <= 1e-10
 
     def test_the_in_place_sum_is_the_plain_sum_bit_for_bit(self):
         # the expression it replaced: a Python sum of each outcome's sandwich,

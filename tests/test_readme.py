@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import maxconf
-from maxconf import confidence_of, ensembles, max_confidence, measurement, specio
+from maxconf import confidence_of, ensembles, max_confidence, measurement, specio, transforms
 from maxconf.linalg import CONDITIONAL_TOL, FAIL_OUTCOME_TOL, HERMITICITY_TOL, PSD_TOL, RANK_TOL
 from maxconf.reports import DEFAULT_TOLERANCE
 
@@ -53,6 +53,9 @@ RULES = {
     "Hermiticity": (rf"\|\|m - m\^dagger\|\|_F at most ({NUMBER}) times \|\|m\|\|_F", HERMITICITY_TOL),
     "unit trace": (rf"its trace within ({NUMBER}) of 1", ensembles._TRACE_TOL),
     "top singular space": (rf"every squared singular value within ({NUMBER}) relative of C_j", ensembles._DEGENERACY_TOL),
+    "constructor prior sum": (rf"they must already sum to 1 within ({NUMBER})", ensembles._PRIOR_SUM_TOL),
+    "two-party norm": (rf"whose Frobenius norm must be 1 within ({NUMBER})", ensembles._NORM_TOL),
+    "annihilated member": (rf"\|\|A (?:U U\^dagger )?F_j\|\|_F\^2 at most ({NUMBER})", transforms._ANNIHILATION_FLOOR),
 }
 
 

@@ -38,7 +38,7 @@ def trees(draw):
     return tree
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(trees(), st.sampled_from(["machine", "text"]))
 def test_array_leaves_render_as_their_plain_form(tree, fmt):
     assert rendered(tree, fmt) == rendered(reports.plain(tree), fmt)

@@ -62,9 +62,12 @@ class TestValidation:
 
     def test_small_prior_drift_is_renormalized(self, tmp_path):
         doc = qubit_spec()
-        doc["states"][0]["prior"] = 0.5 + 2e-10
+        doc["states"][0]["prior"] = 0.5 + 0.99e-9
         ens = read_spec(write_spec(tmp_path, doc)).ensemble
         assert abs(float(np.sum(ens.priors)) - 1.0) <= 1e-15
+        doc["states"][0]["prior"] = 0.5 + 1.01e-9  # past the 1e-9 the sum may miss 1 by
+        with pytest.raises(SpecError, match="priors sum to"):
+            read_spec(write_spec(tmp_path, doc))
 
     def test_zero_prior_rejected(self, tmp_path):
         doc = qubit_spec()

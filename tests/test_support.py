@@ -279,7 +279,7 @@ def _bounds_by_report(build, kraus):
 ], ids=["trine", "worked_example", "near_parallel", "seeded-mixed"])
 def test_every_report_gives_bit_identical_bounds(build):
     # A scaled unitary moves no bound, so transform's own bounds stay in range
-    # (test_roundoff.py pins a random filter that does not).
+    # (test_transforms.py pins a random filter that does not).
     dim = build().dim
     kraus = KrausOperator(0.9 * random_unitary(np.random.default_rng(12), dim))
     by_report = _bounds_by_report(build, kraus)
