@@ -52,6 +52,9 @@ MUTANTS = [
      "weights / success), min(success, 1.0)", "weights / success), success"),
     ("_kept_factor's eigh fallback never taken", "src/maxconf/linalg.py",
      "if abs(trace - np.vdot(f, f).real) > RANK_TOL * trace:", "if False:"),
+    ("allowed_subspace from the eigh of the right marginal", "src/maxconf/ensembles.py",
+     "q, r = np.linalg.qr(bs.amplitudes.T)",
+     "q, r = (lambda w, v: (v, np.diag(np.sqrt(np.abs(w)))))(*np.linalg.eigh(bs.right_marginal()))"),
 ]
 
 _NODE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
@@ -60,11 +63,8 @@ _NODE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 def run_suite(mutant=None) -> tuple:
     """(pytest's exit code, its failed and errored node ids, seconds) on a copy, mutated if given."""
     with tempfile.TemporaryDirectory(prefix="maxconf-mutant-") as tmp:
-        for name in COPIED:
-            if (ROOT / name).is_dir():
-                shutil.copytree(ROOT / name, Path(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(ROOT / name, Path(tmp, name))
+        shutil.copytree(ROOT, tmp, dirs_exist_ok=True, ignore=lambda folder, names: [
+            n for n in names if n == "__pycache__" or (Path(folder) == ROOT and n not in COPIED)])
         if mutant is not None:
             _, file, old, new = mutant
             path = Path(tmp, file)
