@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
     Support,
     _kept_factor,
     _readonly,
@@ -37,6 +38,7 @@ from .linalg import (
 _TRACE_TOL = 1e-10
 _PRIOR_SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
+_ORTHONORMAL_TOL = 1e-10
 # Squared singular values within this relative distance of the top one share its space.
 _DEGENERACY_TOL = 1e-12
 
@@ -263,14 +265,16 @@ class SchmidtDecomposition:
         lam = _require_finite(np.array(self.coefficients, dtype=np.float64), "Schmidt spectrum")
         if np.any(lam <= 0.0):
             raise ValueError("Schmidt coefficients must be positive")
-        if abs(lam.sum() - 1.0) > _TRACE_TOL:
-            raise ValueError(f"Schmidt coefficients sum to {float(lam.sum())!r}")
         object.__setattr__(self, "coefficients", _readonly(lam))
         for name in ("left", "right"):
             block = _require_finite(as_matrix(getattr(self, f"{name}_vectors")), f"{name} Schmidt basis")
-            if frobenius(block.conj().T @ block - np.eye(lam.size)) > 1e-10:
+            if frobenius(block.conj().T @ block - np.eye(lam.size)) > _ORTHONORMAL_TOL:
                 raise ValueError(f"{name} Schmidt vectors are not orthonormal")
             object.__setattr__(self, f"{name}_vectors", block)
+        # the rank rule drops at most RANK_TOL times the largest coefficient per direction past the rank
+        dropped = (min(len(self.left_vectors), len(self.right_vectors)) - lam.size) * RANK_TOL * lam.max(initial=0.0)
+        if not -_TRACE_TOL - dropped <= lam.sum() - 1.0 <= _TRACE_TOL:
+            raise ValueError(f"Schmidt coefficients sum to {float(lam.sum())!r}")
 
     @property
     def rank(self) -> int:

@@ -38,6 +38,7 @@ MUTANTS = [
     *_scaled("_DEGENERACY_TOL", "ensembles", "1e-12"),
     *_scaled("_PRIOR_SUM_TOL", "ensembles", "1e-12"),
     *_scaled("_NORM_TOL", "ensembles", "1e-12"),
+    *_scaled("_ORTHONORMAL_TOL", "ensembles", "1e-10"),
     *_scaled("_UNIT_SLACK", "measurement", "1e-10"),
     *_scaled("_COMPLETENESS_TOL", "measurement", "1e-9"),
     *_scaled("_PRIOR_SUM_TOL", "specio", "1e-9"),
@@ -52,6 +53,8 @@ MUTANTS = [
      "weights / success), min(success, 1.0)", "weights / success), success"),
     ("_kept_factor's eigh fallback never taken", "src/maxconf/linalg.py",
      "if abs(trace - np.vdot(f, f).real) > RANK_TOL * trace:", "if False:"),
+    ("SchmidtDecomposition's rank-rule allowance dropped", "src/maxconf/ensembles.py",
+     "if not -_TRACE_TOL - dropped <= lam.sum()", "if not -_TRACE_TOL <= lam.sum()"),
     ("allowed_subspace from the eigh of the right marginal", "src/maxconf/ensembles.py",
      "q, r = np.linalg.qr(bs.amplitudes.T)",
      "q, r = (lambda w, v: (v, np.diag(np.sqrt(np.abs(w)))))(*np.linalg.eigh(bs.right_marginal()))"),

@@ -240,12 +240,17 @@ class TestErrors:
         assert err == (f"error: {bad} is not valid JSON: Expecting property name enclosed "
                        "in double quotes: line 1 column 2 (char 1)\n")
 
-    def test_a_kraus_element_of_another_dimension_exits_two(self, capsys, tmp_path):
-        kraus = tmp_path / "identity3.json"
-        kraus.write_text(json.dumps(matrix_to_json(np.eye(3))))
+    @pytest.mark.parametrize("rows, message", [
+        (matrix_to_json(np.eye(3)), "transform: operation element dimension mismatch"),
+        # five pairs in one row decode to an array that is not square, which the per-entry reader names
+        ([[[0.5, 0.0]] * 5], "matrix[0] must be a list of 1 complex entries"),
+    ], ids=["identity3", "one-row"])
+    def test_a_kraus_element_of_another_dimension_exits_two(self, capsys, tmp_path, rows, message):
+        kraus = tmp_path / "kraus.json"
+        kraus.write_text(json.dumps(rows))
         code, out, err = run(capsys, "transform", TRINE, "--kraus", str(kraus))
         assert code == 2 and out == ""
-        assert err == "error: transform: operation element dimension mismatch\n"
+        assert err == f"error: {message}\n"
 
     def test_a_closed_stdout_pipe_exits_two_with_one_line(self, tmp_path):
         # pom's machine output on this spec is far past the 64 KB pipe buffer,

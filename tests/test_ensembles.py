@@ -331,6 +331,30 @@ class TestSchmidt:
         b = schmidt(relabelled).coefficients
         assert np.abs(a - b).max() <= 1e-12
 
+    # d = 128: |0> (and |1> at prior 1e-6) beside I/r on the other r directions, each of
+    # whose eigenvalues in the average is 0.99e-12 of the largest, so the rank rule drops
+    # r x 0.99e-12 > 1e-10 of Schmidt weight
+    @staticmethod
+    def _dominant_beside_dropped(kets):
+        r = 128 - kets
+        p = r * 0.99e-12
+        members = [np.diag(np.eye(128)[k]) for k in range(kets)] + [np.diag(np.r_[np.zeros(kets), np.ones(r) / r])]
+        priors = ([1.0 - 1e-6 - p, 1e-6] if kets == 2 else [1.0 - p]) + [p]
+        return Ensemble(128, members, priors)
+
+    def test_a_spectrum_the_rank_rule_cut_by_more_than_1e_10_verifies_and_concentrates(self):
+        ens = self._dominant_beside_dropped(2)
+        report, ok = reports.verify_report(ens, reports.DEFAULT_TOLERANCE)
+        assert ok and report["status"] == "pass"
+        assert len(reports.concentrate_tree(ens)["schmidt_before"]) == 2
+
+    def test_its_rank_one_variant_is_a_product_state(self):
+        ens = self._dominant_beside_dropped(1)
+        sd = schmidt(purify(ens))
+        assert sd.rank == 1 and 1.0 - sd.coefficients.sum() > 1e-10
+        with pytest.raises(ValueError, match=r"^cannot concentrate: Schmidt rank 1 \(product state\)$"):
+            reports.concentrate_tree(ens)
+
 
 def projector(b: np.ndarray) -> np.ndarray:
     return b @ b.conj().T
@@ -403,6 +427,18 @@ class TestSchmidtAndProjectorValidation:
     def test_schmidt_rejections(self, coefficients, left, right, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SchmidtDecomposition(np.array(coefficients), left.astype(complex), right.astype(complex))
+
+    @pytest.mark.parametrize("scale, accepted", [(0.99, True), (1.01, False)])
+    def test_schmidt_vectors_are_orthonormal_within_1e_10(self, scale, accepted):
+        # ||B^dagger B - I||_F = scale x 1e-10 for B = diag(1 + x, 1), to first order 2x
+        left = np.diag([1.0 + scale * 1e-10 / 2.0, 1.0]).astype(complex)
+        deviation = np.linalg.norm(left.conj().T @ left - np.eye(2))
+        assert abs(deviation - scale * 1e-10) <= 1e-15
+        if accepted:
+            SchmidtDecomposition([0.5, 0.5], left, np.eye(2))
+        else:
+            with pytest.raises(ValueError, match="^left Schmidt vectors are not orthonormal$"):
+                SchmidtDecomposition([0.5, 0.5], left, np.eye(2))
 
     def test_a_list_of_coefficients_is_stored_as_an_array(self):
         sd = SchmidtDecomposition([0.5, 0.5], np.eye(2), np.eye(2))

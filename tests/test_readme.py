@@ -52,6 +52,9 @@ RULES = {
     "ket renormalization warning": (rf"a warning fires if the correction exceeds ({NUMBER})", specio._KET_NORM_WARN),
     "Hermiticity": (rf"\|\|m - m\^dagger\|\|_F at most ({NUMBER}) times \|\|m\|\|_F", HERMITICITY_TOL),
     "unit trace": (rf"its trace within ({NUMBER}) of 1", ensembles._TRACE_TOL),
+    "Schmidt sum": (rf"A Schmidt spectrum sums to 1 within ({NUMBER})", ensembles._TRACE_TOL),
+    "Schmidt sum allowance": (rf"short by at most ({NUMBER}) times its largest coefficient", RANK_TOL),
+    "Schmidt orthonormality": (rf"\|\|B\^dagger B - I\|\|_F at most ({NUMBER})", ensembles._ORTHONORMAL_TOL),
     "top singular space": (rf"every squared singular value within ({NUMBER}) relative of C_j", ensembles._DEGENERACY_TOL),
     "constructor prior sum": (rf"they must already sum to 1 within ({NUMBER})", ensembles._PRIOR_SUM_TOL),
     "two-party norm": (rf"whose Frobenius norm must be 1 within ({NUMBER})", ensembles._NORM_TOL),

@@ -8,6 +8,7 @@ import pytest
 
 from maxconf import SpecError, load_kraus, read_spec, reports
 from maxconf import specio
+from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
 from randomgen import random_density, random_kraus
@@ -354,6 +355,17 @@ class TestArrayParsing:
         assert calls == ["eigvalsh"] * len(states)
         for j in range(len(states)):
             assert noted.factor(j).tobytes() == plain.factor(j).tobytes()
+
+    def test_a_literal_in_an_unread_field_changes_no_byte_of_pom(self, tmp_path, capsys):
+        # the note comes first, ahead of every field a command reads
+        plain = "fixtures/worked_example.json"
+        with open(plain) as fh:
+            noted = write_spec(tmp_path, {"note": True, **json.load(fh)}, "noted.json")
+        printed = []
+        for path in (plain, noted):
+            assert main(["pom", path, "--output", "machine"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
 
 class TestTolerance:
