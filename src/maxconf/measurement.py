@@ -34,8 +34,8 @@ _COMPLETENESS_TOL = 1e-9
 _UNIT_SLACK = 1e-10
 # Trials sampled per block, so memory stays flat in the number of trials.
 _SAMPLE_CHUNK = 1 << 13
-# A draw is m 2^-53 with m < 2^53, so uint64 keys label 2^53 + m hold 2047 labels and their edges.
-_MANTISSA_BITS, _KEY_LABELS = 53, 2047
+# A draw is m 2^-53 with m < 2^53.
+_MANTISSA_BITS = 53
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its increment and its two mixing multipliers.
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
@@ -168,15 +168,17 @@ class ConfidenceReport:
     inconclusive_probability: float
 
     def __post_init__(self):
-        total = self.inconclusive_probability
-        for label, _, _, prob in self.records:
-            if not -_UNIT_SLACK <= prob <= 1.0 + _UNIT_SLACK:
-                raise ValueError(f"probability for state {label} out of range: {prob!r}")
-            total += prob
-        if not -_UNIT_SLACK <= self.inconclusive_probability <= 1.0 + _UNIT_SLACK:
+        """Range-check each probability and their sum, then clamp each into [0, 1] (README)."""
+        inconclusive = self.inconclusive_probability
+        records = tuple((label, bound, achieved, _unit_interval(prob, f"probability for state {label}"))
+                        for label, bound, achieved, prob in self.records)
+        if not -_UNIT_SLACK <= inconclusive <= 1.0 + _UNIT_SLACK:
             raise ValueError("inconclusive probability out of range")
+        total = sum((prob for *_, prob in self.records), inconclusive)
         if abs(total - 1.0) > _COMPLETENESS_TOL:
             raise ValueError(f"outcome probabilities sum to {total!r}")
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "inconclusive_probability", min(max(inconclusive, 0.0), 1.0))
 
 
 def confidence_report(ens: Ensemble, pom: POM) -> ConfidenceReport:
@@ -253,9 +255,9 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     by the rule in README's Conventions: the label from the priors, then the
     outcome from outcome_table's row, from draws 2i and 2i + 1 of _draws.
     Both draws are compared on integers with the edges of _integer_edges.  Trials run in
-    blocks of _SAMPLE_CHUNK; one sort of the keys label 2^53 + m, located among the sorted
-    edges label 2^53 + ceil(c 2^53), gives every (label, outcome) cell of a block as one
-    run, _KEY_LABELS labels at a time: O(block) memory, whatever the trials, members and outcomes.
+    blocks of _SAMPLE_CHUNK, and each trial's outcome is found by halving its label's row
+    of edges, ceil(log2 outcomes) exact comparisons: O(block) memory, whatever the trials,
+    members and outcomes.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -266,31 +268,22 @@ def simulate_measurement(ens: Ensemble, pom: POM, trials: int, seed: int) -> Sim
     prob /= prob.sum(axis=1, keepdims=True)
     label_edges = _integer_edges(np.cumsum(ens.priors))
     edges = _integer_edges(np.cumsum(prob, axis=1, out=prob))
-    del prob
-    edges += (np.arange(ens.n_states, dtype=np.uint64) % _KEY_LABELS << _MANTISSA_BITS)[:, None]
-    edges = edges.reshape(-1)  # each window of _KEY_LABELS rows sorted
-    window_size = _KEY_LABELS * n_out
+    del prob  # before the reshape, which copies the column-major table
+    edges = edges.reshape(-1)  # row i starts at i n_out
     joint = np.zeros(ens.n_states * n_out, dtype=np.int64)
     for start in range(0, trials, _SAMPLE_CHUNK):
         m = _draws(seed, 2 * start, 2 * min(_SAMPLE_CHUNK, trials - start)).reshape(-1, 2)
-        keys = np.searchsorted(label_edges, m[:, 0], side="right")
-        window = keys // _KEY_LABELS
-        keys -= window * _KEY_LABELS  # the label within its window
-        keys = keys.view(np.uint64)
-        keys <<= _MANTISSA_BITS
-        keys |= m[:, 1]
-        # each spent array is dropped before the next is made: a block peaks near 0.35 MB
+        cell = np.searchsorted(label_edges, m[:, 0], side="right")
+        cell *= n_out  # the label's row; its last edge, 2^53, is above every draw
+        draw = m[:, 1].copy()
         del m
-        for w in range(-(-ens.n_states // _KEY_LABELS)):
-            block = keys[window == w]
-            block.sort()
-            base = w * window_size
-            cells = np.searchsorted(edges[base:base + window_size], block, side="right")
-            del block
-            ends = np.flatnonzero(cells != np.append(cells[1:], -1))
-            joint[base + cells[ends]] += np.diff(ends, prepend=-1)
-            del cells
-        del keys, window
+        n = n_out  # the cell lies in [cell, cell + n)
+        while n > 1:
+            half = n // 2
+            cell += half * (edges[cell + (half - 1)] <= draw)
+            n -= half
+        np.add.at(joint, cell, 1)  # counts a repeated cell each time, as joint[cell] += 1 would not
+        del cell, draw  # before the next block's draws: a block peaks near 0.27 MB
 
     joint = joint.reshape(ens.n_states, n_out)
     outcome_counts = joint.sum(axis=0)

@@ -58,6 +58,16 @@ MUTANTS = [
     ("allowed_subspace from the eigh of the right marginal", "src/maxconf/ensembles.py",
      "q, r = np.linalg.qr(bs.amplitudes.T)",
      "q, r = (lambda w, v: (v, np.diag(np.sqrt(np.abs(w)))))(*np.linalg.eigh(bs.right_marginal()))"),
+    ("simulate's halving probe one edge late", "src/maxconf/measurement.py",
+     "edges[cell + (half - 1)]", "edges[cell + half]"),
+    ("simulate's halving keeps the lower half's size", "src/maxconf/measurement.py",
+     "n -= half", "n = half"),
+    ("monotonicity_check's raised bound not violated", "src/maxconf/transforms.py",
+     'if after > before + tol:\n            verdict = "violated"', 'if after > before + tol:\n            verdict = "decreased"'),
+    ("monotonicity_check's full-rank drop not violated", "src/maxconf/transforms.py",
+     'elif full:\n            verdict = "violated"', 'elif full:\n            verdict = "decreased"'),
+    ("ConfidenceReport's inconclusive clamp dropped", "src/maxconf/measurement.py",
+     '"inconclusive_probability", min(max(inconclusive, 0.0), 1.0))', '"inconclusive_probability", inconclusive)'),
 ]
 
 _NODE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)

@@ -136,6 +136,20 @@ class TestSimulate:
         for entry in json.loads(out)["outcomes"]:
             assert math.isfinite(entry["band_3sigma"])
 
+    def test_roundoff_below_zero_prints_as_a_probability_in_range(self, capsys, tmp_path):
+        # two orthogonal kets turned by 9 pi / 100: the fail outcome's probability
+        # comes out at -2.2e-16 and is clamped into [0, 1], as bounds and confidences are
+        spec = tmp_path / "turned.json"
+        c, s = 0.9602936856769431, 0.2789911060392293
+        spec.write_text(json.dumps({"dimension": 2, "states": [
+            {"prior": 0.5, "ket": [[c, 0.0], [s, 0.0]]},
+            {"prior": 0.5, "ket": [[-s, 0.0], [c, 0.0]]},
+        ]}))
+        _, pom, _ = run(capsys, "pom", str(spec), "--output", "machine")
+        _, sim, _ = run(capsys, "simulate", str(spec), "--output", "machine")
+        assert json.loads(pom)["inconclusive_probability"] >= 0.0
+        assert json.loads(sim)["fail"]["expected_probability"] >= 0.0
+
     def test_no_command_imports_numpy_random(self, tmp_path):
         # importing numpy.random costs about 5.5 MB of resident memory, and
         # simulate draws its uniforms from SplitMix64 on numpy's core; a fresh

@@ -280,11 +280,11 @@ class TestSimulate:
         sim = simulate_measurement(ens, pom, trials, 21)
         assert (sim.outcome_counts, sim.correct_counts) == one_shot_sample(ens, pom, trials, 21)
 
-    def test_more_members_than_one_sort_key_holds_match_a_row_search(self):
-        # a uint64 key holds 2047 labels beside a draw's 53 bits, so labels
-        # 2047 and up take a second window; the reference finds each trial's
-        # outcome in its own row, where one_shot_sample's (trials x outcomes)
-        # table would take about 300 MB
+    def test_two_thousand_members_match_a_row_search(self):
+        # 2100 members, with more than 500 trials prepared as labels 2047 and
+        # up, whose rows sit past 2^11 rows into the edge table; the reference
+        # finds each trial's outcome in its own row, where one_shot_sample's
+        # (trials x outcomes) table would take about 300 MB
         n = 2100
         rng = np.random.default_rng(24)
         priors = np.linspace(1.0, 3.0, n)
@@ -338,7 +338,7 @@ class TestSimulate:
         # u = m 2^-53 against a cumulative c, with the last outcome taking
         # whatever lies past the end, at the draws on either side of each edge
         edges = _integer_edges(cum.copy())
-        # the edges of one row stay below the keys of the next
+        # the last edge, 2^53, is above every draw and no edge is past it
         assert edges[-1] == 1 << 53 and edges.max() == 1 << 53
         m = np.unique(np.concatenate([edges - 1, edges, edges + 1]))
         m = m[m < 1 << 53]

@@ -3,6 +3,7 @@ numerical rule is the constant that decides it, and every public function
 and class in the package is used or documented, so neither can drift."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -59,6 +60,7 @@ RULES = {
     "constructor prior sum": (rf"they must already sum to 1 within ({NUMBER})", ensembles._PRIOR_SUM_TOL),
     "two-party norm": (rf"whose Frobenius norm must be 1 within ({NUMBER})", ensembles._NORM_TOL),
     "annihilated member": (rf"\|\|A (?:U U\^dagger )?F_j\|\|_F\^2 at most ({NUMBER})", transforms._ANNIHILATION_FLOOR),
+    "sample block": (rf"Trials run in blocks of 2\^({NUMBER})", math.log2(measurement._SAMPLE_CHUNK)),
 }
 
 

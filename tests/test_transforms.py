@@ -24,7 +24,7 @@ from randomgen import (
     random_kraus,
     random_unitary,
 )
-from helpers import trine
+from helpers import trine, worked
 
 
 class TestKrausOperator:
@@ -192,6 +192,19 @@ class TestMonotonicity:
         assert abs(rec0.confidence_after - 2.0 / 3.0) <= 1e-12
         assert rec0.verdict == "invariant"
         assert not rec0.full_rank_on_support
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["raised", "full-rank-lowered"])
+    def test_a_raised_bound_or_a_full_rank_drop_is_violated(self, reverse):
+        # monotonicity_check takes any pair of ensembles: member 1's bound goes from
+        # 0.704225352112676 in worked(0.5, 0.3) to 1.0 for the orthogonal kets |0>, |1>,
+        # and back down again at the same support rank 2, as no full-rank element may move it
+        ens = worked(0.5, 0.3)
+        orthogonal = Ensemble.from_pure([np.array([1.0, 0.0]), np.array([0.0, 1.0])], np.array([0.5, 0.5]))
+        before, after = (orthogonal, ens) if reverse else (ens, orthogonal)
+        rec1 = monotonicity_check(before, after)[1]
+        assert (rec1.verdict, rec1.ok, rec1.full_rank_on_support) == ("violated", False, True)
+        assert sorted([rec1.confidence_before, rec1.confidence_after]) == pytest.approx([0.704225352112676, 1.0],
+                                                                                       abs=1e-12)
 
 
 class TestConcentrate:
