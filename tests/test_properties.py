@@ -27,9 +27,10 @@ Besides bound, pom and verify, the paper's own claims run over every
 family: each bound's dual certificate, no signalling for random complete
 measurements, filters that never raise a bound (and move none when
 invertible), concentration at lambda_min * D, the maximum confidence as
-what concentrating and then measuring gives, and simulated frequencies
-inside their 3-sigma bands.  The filter properties run family by family,
-so a family they fail on can be pinned as a strict xfail on its own.
+what concentrating and then measuring gives and as the bound read off the
+right Schmidt vectors, and simulated frequencies inside their 3-sigma
+bands.  The filter properties run family by family, so a family they fail
+on can be pinned as a strict xfail on its own.
 """
 
 import numpy as np
@@ -498,6 +499,23 @@ def test_the_bound_is_what_concentrating_then_measuring_gives(family):
             assert abs(max_confidence(filtered, j) - bound) <= tol
             composed = (res.kraus.matrix.conj().T @ v[:, :1], 1.0)
             assert abs(confidence_of(ens, composed, j) - bound) <= tol
+
+    check()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_bound_read_off_the_right_schmidt_rows_is_the_bound(family):
+    # concentrate's post-state is U V^T / sqrt(D), so the concentrated member
+    # j has D p'_j lambda_max(rho'_j) = sigma_max(V[sigma(j), :])^2: the
+    # no-signalling bound read off the right Schmidt vectors V, a second
+    # orthonormal basis of the allowed subspace beside verify's QR basis B.
+    @SETTINGS
+    @given(FAMILIES[family])
+    def check(ens):
+        bs = purify(ens)
+        rows = schmidt(bs).right_vectors
+        for j in range(ens.n_states):
+            assert abs(bound_bipartite(bs, rows, j) - max_confidence(ens, j)) <= 1e-12
 
     check()
 

@@ -1,6 +1,7 @@
 """README's Library block runs as written, each figure README gives for a
-numerical rule is the constant that decides it, and every public function
-and class in the package is used or documented, so neither can drift."""
+numerical rule is the constant that decides it, the mutant count it gives is
+the length of the list, and every public function and class in the package
+is used or documented, so none of them can drift."""
 
 import ast
 import math
@@ -13,6 +14,8 @@ import maxconf
 from maxconf import confidence_of, ensembles, max_confidence, measurement, specio, transforms
 from maxconf.linalg import CONDITIONAL_TOL, FAIL_OUTCOME_TOL, HERMITICITY_TOL, PSD_TOL, RANK_TOL
 from maxconf.reports import DEFAULT_TOLERANCE
+
+from mutants import MUTANTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "maxconf").glob("*.py"))
@@ -70,6 +73,10 @@ def test_each_figure_readme_gives_is_the_constant_that_decides_it(rule):
     figures = [float(x) for x in re.findall(pattern, FLAT)]
     assert figures, f"README no longer states the {rule} rule"
     assert figures == [constant] * len(figures)
+
+
+def test_the_mutant_count_readme_states_is_the_length_of_the_list():
+    assert [int(x) for x in re.findall(r"the list of (\d+) takes", FLAT)] == [len(MUTANTS)]
 
 
 def test_every_figure_of_the_residual_convention_is_the_default_tolerance():
