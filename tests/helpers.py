@@ -1,4 +1,4 @@
-"""Shared ensemble builders, report and reader helpers used across the tests."""
+"""Shared ensemble builders, spec writers, report and reader helpers used across the tests."""
 
 import json
 import warnings
@@ -7,7 +7,28 @@ import numpy as np
 import pytest
 
 from maxconf import BipartiteState, Ensemble, SpecError, reports, specio
+from maxconf.cli import main
 from maxconf.linalg import gram
+
+
+def members_doc(states, priors) -> dict:
+    """A spec of the members, prior first: a 1-D state as its ket, any other as its matrix."""
+    return {"dimension": len(states[0]), "states": [
+        {"prior": float(p), "ket" if np.ndim(s) == 1 else "matrix": specio.matrix_to_json(s)}
+        for p, s in zip(priors, states)]}
+
+
+def write_json(path, doc) -> str:
+    """Write doc to path as JSON and return the path as a string."""
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run(capsys, *argv) -> tuple:
+    """(exit code, stdout, stderr) of the command line run in process on argv."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def worked(p: float, q: float) -> Ensemble:

@@ -13,17 +13,12 @@ from maxconf.cli import main
 from maxconf.specio import matrix_to_json
 
 from randomgen import random_ensemble
+from helpers import members_doc, run, write_json
 
 WORKED = "fixtures/worked_example.json"
 TRINE = "fixtures/trine.json"
 NEAR_PARALLEL = "fixtures/near_parallel.json"
 TINY_PRIOR = "fixtures/tiny_prior.json"
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestBound:
@@ -270,15 +265,10 @@ class TestErrors:
         # pom's machine output on this spec is far past the 64 KB pipe buffer,
         # so the write is still going when the reader closes its end
         ens = random_ensemble(np.random.default_rng(8), 32, [1] * 8)
-        spec = tmp_path / "d32.json"
-        spec.write_text(json.dumps({
-            "dimension": ens.dim,
-            "states": [{"prior": float(p), "matrix": matrix_to_json(rho)}
-                       for p, rho in zip(ens.priors, ens.states)],
-        }))
+        spec = write_json(tmp_path / "d32.json", members_doc(ens.states, ens.priors))
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        child = subprocess.Popen([sys.executable, "-m", "maxconf.cli", "pom", str(spec), "--output", "machine"],
+        child = subprocess.Popen([sys.executable, "-m", "maxconf.cli", "pom", spec, "--output", "machine"],
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert len(child.stdout.read(100)) == 100
         child.stdout.close()

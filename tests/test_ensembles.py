@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -16,16 +15,17 @@ from maxconf import (
 )
 from maxconf.ensembles import StateError, _checked_state
 from maxconf.linalg import fix_phase, kept, kept_svd
-from maxconf.specio import matrix_to_json
 
 from randomgen import ensemble_suite, hermitize, random_bipartite, random_members, random_unitary
 from helpers import (
     bell_state,
+    members_doc,
     trine,
     trine_kets,
     worked,
     worked_perp,
     worked_purification,
+    write_json,
 )
 
 
@@ -156,10 +156,7 @@ class TestFactoredStates:
     @pytest.mark.parametrize("dim, ranks", [(8, [1, 3, 2, 4]), (16, [1, 3, 2, 4] * 2)])
     def test_read_spec_and_the_constructor_hold_the_same_factors(self, tmp_path, dim, ranks):
         states, priors = random_members(np.random.default_rng(dim), dim, ranks)
-        path = tmp_path / "members.json"
-        path.write_text(json.dumps({"dimension": dim, "states": [
-            {"prior": float(p), "matrix": matrix_to_json(rho)} for p, rho in zip(priors, states)]}))
-        read = read_spec(str(path)).ensemble
+        read = read_spec(write_json(tmp_path / "members.json", members_doc(states, priors))).ensemble
         built = Ensemble(dim, states, read.priors)
         for j in range(len(ranks)):
             assert built.factor(j).tobytes() == read.factor(j).tobytes()

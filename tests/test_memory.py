@@ -50,7 +50,7 @@ from maxconf.reports import verify_report
 from maxconf.specio import load_kraus, matrix_to_json, read_spec
 
 from randomgen import random_ensemble, random_kraus, random_members
-from helpers import whole_file_load_json
+from helpers import members_doc, whole_file_load_json, write_json
 
 PEAK_PER_FILE_BYTE = 3.0
 # Streamed: the read and the whole command hold less than the file.
@@ -75,19 +75,6 @@ OUTCOME_TABLE_PEAK_PER_TABLE_BYTE = 1.3
 VERIFY_PEAK_IN_MATRICES = 8.0
 
 
-def _spec_file(ens, path):
-    return _members_file(ens.states, ens.priors, path)
-
-
-def _members_file(states, priors, path):
-    doc = {
-        "dimension": len(states[0]),
-        "states": [{"prior": float(p), "matrix": matrix_to_json(rho)} for p, rho in zip(priors, states)],
-    }
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 def _state_bytes(ens):
     return ens.n_states * ens.dim * ens.dim * np.dtype(np.complex128).itemsize
 
@@ -95,7 +82,7 @@ def _state_bytes(ens):
 @pytest.fixture(scope="module")
 def large_spec(tmp_path_factory):
     ens = random_ensemble(np.random.default_rng(1), 32, [4] * 88)
-    path = _spec_file(ens, tmp_path_factory.mktemp("memory") / "d32-n88.json")
+    path = write_json(tmp_path_factory.mktemp("memory") / "d32-n88.json", members_doc(ens.states, ens.priors))
     size = os.path.getsize(path)
     assert size >= 4e6
     return str(path), size
@@ -143,7 +130,8 @@ def test_streamed_read_and_report_hold_less_than_the_text(large_spec, pom_peaks,
 
 
 def test_read_spec_holds_each_member_once(tmp_path):
-    path = _spec_file(random_ensemble(np.random.default_rng(3), 64, [1, 4] * 16), tmp_path / "d64-n32.json")
+    ens = random_ensemble(np.random.default_rng(3), 64, [1, 4] * 16)
+    path = write_json(tmp_path / "d64-n32.json", members_doc(ens.states, ens.priors))
     tracemalloc.start()
     try:
         spec = read_spec(path)
@@ -156,7 +144,7 @@ def test_read_spec_holds_each_member_once(tmp_path):
 
 def test_read_spec_holds_the_factors_and_at_most_one_member(tmp_path):
     states, priors = random_members(np.random.default_rng(4), 128, [4] * 16)
-    path = _members_file(states, priors, tmp_path / "d128-n16-rank4.json")
+    path = write_json(tmp_path / "d128-n16-rank4.json", members_doc(states, priors))
     del states
     tracemalloc.start()
     try:

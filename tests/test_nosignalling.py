@@ -14,23 +14,24 @@ from maxconf import (
     read_spec,
     reports,
 )
-from maxconf.cli import main
 from maxconf.linalg import frobenius, gram, sandwich
 from maxconf.nosignalling import (
     bound_bipartite,
     conditional_diagonals,
     marginal_invariance,
 )
-from maxconf.specio import matrix_to_json
 
 from randomgen import ensemble_suite, hermitize, random_effect, random_ensemble, random_members
 from helpers import (
     bell_state,
+    members_doc,
+    run,
     trine,
     worked,
     worked_bound,
     worked_perp,
     worked_purification,
+    write_json,
 )
 
 
@@ -288,13 +289,10 @@ def test_verify_passes_when_a_tiny_member_lies_under_the_rank_cutoff(capsys, tmp
     # are dropped, so bound prints 8e-13 for member 0, below its prior, and
     # the fail outcome, of probability 1.6e-12 (above verify's 1e-12 gate),
     # lies wholly outside the allowed subspace: fail_leakage prints 1.0.
-    spec = tmp_path / "tiny_mixed.json"
-    spec.write_text(json.dumps({"dimension": 3, "states": [
-        {"prior": 2.4e-12, "matrix": matrix_to_json(np.eye(3) / 3)},
-        {"prior": 1 - 2.4e-12, "ket": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
-    ]}))
-    code = main(["verify", str(spec), "--output", "machine"])
-    report = json.loads(capsys.readouterr().out)
+    spec = write_json(tmp_path / "tiny_mixed.json",
+                      members_doc([np.eye(3) / 3, np.array([1.0, 0.0, 0.0])], [2.4e-12, 1 - 2.4e-12]))
+    code, out, _ = run(capsys, "verify", spec, "--output", "machine")
+    report = json.loads(out)
     assert code == 0, report["exceeded"]
 
 

@@ -33,8 +33,10 @@ bands.  The filter properties run family by family, so a family they fail
 on can be pinned as a strict xfail on its own.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxconf import (
     Ensemble,
@@ -58,17 +60,9 @@ from maxconf.linalg import HERMITICITY_TOL, PSD_TOL
 
 from randomgen import random_complete_pom, random_density, random_ket, random_kraus, random_unitary
 
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
 TOL = 1e-9
-
-
-@pytest.fixture(scope="module")
-def mpmath():
-    return pytest.importorskip("mpmath")
 
 
 def _state(rng, dim, rank):
@@ -299,7 +293,7 @@ def _oracle(mpmath, ens):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_every_bound_derived_number_matches_the_40_digit_oracle(mpmath, family):
+def test_every_bound_derived_number_matches_the_40_digit_oracle(family):
     # A tiny bound is accurate in absolute terms only, so the tolerance is absolute.
     @settings(SETTINGS, max_examples=30)
     @given(FAMILIES[family])
@@ -334,6 +328,51 @@ def test_every_bound_derived_number_matches_the_40_digit_oracle(mpmath, family):
             assert abs(concentrate(bs).success_probability - spectrum[-rank] * rank) <= 1e-12
 
     with_examples(check, family)()
+
+
+def _filtered_oracle(ens, kraus, rank):
+    """In 40 digits: each member's bound after the filter A, and the success
+    probability.  Member i becomes A P F_i, P the projector onto the top
+    Ensemble.support.rank eigenvectors of rho, or A F_i where
+    ||A P F_i||_F^2 <= 1e-14 (apply_kraus's rule); its prior is reweighted
+    by that squared norm t_i, and each bound is read off the top `rank`
+    eigenpairs of the filtered average as in _oracle."""
+    with mpmath.workdps(40):
+        a = mpmath.matrix(kraus.matrix.tolist())
+        factors = [mpmath.matrix(ens.factor(j).tolist()) for j in range(ens.n_states)]
+        priors = [mpmath.mpf(float(p)) for p in ens.priors]
+        rho = sum((p * (f * f.H) for p, f in zip(priors, factors)), mpmath.zeros(ens.dim))
+        q = mpmath.eigh(rho)[1][:, ens.dim - ens.support.rank:]
+        images = [a * (q * (q.H * f)) for f in factors]
+        images = [af if mpmath.norm(af) ** 2 > 1e-14 else a * f for af, f in zip(images, factors)]
+        weights = [p * mpmath.norm(af) ** 2 for p, af in zip(priors, images)]
+        success = sum(weights)
+        # p'_i rho'_i = (p_i t_i / success) (A P F_i)(A P F_i)^dagger / t_i
+        scaled = [af * mpmath.sqrt(p / success) for p, af in zip(priors, images)]
+        lam, v = mpmath.eigh(sum((g * g.H for g in scaled), mpmath.zeros(ens.dim)))
+        whiten = mpmath.matrix([[mpmath.conj(v[i, k]) / mpmath.sqrt(lam[k]) for i in range(ens.dim)]
+                                for k in range(ens.dim - rank, ens.dim)])
+        bounds = [float(max(mpmath.eigh((whiten * g).H * (whiten * g), eigvals_only=True))) for g in scaled]
+    return bounds, float(success)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_bound_after_a_filter_matches_the_40_digit_oracle(family):
+    # The filter is drawn as in test_a_filter_never_raises_a_bound.  The
+    # oracle filters the member factors itself, so apply_kraus's kept-support
+    # rule and reweighting are checked with each bound after the filter.
+    @settings(SETTINGS, max_examples=30)
+    @given(FAMILIES[family], SEEDS)
+    def check(ens, seed):
+        rng = np.random.default_rng(seed)
+        kraus = random_kraus(rng, ens.dim, rank=int(rng.integers(1, ens.dim + 1)))
+        transformed, success = apply_kraus(ens, kraus)
+        bounds, expected = _filtered_oracle(ens, kraus, transformed.support.rank)
+        assert abs(success - min(expected, 1.0)) <= 1e-12
+        for j, bound in enumerate(bounds):
+            assert abs(max_confidence(transformed, j) - bound) <= 1e-12
+
+    check()
 
 
 @SETTINGS

@@ -6,15 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxconf import SpecError, load_kraus, read_spec, specio
 from maxconf.specio import matrix_to_json
 
 from helpers import streamed_and_whole
 from randomgen import random_density
-
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 _BASE = json.dumps(
     {

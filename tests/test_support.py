@@ -11,7 +11,6 @@ behind verify computes its own, from one small SVD per mixed member, a
 QR of the amplitude matrix's transpose and one SVD of its triangle.
 """
 
-import json
 from collections import Counter
 
 import numpy as np
@@ -19,10 +18,9 @@ import pytest
 
 from maxconf import Ensemble, KrausOperator, complete_pom, max_confidence, measurement, nosignalling, read_spec, reports
 from maxconf.linalg import Support
-from maxconf.specio import matrix_to_json
 
 from randomgen import random_ensemble, random_kraus, random_members, random_unitary
-from helpers import trine, worked
+from helpers import members_doc, trine, worked, write_json
 
 DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
 
@@ -63,13 +61,9 @@ def decompositions(monkeypatch):
     return calls
 
 
-def read_members(tmp_path, dim, states, priors) -> Ensemble:
+def read_members(tmp_path, states, priors) -> Ensemble:
     """The ensemble read_spec builds from the members written as matrices."""
-    doc = {"dimension": dim, "states": [
-        {"prior": float(p), "matrix": matrix_to_json(rho)} for p, rho in zip(priors, states)]}
-    path = tmp_path / "members.json"
-    path.write_text(json.dumps(doc))
-    return read_spec(str(path)).ensemble
+    return read_spec(write_json(tmp_path / "members.json", members_doc(states, priors))).ensemble
 
 
 @pytest.mark.parametrize("built_by", ["constructor", "read_spec"])
@@ -81,7 +75,7 @@ def test_decompositions_per_report_are_linear_in_members(command, n, built_by, d
     if built_by == "constructor":
         ens = random_ensemble(rng, 16, ranks)
     else:
-        ens = read_members(tmp_path, 16, *random_members(rng, 16, ranks))
+        ens = read_members(tmp_path, *random_members(rng, 16, ranks))
     kraus = random_kraus(rng, 16, min_singular=0.3)
     decompositions.clear()
     REPORTS[command](ens, kraus)
@@ -106,7 +100,7 @@ def decomposed_shapes(monkeypatch):
 def test_pom_decomposes_three_d_sized_matrices_and_one_small_block_per_mixed_member(
         decomposed_shapes, tmp_path):
     ranks = [1, 4] * 8
-    ens = read_members(tmp_path, 32, *random_members(np.random.default_rng(3), 32, ranks))
+    ens = read_members(tmp_path, *random_members(np.random.default_rng(3), 32, ranks))
     decomposed_shapes.clear()
     reports.pom_report(ens)
     blocks = [shape for shape in decomposed_shapes if shape == (ens.support.rank, 4)]
